@@ -15,9 +15,9 @@ from .dvf import (BoxContext, TruncationTooSmall, box, build_dvf, column_dvf,
 from .reports import IdentityReport
 from .symbolic import (Assignment, GenericityViolation, HigherOrderPole,
                        PoleHit, SamplingExhausted, SymSum, SymTerm, ZERO, ONE,
-                       add, equal_as_rational_functions, evaluate, mul_terms,
-                       residue_at, shift_u, sum_from_json, sum_to_json,
-                       sum_to_latex, sum_to_text)
+                       equal_as_rational_functions, evaluate, residue_at,
+                       shift_u, sum_from_json, sum_to_json, sum_to_latex,
+                       sum_to_text)
 from .tableaux import (Partition, SkewDiagram, Tableau, conjugate,
                        count_tableaux, enumerate_tableaux, is_admissible)
 

@@ -22,10 +22,10 @@ import numpy as np
 
 from .algebra import (AlgebraSpec, IndexLabel, ZERO_LABEL, bar, bilinear_form,
                       root_degree, unb)
-from .dvf import BoxContext, box
+from .dvf import BoxContext, box, box_product
 from .reports import IdentityReport
 from .symbolic import (Assignment, GenericityViolation, SymSum, SymTerm,
-                       evaluate, residue_breakdown)
+                       evaluate, poly_at, residue_breakdown)
 
 
 class NoSolutionFound(RuntimeError):
@@ -72,20 +72,6 @@ class BetheRootSet:
                                   for vs in d["roots"]))
 
 
-def _q_at(roots: Sequence[complex], v: complex) -> complex:
-    out = complex(1)
-    for u in roots:
-        out *= v - u
-    return out
-
-
-def _phi_at(inhoms: Sequence[complex], v: complex) -> complex:
-    out = complex(1)
-    for w in inhoms:
-        out *= v - w
-    return out
-
-
 def bae_parts(sys: BetheSystem, roots: BetheRootSet, a: int,
               k: int) -> tuple[complex, complex, complex, complex]:
     """Numerators and denominators (ln, ld, rn, rd) of equation (a, k).
@@ -99,7 +85,7 @@ def bae_parts(sys: BetheSystem, roots: BetheRootSet, a: int,
     w = [complex(x) for x in sys.inhoms]
 
     def q(b: int, shift) -> complex:
-        return _q_at(roots.for_color(b), u + complex(shift))
+        return poly_at(roots.for_color(b), u + complex(shift), complex(1))
 
     def qprod(pairs) -> complex:
         out = complex(1)
@@ -109,10 +95,12 @@ def bae_parts(sys: BetheSystem, roots: BetheRootSet, a: int,
 
     if spec.family == "B" and spec.r == 0:
         if s == 1:
-            return (_phi_at(w, u - 1), _phi_at(w, u + 1),
+            return (poly_at(w, u - 1, complex(1)),
+                    poly_at(w, u + 1, complex(1)),
                     qprod([(1, 1), (1, -2)]), qprod([(1, -1), (1, 2)]))
         if a == 1:
-            return (-_phi_at(w, u - 1), _phi_at(w, u + 1),
+            return (-poly_at(w, u - 1, complex(1)),
+                    poly_at(w, u + 1, complex(1)),
                     qprod([(1, -2), (2, 1)]), qprod([(1, 2), (2, -1)]))
         if a < s:
             return (complex(-1), complex(1),
@@ -124,7 +112,8 @@ def bae_parts(sys: BetheSystem, roots: BetheRootSet, a: int,
                 qprod([(s - 1, -1), (s, -1), (s, 2)]))
 
     if a == 1:
-        ln, ld = -_phi_at(w, u - 1), _phi_at(w, u + 1)
+        ln = -poly_at(w, u - 1, complex(1))
+        ld = poly_at(w, u + 1, complex(1))
     else:
         ln, ld = complex(-1), complex(1)
     num, den = [], []
@@ -493,15 +482,6 @@ def _dress(spec: AlgebraSpec) -> BoxContext:
     return BoxContext(spec, include_vacuum=False)
 
 
-def _prod_line(ctx: BoxContext, labs: Sequence[IndexLabel], shifts) -> SymTerm:
-    t = None
-    for lab, sh in zip(labs, shifts):
-        piece = box(ctx, lab, sh)
-        t = piece if t is None else t * piece
-    assert t is not None
-    return t
-
-
 def _contains_color(x: SymSum | SymTerm, color: int) -> bool:
     terms = x.terms if isinstance(x, SymSum) else (x,)
     return any(c == color for t in terms for c, _, _ in t.qs)
@@ -540,33 +520,31 @@ def _d_tail_groups(spec: AlgebraSpec, n_alt: int) -> dict[str, SymSum]:
 
     ``n_alt`` is the number of alternation steps (length 2*n_alt or
     2*n_alt + 1 partial sums).  A/B and E/H avoid Q_{s+r}; C/D and F/G avoid
-    Q_{s+r-1}.
+    Q_{s+r-1}.  E equals A and G equals C.
     """
     s, r, n = spec.s, spec.r, spec.rank
     e = -s + r
     m = 4 * n_alt
+    a = _ratio_sum([([(n - 1, e + 1)], [(n - 1, e - 1)]),
+                    ([(n - 2, e), (n - 1, e - 3)],
+                     [(n - 2, e - 2), (n - 1, e - 1)])])
+    c = _ratio_sum([([(n, e + 1)], [(n, e - 1)]),
+                    ([(n - 2, e), (n, e - 3)],
+                     [(n - 2, e - 2), (n, e - 1)])])
     return {
-        "A": _ratio_sum([([(n - 1, e + 1)], [(n - 1, e - 1)]),
-                         ([(n - 2, e), (n - 1, e - 3)],
-                          [(n - 2, e - 2), (n - 1, e - 1)])]),
+        "A": a,
         "B": _ratio_sum([([(n - 1, e - m - 1)], [(n - 1, e - m + 1)]),
                          ([(n - 2, e - m), (n - 1, e - m + 3)],
                           [(n - 2, e - m + 2), (n - 1, e - m + 1)])]),
-        "C": _ratio_sum([([(n, e + 1)], [(n, e - 1)]),
-                         ([(n - 2, e), (n, e - 3)],
-                          [(n - 2, e - 2), (n, e - 1)])]),
+        "C": c,
         "D": _ratio_sum([([(n, e - m - 1)], [(n, e - m + 1)]),
                          ([(n - 2, e - m), (n, e - m + 3)],
                           [(n - 2, e - m + 2), (n, e - m + 1)])]),
-        "E": _ratio_sum([([(n - 1, e + 1)], [(n - 1, e - 1)]),
-                         ([(n - 2, e), (n - 1, e - 3)],
-                          [(n - 2, e - 2), (n - 1, e - 1)])]),
+        "E": a,
         "F": _ratio_sum([([(n, e - m - 3)], [(n, e - m - 1)]),
                          ([(n - 2, e - m - 2), (n, e - m + 1)],
                           [(n - 2, e - m), (n, e - m - 1)])]),
-        "G": _ratio_sum([([(n, e + 1)], [(n, e - 1)]),
-                         ([(n - 2, e), (n, e - 3)],
-                          [(n - 2, e - 2), (n, e - 1)])]),
+        "G": c,
         "H": _ratio_sum([([(n - 1, e - m - 3)], [(n - 1, e - m - 1)]),
                          ([(n - 2, e - m - 2), (n - 1, e - m + 1)],
                           [(n - 2, e - m), (n - 1, e - m - 1)])]),
@@ -577,7 +555,7 @@ def _column_sum(ctx: BoxContext, patterns: list[list[IndexLabel]]) -> SymSum:
     terms = []
     for labs in patterns:
         shifts = [Fraction(-2 * i) for i in range(len(labs))]
-        terms.append(_prod_line(ctx, labs, shifts))
+        terms.append(box_product(ctx, labs, shifts))
     return SymSum.make(terms)
 
 
@@ -626,17 +604,17 @@ def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
 
     if spec.family == "B" and r >= 2:
         for b in range(s + 1, n):
-            up = _prod_line(ctx, [unb(b), unb(b + 1)], [Fraction(0), Fraction(-2)])
-            dn = _prod_line(ctx, [bar(b + 1), bar(b)], [Fraction(0), Fraction(-2)])
+            up = box_product(ctx, [unb(b), unb(b + 1)], [Fraction(0), Fraction(-2)])
+            dn = box_product(ctx, [bar(b + 1), bar(b)], [Fraction(0), Fraction(-2)])
             checks.append((f"column-pair[{b}]", not _contains_color(up, b)))
             checks.append((f"column-pair-bar[{b}]", not _contains_color(dn, b)))
     if spec.family == "B" and r == 0:
         for b in range(1, s):
-            up = _prod_line(ctx, [unb(b), unb(b + 1)], [Fraction(0), Fraction(2)])
-            dn = _prod_line(ctx, [bar(b + 1), bar(b)], [Fraction(0), Fraction(2)])
+            up = box_product(ctx, [unb(b), unb(b + 1)], [Fraction(0), Fraction(2)])
+            dn = box_product(ctx, [bar(b + 1), bar(b)], [Fraction(0), Fraction(2)])
             checks.append((f"row-pair[{b}]", not _contains_color(up, b)))
             checks.append((f"row-pair-bar[{b}]", not _contains_color(dn, b)))
-        run = _prod_line(ctx, [unb(s), ZERO_LABEL, bar(s)],
+        run = box_product(ctx, [unb(s), ZERO_LABEL, bar(s)],
                          [Fraction(0), Fraction(2), Fraction(4)])
         checks.append(("odd-run", not _contains_color(run, s)))
     if spec.family == "B" and r >= 1:

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
-                      ZERO_LABEL, bar, grading, unb, validate_label)
+                      ZERO_LABEL, bar, grading, index_set, unb, validate_label)
 from .symbolic import (ONE, ONE_TERM, RatLike, SymSum, SymTerm, ZERO, shift_u)
-from .tableaux import SkewDiagram, _iter_b_fillings, _iter_d_lines, _labels_ordered, conjugate
+from .tableaux import SkewDiagram, conjugate, iter_fillings
 
 
 class TruncationTooSmall(ValueError):
@@ -121,6 +122,16 @@ def signed_box(ctx: BoxContext, label: IndexLabel, u_shift: RatLike = 0) -> SymT
     return SymTerm(-t.coeff, t.qs, t.phis) if grading(ctx.spec, label) else t
 
 
+def box_product(ctx: BoxContext, labels: Sequence[IndexLabel],
+                shifts: Sequence[RatLike]) -> SymTerm:
+    """Product of the unsigned boxes [label]_{u + shift} along a line
+    (ONE_TERM for an empty line)."""
+    t = ONE_TERM
+    for lab, sh in zip(labels, shifts):
+        t = t * box(ctx, lab, sh)
+    return t
+
+
 # ---------------------------------------------------------------------------
 # the tableaux sum
 
@@ -133,34 +144,16 @@ def cell_shift(shape: SkewDiagram, i: int, j: int) -> Fraction:
 
 def build_dvf(ctx: BoxContext, shape: SkewDiagram) -> SymSum:
     """Signed sum over admissible tableaux of shifted box products."""
-    spec = ctx.spec
     if shape.n_cells() == 0:
         return ONE
-    cells = shape.cells()
-    shifts = [cell_shift(shape, i, j) for i, j in cells]
-
-    if spec.family == "B":
-        labels = _labels_ordered(spec)
-        boxes = {(k, lab): signed_box(ctx, lab, shifts[k])
-                 for k in range(len(cells)) for lab in labels}
-        terms = []
-        for fill in _iter_b_fillings(spec, shape):
-            t = ONE_TERM
-            for k, (i, j) in enumerate(cells):
-                t = t * boxes[(k, labels[fill[(i, j)]])]
-            terms.append(t)
-        return SymSum.make(terms)
-
-    if not (shape.is_column() or shape.is_row()):
-        raise UnsupportedShape(
-            "D-family tableaux sums are defined only for (1^a) and (m^1)")
-    boxes = {(k, lab): signed_box(ctx, lab, shifts[k])
-             for k in range(len(cells)) for lab in _labels_ordered(spec)}
+    fillings = iter_fillings(ctx.spec, shape)  # refuses bad D shapes first
+    boxes = [[signed_box(ctx, lab, cell_shift(shape, i, j))
+              for lab in index_set(ctx.spec)] for i, j in shape.cells()]
     terms = []
-    for line in _iter_d_lines(spec, shape):
+    for fill in fillings:
         t = ONE_TERM
-        for k, lab in enumerate(line):
-            t = t * boxes[(k, lab)]
+        for cell_boxes, v in zip(boxes, fill):
+            t = t * cell_boxes[v]
         terms.append(t)
     return SymSum.make(terms)
 

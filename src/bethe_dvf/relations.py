@@ -15,11 +15,11 @@ from itertools import product as iproduct
 
 from .algebra import (AlgebraSpec, KacDynkinLabel, UnsupportedShape,
                       WrongAlgebra, ZERO_LABEL, bar, dimension_b0s, unb)
-from .dvf import (BoxContext, box, build_dvf, column_dvf, normalized_rect_dvf,
-                  rect_dvf, row_dvf, vacuum_row_term)
+from .dvf import (BoxContext, box_product, build_dvf, column_dvf,
+                  normalized_rect_dvf, rect_dvf, row_dvf, vacuum_row_term)
 from .reports import IdentityReport, merge_reports
-from .symbolic import (ONE, PoleHit, SAMPLE_RETRY_CAP, SamplingExhausted,
-                       SymSum, ZERO, colors_of,
+from .symbolic import (ONE, ONE_TERM, PoleHit, SAMPLE_RETRY_CAP,
+                       SamplingExhausted, SymSum, ZERO, colors_of,
                        equal_as_rational_functions, equal_group_sums,
                        evaluate, exact_det, random_assignment, shift_u)
 from .tableaux import SkewDiagram, conjugate, count_tableaux
@@ -55,56 +55,25 @@ def _det(matrix: list[list[SymSum]]) -> SymSum:
     return minor(0, frozenset(range(n)))
 
 
-def det_formula(spec: AlgebraSpec, shape: SkewDiagram, variant: str) -> SymSum:
-    """Determinant expression of the tableaux sum over fundamental blocks.
+def det_matrix(spec: AlgebraSpec, shape: SkewDiagram,
+               variant: str) -> list[list[SymSum]]:
+    """Entry matrix of the determinant expression of the tableaux sum.
 
-    ``column`` expands over single-column sums T^a, ``row`` over single-row
-    sums T_m (both B family, any skew shape); ``d_row`` is the D-family
-    expression of T_m over the T^a.
+    ``column`` has single-column sums T^a as entries, ``row`` single-row sums
+    T_m (both B family, any skew shape); ``d_row`` is the D-family
+    expression of a single row T_m over the T^a.
     """
     ctx = BoxContext(spec)
-    lam, mu = shape.lam, shape.mu
-    mup, lamp = conjugate(mu), conjugate(lam)
-
-    if variant == "column":
-        if spec.family != "B":
-            raise UnsupportedShape("column determinant applies to the B family")
-        size = mu[1]
-        blocks = {a: column_dvf(ctx, a) for a in
-                  {mup[i] - lamp[j] - i + j
-                   for i in range(1, size + 1) for j in range(1, size + 1)}}
-        matrix = [[shift_u(blocks[mup[i] - lamp[j] - i + j],
-                           Fraction(-mu[1] + mup[1] - mup[i] - lamp[j] + i + j - 1))
-                   for j in range(1, size + 1)] for i in range(1, size + 1)]
-        return _det(matrix)
-    if variant == "row":
-        if spec.family != "B":
-            raise UnsupportedShape("row determinant applies to the B family")
-        size = mup[1]
-        blocks = {m: row_dvf(ctx, m) for m in
-                  {mu[j] - lam[i] + i - j
-                   for i in range(1, size + 1) for j in range(1, size + 1)}}
-        matrix = [[shift_u(blocks[mu[j] - lam[i] + i - j],
-                           Fraction(-mu[1] + mup[1] + mu[j] + lam[i] - i - j + 1))
-                   for j in range(1, size + 1)] for i in range(1, size + 1)]
-        return _det(matrix)
     if variant == "d_row":
-        if spec.family != "D":
-            raise UnsupportedShape("d_row applies to the D family")
-        if not shape.is_row():
-            raise UnsupportedShape("d_row needs a single-row shape")
+        if spec.family != "D" or not shape.is_row():
+            raise UnsupportedShape("d_row needs a D-family single row")
         m = shape.n_cells()
-        blocks = {a: column_dvf(ctx, a) for a in
-                  {1 - i + j for i in range(1, m + 1) for j in range(1, m + 1)}}
-        matrix = [[shift_u(blocks[1 - i + j], Fraction(-m + i + j - 1))
-                   for j in range(1, m + 1)] for i in range(1, m + 1)]
-        return _det(matrix)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _det_entry_matrix(spec: AlgebraSpec, shape: SkewDiagram,
-                      variant: str) -> list[list[SymSum]]:
-    ctx = BoxContext(spec)
+        return [[shift_u(column_dvf(ctx, 1 - i + j), Fraction(-m + i + j - 1))
+                 for j in range(1, m + 1)] for i in range(1, m + 1)]
+    if variant not in ("column", "row"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if spec.family != "B":
+        raise UnsupportedShape(f"{variant} determinant applies to the B family")
     lam, mu = shape.lam, shape.mu
     mup, lamp = conjugate(mu), conjugate(lam)
     if variant == "column":
@@ -112,16 +81,16 @@ def _det_entry_matrix(spec: AlgebraSpec, shape: SkewDiagram,
         return [[shift_u(column_dvf(ctx, mup[i] - lamp[j] - i + j),
                          Fraction(-mu[1] + mup[1] - mup[i] - lamp[j] + i + j - 1))
                  for j in range(1, size + 1)] for i in range(1, size + 1)]
-    if variant == "row":
-        size = mup[1]
-        return [[shift_u(row_dvf(ctx, mu[j] - lam[i] + i - j),
-                         Fraction(-mu[1] + mup[1] + mu[j] + lam[i] - i - j + 1))
-                 for j in range(1, size + 1)] for i in range(1, size + 1)]
-    if variant == "d_row":
-        m = shape.n_cells()
-        return [[shift_u(column_dvf(ctx, 1 - i + j), Fraction(-m + i + j - 1))
-                 for j in range(1, m + 1)] for i in range(1, m + 1)]
-    raise ValueError(f"unknown variant {variant!r}")
+    size = mup[1]
+    return [[shift_u(row_dvf(ctx, mu[j] - lam[i] + i - j),
+                     Fraction(-mu[1] + mup[1] + mu[j] + lam[i] - i - j + 1))
+             for j in range(1, size + 1)] for i in range(1, size + 1)]
+
+
+def det_formula(spec: AlgebraSpec, shape: SkewDiagram, variant: str) -> SymSum:
+    """Determinant expression of the tableaux sum over fundamental blocks
+    (variants as in ``det_matrix``), expanded symbolically."""
+    return _det(det_matrix(spec, shape, variant))
 
 
 def check_det_vs_tableaux(spec: AlgebraSpec, shape: SkewDiagram, variant: str,
@@ -130,13 +99,8 @@ def check_det_vs_tableaux(spec: AlgebraSpec, shape: SkewDiagram, variant: str,
     direct tableaux sum, both evaluated at random rational points."""
     from random import Random
 
-    if variant == "d_row":
-        if spec.family != "D" or not shape.is_row():
-            raise UnsupportedShape("d_row needs a D-family single row")
-    elif spec.family != "B":
-        raise UnsupportedShape(f"{variant} determinant applies to the B family")
+    matrix = det_matrix(spec, shape, variant)
     direct = build_dvf(BoxContext(spec), shape)
-    matrix = _det_entry_matrix(spec, shape, variant)
     rng = Random(seed)
     cols = colors_of(direct, *(e for row in matrix for e in row)) or {1}
     worst = Fraction(0)
@@ -185,13 +149,8 @@ def check_hirota(spec: AlgebraSpec, a: int, m: int, trials: int = 20,
 # duality of the normalized B(0|s) family
 
 
-def _row_of_boxes(spec: AlgebraSpec, labels, shifts) -> SymSum:
-    ctx = BoxContext(spec, include_vacuum=False)
-    t = None
-    for lab, sh in zip(labels, shifts):
-        piece = box(ctx, lab, sh)
-        t = piece if t is None else t * piece
-    return SymSum.from_term(t) if t is not None else ONE
+def _b0s_dress(s: int) -> BoxContext:
+    return BoxContext(AlgebraSpec("B", 0, s), include_vacuum=False)
 
 
 def _b0s_label(s: int, k: int):
@@ -209,35 +168,34 @@ def verify_modi1(s: int, a: int) -> bool:
     Exact statement used in the duality proof; a runs over 1..s+1 with the
     slot convention above.  Dress parts only.
     """
-    spec = AlgebraSpec("B", 0, s)
-    lhs = _row_of_boxes(spec, [_b0s_label_bar(s, a)], [Fraction(0)]) \
-        * _row_of_boxes(spec, [_b0s_label(s, k) for k in range(1, a + 1)],
-                        [Fraction(-2 * s - 3 + 2 * k) for k in range(1, a + 1)])
-    rhs = _row_of_boxes(spec, [_b0s_label(s, k) for k in range(1, a)],
-                        [Fraction(-2 * s - 1 + 2 * k) for k in range(1, a)])
+    ctx = _b0s_dress(s)
+    lhs = box_product(ctx, [_b0s_label_bar(s, a)], [Fraction(0)]) \
+        * box_product(ctx, [_b0s_label(s, k) for k in range(1, a + 1)],
+                      [Fraction(-2 * s - 3 + 2 * k) for k in range(1, a + 1)])
+    rhs = box_product(ctx, [_b0s_label(s, k) for k in range(1, a)],
+                      [Fraction(-2 * s - 1 + 2 * k) for k in range(1, a)])
     return lhs == rhs
 
 
 def verify_modi(s: int, a: int) -> bool:
     """[a]_u x [abar..1bar] at u-2a+2s+3, ... equals [(a-1)bar..1bar]."""
-    spec = AlgebraSpec("B", 0, s)
+    ctx = _b0s_dress(s)
     down = list(range(a, 0, -1))
-    lhs = _row_of_boxes(spec, [_b0s_label(s, a)], [Fraction(0)]) \
-        * _row_of_boxes(spec, [_b0s_label_bar(s, k) for k in down],
-                        [Fraction(-2 * k + 2 * s + 3) for k in down])
+    lhs = box_product(ctx, [_b0s_label(s, a)], [Fraction(0)]) \
+        * box_product(ctx, [_b0s_label_bar(s, k) for k in down],
+                      [Fraction(-2 * k + 2 * s + 3) for k in down])
     down1 = list(range(a - 1, 0, -1))
-    rhs = _row_of_boxes(spec, [_b0s_label_bar(s, k) for k in down1],
-                        [Fraction(-2 * k + 2 * s + 1) for k in down1])
+    rhs = box_product(ctx, [_b0s_label_bar(s, k) for k in down1],
+                      [Fraction(-2 * k + 2 * s + 1) for k in down1])
     return lhs == rhs
 
 
 def verify_const(s: int) -> bool:
     """The full-width strict row [1..s|0|sbar..1bar] multiplies out to 1."""
-    spec = AlgebraSpec("B", 0, s)
     labels = [unb(k) for k in range(1, s + 1)] + [ZERO_LABEL] \
         + [bar(k) for k in range(s, 0, -1)]
     shifts = [Fraction(-2 * s + 2 * j) for j in range(2 * s + 1)]
-    return _row_of_boxes(spec, labels, shifts) == ONE
+    return box_product(_b0s_dress(s), labels, shifts) == ONE_TERM
 
 
 def check_duality(s: int, a: int, m: int, trials: int = 20,

@@ -183,16 +183,6 @@ ZERO = SymSum()
 ONE = SymSum.constant(1)
 
 
-def mul_terms(a: SymTerm, b: SymTerm) -> SymTerm:
-    """Product of canonical terms; shared factor keys add and may cancel."""
-    return a * b
-
-
-def add(a: SymSum, b: SymSum) -> SymSum:
-    """Canonical sum; identical factor signatures merge coefficients."""
-    return a + b
-
-
 def shift_u(x: SymSum | SymTerm, delta: RatLike):
     """Shift the spectral parameter: every factor argument moves by delta."""
     if isinstance(x, SymTerm):
@@ -232,18 +222,15 @@ class Assignment:
                           tuple(complex(w) for w in inhoms), exact=False)
 
 
-def _eval_q(asg: Assignment, color: int, arg):
-    roots = asg.roots.get(color, ())
-    prod = Fraction(1) if asg.exact else complex(1)
-    for root in roots:
-        prod *= arg - root
-    return prod
+def poly_at(zeros: Iterable, v, start):
+    """Q_a(v) or phi(v): prod_z (v - z), multiplied left to right onto start.
 
-
-def _eval_phi(asg: Assignment, arg):
-    prod = Fraction(1) if asg.exact else complex(1)
-    for w in asg.inhoms:
-        prod *= arg - w
+    Pass ``Fraction(1)`` for exact values and ``complex(1)`` for floats; the
+    fixed order keeps float results bit-identical between callers.
+    """
+    prod = start
+    for z in zeros:
+        prod *= v - z
     return prod
 
 
@@ -258,13 +245,12 @@ def _factor_value(asg: Assignment, color: int | None, shift: Fraction, cache: di
     key = (color, shift.numerator, shift.denominator)
     val = cache.get(key)
     if val is None:
+        zeros = asg.inhoms if color is None else asg.roots.get(color, ())
         if asg.exact:
-            frac = (_eval_phi(asg, asg.u + shift) if color is None
-                    else _eval_q(asg, color, asg.u + shift))
+            frac = poly_at(zeros, asg.u + shift, Fraction(1))
             val = (frac.numerator, frac.denominator)
         else:
-            arg = asg.u + complex(shift)
-            val = _eval_phi(asg, arg) if color is None else _eval_q(asg, color, arg)
+            val = poly_at(zeros, asg.u + complex(shift), complex(1))
         cache[key] = val
     return val
 
@@ -278,23 +264,23 @@ def _powered(base: complex, exp: int) -> complex:
 
 
 def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
-    """Value of one term at the assignment; raises PoleHit on zero denominators."""
+    """Value of one term at the assignment.
+
+    Raises PoleHit when a denominator factor vanishes, even where a numerator
+    factor vanishes too (0/0 is not a value).
+    """
     cache = {} if _cache is None else _cache
     if not asg.exact:
         val = complex(t.coeff)
         for color, shift, exp in t.qs:
             base = _factor_value(asg, color, shift, cache)
-            if base == 0:
-                if exp < 0:
-                    raise PoleHit(color, shift)
-                return complex(0)
+            if exp < 0 and base == 0:
+                raise PoleHit(color, shift)
             val *= _powered(base, exp)
         for shift, exp in t.phis:
             base = _factor_value(asg, None, shift, cache)
-            if base == 0:
-                if exp < 0:
-                    raise PoleHit(None, shift)
-                return complex(0)
+            if exp < 0 and base == 0:
+                raise PoleHit(None, shift)
             val *= _powered(base, exp)
         return val
 
@@ -302,26 +288,22 @@ def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
     den = t.coeff.denominator
     for color, shift, exp in t.qs:
         bn, bd = _factor_value(asg, color, shift, cache)
-        if bn == 0:
-            if exp < 0:
-                raise PoleHit(color, shift)
-            return Fraction(0)
         if exp > 0:
             num *= bn if exp == 1 else bn ** exp
             den *= bd if exp == 1 else bd ** exp
         else:
+            if bn == 0:
+                raise PoleHit(color, shift)
             num *= bd if exp == -1 else bd ** -exp
             den *= bn if exp == -1 else bn ** -exp
     for shift, exp in t.phis:
         bn, bd = _factor_value(asg, None, shift, cache)
-        if bn == 0:
-            if exp < 0:
-                raise PoleHit(None, shift)
-            return Fraction(0)
         if exp > 0:
             num *= bn if exp == 1 else bn ** exp
             den *= bd if exp == 1 else bd ** exp
         else:
+            if bn == 0:
+                raise PoleHit(None, shift)
             num *= bd if exp == -1 else bd ** -exp
             den *= bn if exp == -1 else bn ** -exp
     return Fraction(num, den)
@@ -508,9 +490,10 @@ def _term_residue(t: SymTerm, color: int, root_index: int, shift: Fraction,
     for c, s, e in t.qs:
         if c == color and s == -shift:
             if e != -1:
-                rest *= _eval_q(asg, c, pole + complex(s)) ** (e + 1)
+                rest *= poly_at(asg.roots.get(c, ()), pole + complex(s),
+                                complex(1)) ** (e + 1)
             continue
-        base = _eval_q(asg, c, pole + complex(s))
+        base = poly_at(asg.roots.get(c, ()), pole + complex(s), complex(1))
         if base == 0 or (e < 0 and abs(base) < tol):
             if e < 0:
                 raise GenericityViolation(
@@ -518,7 +501,7 @@ def _term_residue(t: SymTerm, color: int, root_index: int, shift: Fraction,
             return 0j
         rest *= base ** e
     for s, e in t.phis:
-        base = _eval_phi(asg, pole + complex(s))
+        base = poly_at(asg.inhoms, pole + complex(s), complex(1))
         if base == 0 or (e < 0 and abs(base) < tol):
             if e < 0:
                 raise GenericityViolation(
@@ -592,12 +575,23 @@ def _arg_str(shift: Fraction) -> str:
     return f"u{sign}{abs(shift)}"
 
 
-def term_to_latex(t: SymTerm) -> str:
+def _split_factors(t: SymTerm, phi_fmt: str,
+                   q_fmt: str) -> tuple[list[str], list[str]]:
+    """Numerator and denominator factor strings, phi factors first.
+
+    ``phi_fmt`` is formatted with the argument, ``q_fmt`` with the color and
+    the argument; a factor with exponent e appears |e| times.
+    """
     num, den = [], []
     for s, e in t.phis:
-        (num if e > 0 else den).extend([rf"\phi({_arg_str(s)})"] * abs(e))
+        (num if e > 0 else den).extend([phi_fmt.format(_arg_str(s))] * abs(e))
     for c, s, e in t.qs:
-        (num if e > 0 else den).extend([rf"Q_{{{c}}}({_arg_str(s)})"] * abs(e))
+        (num if e > 0 else den).extend([q_fmt.format(c, _arg_str(s))] * abs(e))
+    return num, den
+
+
+def term_to_latex(t: SymTerm) -> str:
+    num, den = _split_factors(t, r"\phi({})", "Q_{{{}}}({})")
     if t.coeff == 1:
         coeff = ""
     elif t.coeff == -1:
@@ -624,11 +618,7 @@ def sum_to_latex(x: SymSum) -> str:
 
 
 def term_to_text(t: SymTerm) -> str:
-    num, den = [], []
-    for s, e in t.phis:
-        (num if e > 0 else den).extend([f"phi({_arg_str(s)})"] * abs(e))
-    for c, s, e in t.qs:
-        (num if e > 0 else den).extend([f"Q{c}({_arg_str(s)})"] * abs(e))
+    num, den = _split_factors(t, "phi({})", "Q{}({})")
     head = "" if t.coeff == 1 else ("-" if t.coeff == -1 else f"{t.coeff}*")
     body = "*".join(num) or "1"
     if den:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape,
+from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, _level,
                       bar, grading, index_set, parse_label, unb, validate_label)
 
 
@@ -122,10 +122,6 @@ class Tableau:
 # admissibility
 
 
-def _labels_ordered(spec: AlgebraSpec) -> tuple[IndexLabel, ...]:
-    return index_set(spec)
-
-
 def _b_row_ok(spec: AlgebraSpec, left: IndexLabel, cur: IndexLabel,
               pos: dict[IndexLabel, int]) -> bool:
     # weakly increasing, strict when the left entry is in J_- u {0}
@@ -149,7 +145,7 @@ def _d_col_ok(spec: AlgebraSpec, top: IndexLabel, cur: IndexLabel) -> bool:
     extreme = {unb(n), bar(n)}
     if top in extreme and cur in extreme and top != cur:
         return True  # the allowed incomparable adjacency, any number of times
-    lv_top, lv_cur = _d_level(spec, top), _d_level(spec, cur)
+    lv_top, lv_cur = _level(spec, top), _level(spec, cur)
     if grading(spec, cur) == 1:      # entry below in J_-: weak
         return lv_top <= lv_cur
     if top in extreme and cur in extreme:
@@ -160,17 +156,12 @@ def _d_col_ok(spec: AlgebraSpec, top: IndexLabel, cur: IndexLabel) -> bool:
 def _d_row_ok(spec: AlgebraSpec, left: IndexLabel, cur: IndexLabel) -> bool:
     n = spec.rank
     extreme = {unb(n), bar(n)}
-    lv_left, lv_cur = _d_level(spec, left), _d_level(spec, cur)
+    lv_left, lv_cur = _level(spec, left), _level(spec, cur)
     if grading(spec, cur) == 0:      # entry to the right in J_+: weak
         if left in extreme and cur in extreme and left != cur:
             return False             # incomparable; also banned non-locally
         return lv_left <= lv_cur
     return lv_left < lv_cur
-
-
-def _d_level(spec: AlgebraSpec, x: IndexLabel) -> int:
-    n = spec.rank
-    return x.value if x.kind == "unbarred" else 2 * n - x.value
 
 
 def is_admissible(spec: AlgebraSpec, t: Tableau) -> bool:
@@ -183,7 +174,7 @@ def is_admissible(spec: AlgebraSpec, t: Tableau) -> bool:
         raise ValueError("tableau does not cover exactly the skew cells")
 
     if spec.family == "B":
-        pos = {lab: k for k, lab in enumerate(_labels_ordered(spec))}
+        pos = {lab: k for k, lab in enumerate(index_set(spec))}
         for (i, j), lab in entry.items():
             left = entry.get((i, j - 1))
             if left is not None and not _b_row_ok(spec, left, lab, pos):
@@ -210,51 +201,68 @@ def is_admissible(spec: AlgebraSpec, t: Tableau) -> bool:
 # enumeration
 
 
-def _iter_b_fillings(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[dict]:
-    labels = _labels_ordered(spec)
-    nlab = len(labels)
-    pos_strict_row = [grading(spec, lab) == 1 or lab.kind == "zero"
-                      for lab in labels]
-    pos_strict_col = [grading(spec, lab) == 0 and lab.kind != "zero"
-                      for lab in labels]
-    cells = shape.cells()
-    fill: dict[tuple[int, int], int] = {}
+def iter_fillings(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[int, ...]]:
+    """Every admissible tableau as its labels in cell order (``shape.cells()``),
+    each label given by its position in ``index_set(spec)``.
 
-    def rec(k: int) -> Iterator[dict]:
+    The order of the tableaux is deterministic.  D-family shapes other than
+    (1^a) and (m^1) raise UnsupportedShape here, before anything is yielded.
+    """
+    if spec.family == "B":
+        return _iter_b_fillings(spec, shape)
+    if not (shape.is_column() or shape.is_row()):
+        raise UnsupportedShape(
+            "D-family tableaux are defined only for (1^a) and (m^1)")
+    return _iter_d_lines(spec, shape)
+
+
+def _iter_b_fillings(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[int, ...]]:
+    labels = index_set(spec)
+    nlab = len(labels)
+    row_step = [1 if grading(spec, lab) == 1 or lab.kind == "zero" else 0
+                for lab in labels]
+    col_step = [1 if grading(spec, lab) == 0 and lab.kind != "zero" else 0
+                for lab in labels]
+    cells = shape.cells()
+    index = {c: k for k, c in enumerate(cells)}
+    # neighbours precede a cell in row-major order, so they are filled first
+    left = [index.get((i, j - 1)) for i, j in cells]
+    top = [index.get((i - 1, j)) for i, j in cells]
+    fill = [0] * len(cells)
+
+    def rec(k: int) -> Iterator[tuple[int, ...]]:
         if k == len(cells):
-            yield dict(fill)
+            yield tuple(fill)
             return
-        i, j = cells[k]
         lo = 0
-        left = fill.get((i, j - 1))
-        if left is not None:
-            lo = max(lo, left + (1 if pos_strict_row[left] else 0))
-        top = fill.get((i - 1, j))
-        if top is not None:
-            lo = max(lo, top + (1 if pos_strict_col[top] else 0))
+        if left[k] is not None:
+            v = fill[left[k]]
+            lo = v + row_step[v]
+        if top[k] is not None:
+            v = fill[top[k]]
+            lo = max(lo, v + col_step[v])
         for v in range(lo, nlab):
-            fill[(i, j)] = v
+            fill[k] = v
             yield from rec(k + 1)
-        fill.pop((i, j), None)
 
     yield from rec(0)
 
 
-def _iter_d_lines(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[list[IndexLabel]]:
-    labels = _labels_ordered(spec)
+def _iter_d_lines(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[int, ...]]:
+    labels = index_set(spec)
     n_cells = shape.n_cells()
     column = shape.is_column()
     n = spec.rank
-    line: list[IndexLabel] = []
+    line: list[int] = []
     extreme_counts = {unb(n): 0, bar(n): 0}  # row rule 3 bookkeeping
 
-    def rec(k: int) -> Iterator[list[IndexLabel]]:
+    def rec(k: int) -> Iterator[tuple[int, ...]]:
         if k == n_cells:
-            yield list(line)
+            yield tuple(line)
             return
-        for lab in labels:
+        for v, lab in enumerate(labels):
             if line:
-                prev = line[-1]
+                prev = labels[line[-1]]
                 ok = _d_col_ok(spec, prev, lab) if column else _d_row_ok(spec, prev, lab)
                 if not ok:
                     continue
@@ -263,7 +271,7 @@ def _iter_d_lines(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[list[IndexL
                 if extreme_counts[other] > 0:
                     continue
                 extreme_counts[lab] += 1
-            line.append(lab)
+            line.append(v)
             yield from rec(k + 1)
             line.pop()
             if not column and lab in extreme_counts:
@@ -274,27 +282,13 @@ def _iter_d_lines(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[list[IndexL
 
 def enumerate_tableaux(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[Tableau]:
     """All admissible tableaux, each exactly once, in a deterministic order."""
-    if spec.family == "B":
-        labels = _labels_ordered(spec)
-        cells = shape.cells()
-        for fill in _iter_b_fillings(spec, shape):
-            yield Tableau(shape, tuple((i, j, labels[fill[(i, j)]])
-                                       for i, j in cells))
-        return
-    if not (shape.is_column() or shape.is_row()):
-        raise UnsupportedShape(
-            "D-family enumeration is defined only for (1^a) and (m^1)")
+    labels = index_set(spec)
     cells = shape.cells()
-    for line in _iter_d_lines(spec, shape):
-        yield Tableau(shape, tuple((i, j, lab)
-                                   for (i, j), lab in zip(cells, line)))
+    for fill in iter_fillings(spec, shape):
+        yield Tableau(shape, tuple((i, j, labels[v])
+                                   for (i, j), v in zip(cells, fill)))
 
 
 def count_tableaux(spec: AlgebraSpec, shape: SkewDiagram) -> int:
     """Number of admissible tableaux, without materializing Tableau objects."""
-    if spec.family == "B":
-        return sum(1 for _ in _iter_b_fillings(spec, shape))
-    if not (shape.is_column() or shape.is_row()):
-        raise UnsupportedShape(
-            "D-family enumeration is defined only for (1^a) and (m^1)")
-    return sum(1 for _ in _iter_d_lines(spec, shape))
+    return sum(1 for _ in iter_fillings(spec, shape))

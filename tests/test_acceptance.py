@@ -13,7 +13,8 @@ import numpy as np
 
 from bethe_dvf.algebra import KacDynkinLabel, dimension_b0s, parse_spec
 from bethe_dvf.bae import (BetheRootSet, BetheSystem, check_lemma_products,
-                           check_pole_free, check_residue_pairs, solve_bae)
+                           check_pole_free, check_residue_pairs)
+from bethe_dvf.cli import FIXTURE_COUNTS, FIXTURE_W, solved_fixture
 from bethe_dvf.dvf import (BoxContext, build_dvf, column_dvf,
                            crossing_transform, generating_series_coeff,
                            row_dvf)
@@ -35,22 +36,6 @@ def report(num: int, label: str, passed: bool, t0: float, budget: float):
           f"budget {budget:.0f}s)")
     assert passed, f"criterion {num}: {label}"
     assert elapsed < budget, f"criterion {num} over budget: {elapsed:.1f}s"
-
-
-W3 = (1.7, -0.4, 0.3)
-SOLVABLE = {"B(1|1)": (2, 2), "B(0|1)": (2,), "B(0|2)": (2, 2),
-            "D(2|1)": (2, 2, 1)}
-_solved_cache: dict = {}
-
-
-def solved_instance(name: str):
-    if name not in _solved_cache:
-        spec = parse_spec(name)
-        system = BetheSystem(spec, 3, W3, SOLVABLE[name])
-        sols = solve_bae(system, tol=1e-10, seed=21, n_starts=200,
-                         max_iter=150, start_radius=5.0)
-        _solved_cache[name] = (spec, system, sols[0])
-    return _solved_cache[name]
 
 
 def test_criterion_01_golden_expansions():
@@ -143,8 +128,8 @@ def test_criterion_07_duality():
 def test_criterion_08_pole_freeness():
     t0 = time.time()
     ok = True
-    for name in sorted(SOLVABLE):
-        spec, system, sol = solved_instance(name)
+    for name in sorted(FIXTURE_COUNTS):
+        spec, system, sol = solved_fixture(name)
         ctx = BoxContext(spec)
         for a in (1, 2, 3, 4):
             rep = check_pole_free(column_dvf(ctx, a), system, sol,
@@ -152,7 +137,7 @@ def test_criterion_08_pole_freeness():
             ok &= rep.passed
     # negative control at a non-solution root set
     spec = parse_spec("B(1|1)")
-    system = BetheSystem(spec, 3, W3, (2, 2))
+    system = BetheSystem(spec, 3, FIXTURE_W, (2, 2))
     rng = np.random.default_rng(4)
     bad = BetheRootSet(tuple(
         tuple(complex(x, y) for x, y in zip(rng.uniform(-2, 2, n),
@@ -167,8 +152,8 @@ def test_criterion_08_pole_freeness():
 def test_criterion_09_residue_pairs_and_lemmas():
     t0 = time.time()
     ok = True
-    for name in sorted(SOLVABLE):
-        spec, system, sol = solved_instance(name)
+    for name in sorted(FIXTURE_COUNTS):
+        spec, system, sol = solved_fixture(name)
         rep = check_residue_pairs(spec, system, sol, eps=1e-8)
         ok &= rep.passed
     for name in ("B(2|1)", "B(0|1)", "B(0|2)", "B(1|1)", "D(2|1)", "D(3|1)",

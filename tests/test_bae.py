@@ -8,33 +8,9 @@ from bethe_dvf.bae import (BetheRootSet, BetheSystem, NoSolutionFound,
                            assert_generic, bae_residual, bae_sides,
                            check_lemma_products, check_pole_free,
                            check_residue_pairs, max_residual, solve_bae)
+from bethe_dvf.cli import FIXTURE_COUNTS, FIXTURE_W, solved_fixture
 from bethe_dvf.dvf import BoxContext, column_dvf
 from bethe_dvf.symbolic import GenericityViolation
-
-W3 = (1.7, -0.4, 0.3)
-
-# root counts that admit generic solutions at W3 (found by multi-start
-# search and kept as regression anchors)
-SOLVABLE = {
-    "B(1|1)": (2, 2),
-    "B(0|1)": (2,),
-    "B(0|2)": (2, 2),
-    "D(2|1)": (2, 2, 1),
-}
-
-
-_SOLVED_CACHE: dict = {}
-
-
-def solved(name: str, n_starts: int = 200):
-    key = (name, n_starts)
-    if key not in _SOLVED_CACHE:
-        spec = parse_spec(name)
-        system = BetheSystem(spec, 3, W3, SOLVABLE[name])
-        sols = solve_bae(system, tol=1e-10, seed=21, n_starts=n_starts,
-                         max_iter=150, start_radius=5.0)
-        _SOLVED_CACHE[key] = (spec, system, sols)
-    return _SOLVED_CACHE[key]
 
 
 def test_empty_system_trivially_solved():
@@ -91,16 +67,14 @@ def test_b0s_dispatch_differs_from_generic_form():
 
 
 def test_residual_zero_iff_solution():
-    spec, system, sols = solved("B(0|1)", n_starts=32)
-    sol = sols[0]
+    spec, system, sol = solved_fixture("B(0|1)")
     for a, n_a in enumerate(system.root_counts, start=1):
         for k in range(1, n_a + 1):
             assert abs(bae_residual(system, sol, a, k)) < 1e-10
 
 
 def test_solutions_permutation_invariant():
-    spec, system, sols = solved("B(0|1)", n_starts=32)
-    sol = sols[0]
+    spec, system, sol = solved_fixture("B(0|1)")
     flipped = BetheRootSet((tuple(reversed(sol.roots[0])),))
     assert abs(max_residual(system, flipped) - max_residual(system, sol)) < 1e-12
 
@@ -110,35 +84,35 @@ def test_root_set_json_round_trip():
     assert BetheRootSet.from_json(rs.to_json()) == rs
 
 
-@pytest.mark.parametrize("name", sorted(SOLVABLE))
+@pytest.mark.parametrize("name", sorted(FIXTURE_COUNTS))
 def test_residue_pairs_cancel(name):
-    spec, system, sols = solved(name)
-    rep = check_residue_pairs(spec, system, sols[0])
+    spec, system, sol = solved_fixture(name)
+    rep = check_residue_pairs(spec, system, sol)
     assert rep.passed, rep.details
     assert rep.max_deviation < 1e-8
 
 
-@pytest.mark.parametrize("name", sorted(SOLVABLE))
+@pytest.mark.parametrize("name", sorted(FIXTURE_COUNTS))
 def test_pole_freeness(name):
-    spec, system, sols = solved(name)
+    spec, system, sol = solved_fixture(name)
     ctx = BoxContext(spec)
     for a in (1, 2, 3, 4):
-        rep = check_pole_free(column_dvf(ctx, a), system, sols[0],
+        rep = check_pole_free(column_dvf(ctx, a), system, sol,
                               name=f"T^{a}")
         assert rep.passed, (a, rep.max_deviation)
 
 
 def test_pole_free_trivial_t0():
-    spec, system, sols = solved("B(0|1)", n_starts=32)
+    spec, system, sol = solved_fixture("B(0|1)")
     from bethe_dvf.symbolic import ONE
-    rep = check_pole_free(ONE, system, sols[0])
+    rep = check_pole_free(ONE, system, sol)
     assert rep.passed and rep.samples == 0
 
 
 def test_negative_control():
     # the theorem's hypothesis is necessary: random roots leave residues
     spec = parse_spec("B(1|1)")
-    system = BetheSystem(spec, 3, W3, (2, 2))
+    system = BetheSystem(spec, 3, FIXTURE_W, (2, 2))
     rng = np.random.default_rng(4)
     bad = BetheRootSet(tuple(
         tuple(complex(x, y) for x, y in zip(rng.uniform(-2, 2, n),
@@ -151,7 +125,7 @@ def test_negative_control():
 def test_b21_solution_satisfies_printed_system():
     # independent oracle: the specialized three-equation system for B(2|1)
     spec = parse_spec("B(2|1)")
-    system = BetheSystem(spec, 3, W3, (2, 2, 2))
+    system = BetheSystem(spec, 3, FIXTURE_W, (2, 2, 2))
     sols = solve_bae(system, tol=1e-10, seed=21, n_starts=200, max_iter=150,
                      start_radius=5.0)
     sol = sols[0]
@@ -160,7 +134,7 @@ def test_b21_solution_satisfies_printed_system():
         return np.prod([v - r for r in sol.roots[b - 1]])
 
     def phi(v):
-        return np.prod([v - w for w in W3])
+        return np.prod([v - w for w in FIXTURE_W])
 
     for k in range(2):
         u = sol.roots[0][k]

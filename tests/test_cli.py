@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from bethe_dvf.cli import main, parse_shape
 
@@ -108,3 +111,23 @@ def test_export_writes_expansions(tmp_path):
 
 def test_main_callable_directly():
     assert main(["count", "B(0|2)", "--shape", "1^4"]) == 0
+
+
+# sha256 of `verify <suite> --seed 42` stdout for the sub-second exact
+# suites: reports are reproducible byte for byte, so a refactor must leave
+# these unchanged
+VERIFY_SEED42_SHA256 = {
+    "golden": "76ae49c3686abf8158e8f56d07560ef970265503d6108fc718b917fb6ecf60e5",
+    "counts": "dcc1c5b9e322000f2b9dabcf17760f247c48fa812d0fa9c5983ec545179c5592",
+    "duality": "fd41a6ef4bdbad8a04cd82dbfdc26a7437741d00f99829a7298fdf3e280e8c86",
+    "lemmas": "d49e7f1b5224cfb5ac28c8f3ed3a30cbfe40adefbd6513963935e66fe249f11b",
+    "crossing": "b362b491af819240d90e65018e6022ef97a3d5748ee20f326650097e494906df",
+    "conjecture": "157d21aa547cd61eff61d90c7df0d65f213fadc80105deedf55ae303e4add376",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SEED42_SHA256))
+def test_verify_stdout_is_byte_stable(suite, capsys):
+    assert main(["verify", suite, "--seed", "42"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED42_SHA256[suite]

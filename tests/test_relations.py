@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from bethe_dvf.algebra import parse_spec
+from bethe_dvf.algebra import UnsupportedShape, parse_spec
 from bethe_dvf.dvf import BoxContext, build_dvf, column_dvf, row_dvf
 from bethe_dvf.relations import (OddSpinLabel, check_det_vs_tableaux,
                                  check_duality, check_duality_suite,
@@ -46,6 +46,21 @@ def test_det_constrained_rectangle_vanishes_exactly():
     spec = parse_spec("B(1|1)")
     sd = SkewDiagram.straight((4, 4, 4))
     assert det_formula(spec, sd, "row").is_zero()
+
+
+@pytest.mark.parametrize("name,mu,variant,error", [
+    ("B(1|1)", (2,), "d_row", UnsupportedShape),
+    ("D(2|1)", (1, 1), "column", UnsupportedShape),
+    ("D(2|1)", (2,), "row", UnsupportedShape),
+    ("D(2|1)", (1, 1), "d_row", UnsupportedShape),
+    ("B(1|1)", (2,), "diagonal", ValueError),
+])
+def test_det_refusals(name, mu, variant, error):
+    spec, sd = parse_spec(name), SkewDiagram.straight(mu)
+    with pytest.raises(error):
+        det_formula(spec, sd, variant)
+    with pytest.raises(error):
+        check_det_vs_tableaux(spec, sd, variant, trials=1)
 
 
 def test_d_row_determinant_m2():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from bethe_dvf.symbolic import (Assignment, PoleHit, SymSum, SymTerm, ZERO,
                                 equal_as_rational_functions, evaluate,
-                                exact_det, loads, dumps, mul_terms,
+                                exact_det, loads, dumps,
                                 residue_at, shift_u, sum_from_json,
                                 sum_to_json)
 
@@ -19,13 +19,13 @@ def q1_ratio(up: int, down: int) -> SymTerm:
 def test_mul_cancels_shared_keys():
     a = q1_ratio(1, -1)                       # Q1(u+1)/Q1(u-1)
     b = SymTerm.make(1, [(1, -1, 1), (1, 0, -1)])   # Q1(u-1)/Q1(u)
-    prod = mul_terms(a, b)
+    prod = a * b
     assert prod == SymTerm.make(1, [(1, 1, 1), (1, 0, -1)])
 
 
 def test_mul_identity():
     t = SymTerm.make(-1, [(1, 1, 1), (1, -1, -1)], [(-2, 1), (1, 1)])
-    assert mul_terms(t, SymTerm.make(1)) == t
+    assert t * SymTerm.make(1) == t
 
 
 def test_add_cancels_to_zero():
@@ -79,6 +79,16 @@ def test_evaluate_pole_hit():
     asg = Assignment.exact_point(1, {1: (0,)})
     with pytest.raises(PoleHit):
         evaluate(x, asg)
+
+
+@pytest.mark.parametrize("point", [Assignment.exact_point,
+                                   Assignment.float_point])
+def test_evaluate_zero_over_zero_is_a_pole_hit(point):
+    # Q1(u) / Q1(u+2) at u = 5 with roots 5 and 7: the numerator factor
+    # vanishes first in canonical order, the denominator factor vanishes too
+    x = SymSum.from_term(SymTerm.make(1, [(1, 0, 1), (1, 2, -1)]))
+    with pytest.raises(PoleHit):
+        evaluate(x, point(5, {1: (5, 7)}))
 
 
 def test_evaluate_float_mode():
