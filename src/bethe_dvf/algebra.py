@@ -226,43 +226,32 @@ class KacDynkinLabel:
         return len(self.b)
 
 
-def _conj(mu: tuple[int, ...]) -> tuple[int, ...]:
-    if not mu:
-        return ()
-    return tuple(sum(1 for p in mu if p >= i) for i in range(1, mu[0] + 1))
-
-
-def _part(seq: tuple[int, ...], i: int) -> int:
-    """1-indexed access with zero padding."""
-    return seq[i - 1] if 1 <= i <= len(seq) else 0
-
-
 def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkinLabel:
     """Highest-weight label of the Young diagram mu.
 
     B family: any mu with mu_{r+1} <= s (r >= 1) or mu_1 <= s (r = 0).
     D family: only single columns (1^a) and single rows (m^1).
     """
+    from .tableaux import Partition, conjugate  # tableaux imports this module
+
     s, r = spec.s, spec.r
-    mu = tuple(p for p in mu if p > 0)
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise ValueError(f"{mu} is not weakly decreasing")
-    mup = _conj(mu)
+    mu = Partition.make(mu)
+    mup = conjugate(mu)
     n = s + r
     if spec.family == "B":
-        if _part(mu, r + 1) > s:
+        if mu[r + 1] > s:
             raise UnsupportedShape(
-                f"diagram {mu} has mu_{r + 1} > s; no finite-dimensional label")
+                f"diagram {mu.parts} has mu_{r + 1} > s; no finite-dimensional label")
         out = [Fraction(0)] * n
         if r == 0:
             for i in range(1, s):
-                out[i - 1] = Fraction(_part(mup, i) - _part(mup, i + 1))
-            out[s - 1] = Fraction(2 * _part(mup, s))
+                out[i - 1] = Fraction(mup[i] - mup[i + 1])
+            out[s - 1] = Fraction(2 * mup[s])
             return KacDynkinLabel(tuple(out))
-        eta = [max(_part(mu, i) - s, 0) for i in range(1, r + 2)]
+        eta = [max(mu[i] - s, 0) for i in range(1, r + 2)]
         for i in range(1, s):
-            out[i - 1] = Fraction(_part(mup, i) - _part(mup, i + 1))
-        out[s - 1] = Fraction(_part(mup, s) + eta[0])
+            out[i - 1] = Fraction(mup[i] - mup[i + 1])
+        out[s - 1] = Fraction(mup[s] + eta[0])
         for j in range(1, r):
             out[s + j - 1] = Fraction(eta[j - 1] - eta[j])
         out[n - 1] = Fraction(2 * eta[r - 1])
@@ -271,12 +260,12 @@ def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkin
     # D family
     if len(mu) == 0:
         return KacDynkinLabel((Fraction(0),) * n)
-    if all(p == 1 for p in mu):          # column (1^a)
+    if all(p == 1 for p in mu.parts):    # column (1^a)
         a = len(mu)
         return KacDynkinLabel(tuple(Fraction(a if j == 1 else 0)
                                     for j in range(1, n + 1)))
     if len(mu) == 1:                     # row (m^1)
-        m = mu[0]
+        m = mu[1]
         out = [Fraction(0)] * n
         if m <= s:
             out[m - 1] = Fraction(1)
@@ -289,7 +278,7 @@ def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkin
             out[s + 1] = Fraction(m - s)
         return KacDynkinLabel(tuple(out))
     raise UnsupportedShape(
-        f"D-family labels defined only for single rows/columns, got {mu}")
+        f"D-family labels defined only for single rows/columns, got {mu.parts}")
 
 
 def dimension_b0s(s: int, label: KacDynkinLabel) -> int:

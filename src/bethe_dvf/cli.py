@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import UnsupportedShape, WrongAlgebra, parse_spec
@@ -232,10 +233,8 @@ def _suite_crossing(seed: int) -> list[IdentityReport]:
             t = build_dvf(ctx, SkewDiagram.straight(mu))
             rep = equal_as_rational_functions(crossing_transform(spec, t), t,
                                               trials=8, seed=seed)
-            out.append(IdentityReport(
-                name=f"crossing {name} {label}", mode=rep.mode,
-                samples=rep.samples, max_deviation=rep.max_deviation,
-                passed=rep.passed, details={}, seed=seed))
+            out.append(replace(rep, name=f"crossing {name} {label}",
+                               details={}))
     return out
 
 

@@ -238,10 +238,7 @@ def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int,
     raw = rect_dvf(ctx, m, a)
     if not include_vacuum:
         return raw
-    div = ONE_TERM
-    for j in range(1, a + 1):
-        div = div * _f_term(spec.s, m, Fraction(a - 2 * j + 1))
-    return raw * div.inverse()
+    return normalize_b0s(spec, raw, SkewDiagram.straight((m,) * a), rows=a)
 
 
 def vacuum_row_term(spec: AlgebraSpec, m: int = 0) -> SymSum:

@@ -9,6 +9,7 @@ generates, and the term-count/dimension correspondence.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -18,10 +19,9 @@ from .algebra import (AlgebraSpec, KacDynkinLabel, UnsupportedShape,
 from .dvf import (BoxContext, box_product, build_dvf, column_dvf,
                   normalized_rect_dvf, rect_dvf, row_dvf, vacuum_row_term)
 from .reports import IdentityReport, merge_reports
-from .symbolic import (ONE, ONE_TERM, PoleHit, SAMPLE_RETRY_CAP,
-                       SamplingExhausted, SymSum, ZERO, colors_of,
+from .symbolic import (ONE, ONE_TERM, SymSum, ZERO, colors_of,
                        equal_as_rational_functions, equal_group_sums,
-                       evaluate, exact_det, random_assignment, shift_u)
+                       evaluate, exact_det, sample_max_deviation, shift_u)
 from .tableaux import SkewDiagram, conjugate, count_tableaux
 
 
@@ -97,28 +97,17 @@ def check_det_vs_tableaux(spec: AlgebraSpec, shape: SkewDiagram, variant: str,
                           trials: int = 20, seed: int = 0) -> IdentityReport:
     """Randomized-exact: numeric determinant of the entry matrix against the
     direct tableaux sum, both evaluated at random rational points."""
-    from random import Random
-
     matrix = det_matrix(spec, shape, variant)
     direct = build_dvf(BoxContext(spec), shape)
-    rng = Random(seed)
-    cols = colors_of(direct, *(e for row in matrix for e in row)) or {1}
-    worst = Fraction(0)
-    for _ in range(trials):
-        for _ in range(SAMPLE_RETRY_CAP):
-            asg = random_assignment(rng, cols)
-            cache: dict = {}
-            try:
-                det_val = exact_det([[evaluate(e, asg, cache) for e in row]
-                                     for row in matrix])
-                delta = det_val - evaluate(direct, asg, cache)
-            except PoleHit:
-                continue
-            if abs(delta) > abs(worst):
-                worst = delta
-            break
-        else:
-            raise SamplingExhausted("no pole-free point for determinant check")
+
+    def det_minus_direct(asg, cache):
+        det_val = exact_det([[evaluate(e, asg, cache) for e in row]
+                             for row in matrix])
+        return det_val - evaluate(direct, asg, cache)
+
+    worst, _ = sample_max_deviation(
+        det_minus_direct,
+        colors_of(direct, *(e for row in matrix for e in row)), trials, seed)
     return IdentityReport(
         name=f"determinant[{variant}] {spec} {shape.mu.parts}/{shape.lam.parts}",
         mode="randomized-exact", samples=trials, max_deviation=worst,
@@ -207,9 +196,7 @@ def check_duality(s: int, a: int, m: int, trials: int = 20,
     lhs = normalized_rect_dvf(spec, m, a)
     rhs = normalized_rect_dvf(spec, 2 * s - m + 1, a)
     rep = equal_as_rational_functions(lhs, rhs, trials=trials, seed=seed)
-    return IdentityReport(name=f"duality B(0|{s}) a={a} m={m}", mode=rep.mode,
-                          samples=rep.samples, max_deviation=rep.max_deviation,
-                          passed=rep.passed, details=rep.details, seed=seed)
+    return replace(rep, name=f"duality B(0|{s}) a={a} m={m}")
 
 
 def check_duality_suite(s: int, trials: int = 8, seed: int = 0) -> IdentityReport:

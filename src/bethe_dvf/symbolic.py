@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
@@ -341,16 +341,50 @@ def random_assignment(rng: Random, colors: Iterable[int],
     return Assignment.exact_point(random_rational(rng), roots, inhoms)
 
 
+def sample_max_deviation(value_at: Callable[[Assignment, dict], Fraction],
+                         colors: set[int], trials: int,
+                         seed: int, roots_per_color: int = 2,
+                         n_inhom: int = 2) -> tuple[Fraction, list[str]]:
+    """The one sampling loop behind every randomized-exact check.
+
+    Calls ``value_at(asg, cache)`` at ``trials`` random exact-rational
+    assignments of u, all roots of ``colors`` (color 1 when empty) and all
+    inhomogeneities, with a fresh factor cache per point, and draws again on
+    PoleHit (cap SAMPLE_RETRY_CAP per trial).  Returns the value of largest
+    absolute value and the u of each accepted point.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = Random(seed)
+    cols = colors or {1}
+    points = []
+    worst = Fraction(0)
+    for _ in range(trials):
+        for _ in range(SAMPLE_RETRY_CAP):
+            asg = random_assignment(rng, cols, roots_per_color, n_inhom)
+            try:
+                val = value_at(asg, {})
+            except PoleHit:
+                continue
+            points.append(str(asg.u))
+            if abs(val) > abs(worst):
+                worst = val
+            break
+        else:
+            raise SamplingExhausted(
+                f"no pole-free sample point found in {SAMPLE_RETRY_CAP} tries")
+    return worst, points
+
+
 def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
                                 seed: int = 0, roots_per_color: int = 2,
                                 n_inhom: int = 2):
     """Randomized-exact equality test of two sums.
 
-    Evaluates a - b at ``trials`` random exact-rational assignments of u, all
-    roots and all inhomogeneities, resampling on pole hits (cap
-    SAMPLE_RETRY_CAP per trial).  Sound per point; a nonzero difference that
-    vanishes at every sampled point is astronomically unlikely but the report
-    mode is labeled "randomized-exact", not "proof".
+    Evaluates a - b at ``trials`` random points (``sample_max_deviation``).
+    Sound per point; a nonzero difference that vanishes at every sampled
+    point is astronomically unlikely but the report mode is labeled
+    "randomized-exact", not "proof".
     """
     from .reports import IdentityReport
 
@@ -363,37 +397,23 @@ def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
                               max_deviation=Fraction(0), passed=True,
                               details={"note": "canonical forms identical"},
                               seed=seed)
-    rng = Random(seed)
-    cols = colors_of(diff) or {1}
-    points = []
-    worst = Fraction(0)
-    for _ in range(trials):
-        for attempt in range(SAMPLE_RETRY_CAP):
-            asg = random_assignment(rng, cols, roots_per_color, n_inhom)
-            try:
-                val = evaluate(diff, asg)
-            except PoleHit:
-                continue
-            points.append(str(asg.u))
-            if abs(val) > abs(worst):
-                worst = val
-            break
-        else:
-            raise SamplingExhausted(
-                f"no pole-free sample point found in {SAMPLE_RETRY_CAP} tries")
+    worst, points = sample_max_deviation(
+        lambda asg, cache: evaluate(diff, asg, cache), colors_of(diff),
+        trials, seed, roots_per_color, n_inhom)
     return IdentityReport(name="equal-as-rational-functions",
                           mode="randomized-exact", samples=trials,
                           max_deviation=worst, passed=(worst == 0),
                           details={"points_u": points}, seed=seed)
 
 
-def evaluate_group_sum(groups: Sequence[Sequence[SymSum]], asg: Assignment):
-    """Value of sum-of-products form without symbolic expansion."""
-    total = Fraction(0) if asg.exact else complex(0)
+def _group_sum_at(groups: Sequence[Sequence[SymSum]], asg: Assignment,
+                  cache: dict) -> Fraction:
+    """Exact value of a sum of products, each factor evaluated unexpanded."""
+    total = Fraction(0)
     for group in groups:
-        prod = Fraction(1) if asg.exact else complex(1)
+        prod = Fraction(1)
         for factor in group:
-            prod *= evaluate(factor, asg)
+            prod *= evaluate(factor, asg, cache)
         total += prod
     return total
 
@@ -409,26 +429,12 @@ def equal_group_sums(lhs: Sequence[Sequence[SymSum]],
     """
     from .reports import IdentityReport
 
-    rng = Random(seed)
-    all_sums = [f for side in (lhs, rhs) for g in side for f in g]
-    cols = colors_of(*all_sums) or {1}
-    worst = Fraction(0)
-    used = 0
-    for _ in range(trials):
-        for _ in range(SAMPLE_RETRY_CAP):
-            asg = random_assignment(rng, cols, roots_per_color, n_inhom)
-            try:
-                delta = evaluate_group_sum(lhs, asg) - evaluate_group_sum(rhs, asg)
-            except PoleHit:
-                continue
-            used += 1
-            if abs(delta) > abs(worst):
-                worst = delta
-            break
-        else:
-            raise SamplingExhausted(
-                f"no pole-free sample point found in {SAMPLE_RETRY_CAP} tries")
-    return IdentityReport(name=name, mode="randomized-exact", samples=used,
+    cols = colors_of(*(f for side in (lhs, rhs) for g in side for f in g))
+    worst, _ = sample_max_deviation(
+        lambda asg, cache: (_group_sum_at(lhs, asg, cache)
+                            - _group_sum_at(rhs, asg, cache)),
+        cols, trials, seed, roots_per_color, n_inhom)
+    return IdentityReport(name=name, mode="randomized-exact", samples=trials,
                           max_deviation=worst, passed=(worst == 0), details={},
                           seed=seed)
 
@@ -532,14 +538,10 @@ def residue_at(x: SymSum, color: int, root_index: int, shift: RatLike,
 # serialization
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 def term_to_json(t: SymTerm) -> dict:
-    return {"coeff": _rat_str(t.coeff),
-            "Q": [[c, _rat_str(s), e] for c, s, e in t.qs],
-            "phi": [[_rat_str(s), e] for s, e in t.phis]}
+    return {"coeff": str(t.coeff),
+            "Q": [[c, str(s), e] for c, s, e in t.qs],
+            "phi": [[str(s), e] for s, e in t.phis]}
 
 
 def term_from_json(d: Mapping) -> SymTerm:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pytest
-
 
 def partitions_of(n: int):
     """All partitions of n, largest part first."""
@@ -18,8 +16,3 @@ def partitions_of(n: int):
 def partitions_up_to(n: int):
     for k in range(1, n + 1):
         yield from partitions_of(k)
-
-
-@pytest.fixture(scope="session")
-def small_partitions():
-    return list(partitions_up_to(6))

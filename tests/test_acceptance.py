@@ -12,21 +12,27 @@ from fractions import Fraction
 import numpy as np
 
 from bethe_dvf.algebra import KacDynkinLabel, dimension_b0s, parse_spec
-from bethe_dvf.bae import (BetheRootSet, BetheSystem, check_lemma_products,
-                           check_pole_free, check_residue_pairs)
-from bethe_dvf.cli import FIXTURE_COUNTS, FIXTURE_W, solved_fixture
+from bethe_dvf.bae import BetheRootSet, BetheSystem, check_pole_free
+from bethe_dvf.cli import FIXTURE_W, SUITES
 from bethe_dvf.dvf import (BoxContext, build_dvf, column_dvf,
-                           crossing_transform, generating_series_coeff,
-                           row_dvf)
-from bethe_dvf.goldens import golden_t1_b21, golden_t2_b21, golden_t21_b21
+                           crossing_transform, row_dvf)
 from bethe_dvf.relations import (check_det_vs_tableaux, check_duality,
-                                 check_hirota, check_t_system,
-                                 check_term_count_conjecture, det_formula,
-                                 verify_const, verify_modi, verify_modi1)
+                                 det_formula, verify_const, verify_modi,
+                                 verify_modi1)
 from bethe_dvf.symbolic import equal_as_rational_functions, equal_group_sums, shift_u
 from bethe_dvf.tableaux import SkewDiagram, count_tableaux
 
 from conftest import partitions_up_to
+
+
+def run_suites(*names, seed=0):
+    """Reports of the named ``cli.SUITES`` suites, as ``verify`` runs them."""
+    return [rep for name in names for rep in SUITES[name](seed)]
+
+
+def all_passed(reports, count: int) -> bool:
+    assert len(reports) == count, f"{len(reports)} reports, expected {count}"
+    return all(rep.passed for rep in reports)
 
 
 def report(num: int, label: str, passed: bool, t0: float, budget: float):
@@ -40,25 +46,13 @@ def report(num: int, label: str, passed: bool, t0: float, budget: float):
 
 def test_criterion_01_golden_expansions():
     t0 = time.time()
-    ctx = BoxContext(parse_spec("B(2|1)"))
-    ok = (build_dvf(ctx, SkewDiagram.straight((1,))) == golden_t1_b21()
-          and build_dvf(ctx, SkewDiagram.straight((1, 1))) == golden_t2_b21()
-          and build_dvf(ctx, SkewDiagram.straight((2,))) == golden_t21_b21())
+    ok = all_passed(run_suites("golden"), 3)
     report(1, "golden expansions match termwise", ok, t0, 1.0)
 
 
 def test_criterion_02_term_counts():
     t0 = time.time()
-    b02 = parse_spec("B(0|2)")
-    ok = all(count_tableaux(b02, SkewDiagram.straight((1,) * m)) == want
-             for m, want in zip((1, 2, 3, 4), (5, 15, 35, 70)))
-    ok &= all(count_tableaux(b02, SkewDiagram.straight((2,) * m)) == want
-              for m, want in zip((1, 2, 3, 4), (10, 50, 175, 490)))
-    ok &= count_tableaux(parse_spec("B(2|1)"), SkewDiagram.straight((1,))) == 7
-    ok &= count_tableaux(parse_spec("D(3|1)"),
-                         SkewDiagram.straight((1, 1))) == 31
-    ok &= count_tableaux(parse_spec("D(2|2)"),
-                         SkewDiagram.straight((1, 1))) == 33
+    ok = all_passed(run_suites("counts"), 12)
     report(2, "tableaux counts reproduce the tables", ok, t0, 10.0)
 
 
@@ -73,8 +67,7 @@ def test_criterion_03_dimension_formula():
 
 def test_criterion_04_term_count_identities():
     t0 = time.time()
-    ok = all(check_term_count_conjecture(2, a, m).passed
-             for a, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)])
+    ok = all_passed(run_suites("conjecture"), 6)
     report(4, "six worked count/dimension identities", ok, t0, 10.0)
 
 
@@ -101,12 +94,7 @@ def test_criterion_05_determinant_formulas():
 
 def test_criterion_06_hirota_and_t_system():
     t0 = time.time()
-    ok = all(check_hirota(parse_spec("B(1|1)"), a, m, trials=8, seed=6).passed
-             for a in (1, 2, 3) for m in (1, 2, 3))
-    ok &= all(check_hirota(parse_spec("B(0|2)"), a, m, trials=8, seed=6).passed
-              for a in (1, 2, 3) for m in (1, 2, 3))
-    ok &= check_t_system(1, 3, trials=8, seed=6).passed
-    ok &= check_t_system(2, 3, trials=8, seed=6).passed
+    ok = all_passed(run_suites("hirota", "tsystem", seed=6), 20)
     report(6, "bilinear recursion and closed relation family", ok, t0, 120.0)
 
 
@@ -127,14 +115,7 @@ def test_criterion_07_duality():
 
 def test_criterion_08_pole_freeness():
     t0 = time.time()
-    ok = True
-    for name in sorted(FIXTURE_COUNTS):
-        spec, system, sol = solved_fixture(name)
-        ctx = BoxContext(spec)
-        for a in (1, 2, 3, 4):
-            rep = check_pole_free(column_dvf(ctx, a), system, sol,
-                                  eps=1e-8, name=f"{name} T^{a}")
-            ok &= rep.passed
+    ok = all_passed(run_suites("polefree"), 16)
     # negative control at a non-solution root set
     spec = parse_spec("B(1|1)")
     system = BetheSystem(spec, 3, FIXTURE_W, (2, 2))
@@ -151,28 +132,13 @@ def test_criterion_08_pole_freeness():
 
 def test_criterion_09_residue_pairs_and_lemmas():
     t0 = time.time()
-    ok = True
-    for name in sorted(FIXTURE_COUNTS):
-        spec, system, sol = solved_fixture(name)
-        rep = check_residue_pairs(spec, system, sol, eps=1e-8)
-        ok &= rep.passed
-    for name in ("B(2|1)", "B(0|1)", "B(0|2)", "B(1|1)", "D(2|1)", "D(3|1)",
-                 "D(2|2)"):
-        ok &= check_lemma_products(parse_spec(name)).passed
+    ok = all_passed(run_suites("residues", "lemmas"), 11)
     report(9, "residue pairs vanish; cancellation lemmas exact", ok, t0, 60.0)
 
 
 def test_criterion_10_generating_series():
     t0 = time.time()
-    ok = True
-    for name in ("B(1|1)", "B(0|2)", "D(2|1)"):
-        spec = parse_spec(name)
-        ctx = BoxContext(spec)
-        for n in range(0, 5):
-            ok &= generating_series_coeff(ctx, "column", n, 5) \
-                == shift_u(column_dvf(ctx, n), n - 1)
-            ok &= generating_series_coeff(ctx, "row", n, 5) \
-                == shift_u(row_dvf(ctx, n), n - 1)
+    ok = all_passed(run_suites("genseries"), 30)
     report(10, "series coefficients equal shifted sums, orders 0..4", ok,
            t0, 60.0)
 

@@ -155,6 +155,14 @@ def test_kac_dynkin_b_overdeep_refused():
         kac_dynkin_from_diagram(parse_spec("B(1|1)"), (2, 2))
 
 
+@pytest.mark.parametrize("mu", [(2, -1), (1, 0, 1)],
+                         ids=["negative-part", "zero-row"])
+def test_kac_dynkin_malformed_diagram_refused(mu):
+    # a negative part or a zero row inside the diagram is not a partition
+    with pytest.raises(ValueError):
+        kac_dynkin_from_diagram(parse_spec("B(0|2)"), mu)
+
+
 TABLE_DIMS = {(0, 0): 1, (1, 0): 5, (2, 0): 14, (3, 0): 30,
               (0, 2): 10, (0, 4): 35, (0, 6): 84, (2, 2): 81}
 

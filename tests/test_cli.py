@@ -2,17 +2,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import bethe_dvf
 from bethe_dvf.cli import main, parse_shape
+
+# the subprocess runs the package these tests import, installed or not
+PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(bethe_dvf.__file__)))
 
 
 def run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (PKG_ROOT, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "bethe_dvf", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from bethe_dvf.algebra import UnsupportedShape, parse_spec
@@ -11,7 +14,7 @@ from bethe_dvf.relations import (OddSpinLabel, check_det_vs_tableaux,
                                  term_count_prediction, tsystem_block,
                                  tsystem_block_by_label, verify_const,
                                  verify_modi, verify_modi1)
-from bethe_dvf.symbolic import ONE
+from bethe_dvf.symbolic import ONE, ZERO, equal_group_sums
 from bethe_dvf.tableaux import SkewDiagram
 
 
@@ -61,6 +64,41 @@ def test_det_refusals(name, mu, variant, error):
         det_formula(spec, sd, variant)
     with pytest.raises(error):
         check_det_vs_tableaux(spec, sd, variant, trials=1)
+
+
+B11 = parse_spec("B(1|1)")
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_det_vs_tableaux(B11, SkewDiagram.straight((2, 1)), "column",
+                                  trials=0),
+    lambda: equal_group_sums([[ONE]], [[ZERO]], trials=0),
+    lambda: check_hirota(B11, 1, 1, trials=0),
+], ids=["determinant", "group-sums", "hirota"])
+def test_zero_trials_refused(check):
+    # a randomized-exact check with no sample point must not pass
+    with pytest.raises(ValueError):
+        check()
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True) for small sampled
+# checks: the sampled points and deviations are reproducible byte for byte
+@pytest.mark.parametrize("check,digest", [
+    (lambda: check_det_vs_tableaux(B11, SkewDiagram.straight((2, 1)), "row",
+                                   trials=3, seed=42),
+     "fcd7578179107c89c539e20868e62628c51b8be62ebe8c0b36b472af28df78e5"),
+    (lambda: check_det_vs_tableaux(parse_spec("B(2|1)"),
+                                   SkewDiagram.make((1,), (2, 2)), "column",
+                                   trials=3, seed=42),
+     "c07518e9d60d090ef9186dbcac41c5772da675e1032a71e05f53a79595444a0d"),
+    (lambda: check_hirota(B11, 1, 2, trials=3, seed=42),
+     "1a5e59e9fbd7beacadd9eec2da5405dada2d14cb2d949455aadb066805d12262"),
+    (lambda: check_t_system(1, 1, trials=2, seed=42),
+     "1e3038871e0f4cc3cc66665200f4f02691f2f6455d9487ba1458cb3d5d9203cb"),
+], ids=["determinant-row", "determinant-skew-column", "hirota", "tsystem"])
+def test_sampled_report_is_byte_stable(check, digest):
+    text = json.dumps(check().to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_d_row_determinant_m2():
