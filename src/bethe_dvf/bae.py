@@ -4,7 +4,9 @@ The equation for root k of color a equates a boundary factor (nontrivial
 only for a = 1, where the inhomogeneity polynomial phi enters) with a
 product of Q-ratios over the colors coupled to a.  For B(0|s) the color-s
 equations take a special form that is NOT the specialization of the generic
-root-system expression; the dispatcher below hard-codes that exception.
+root-system expression; the equation table below hard-codes that exception.
+Each system is compiled once into that table, and the solver, bae_parts and
+the residuals all evaluate its rows.
 
 Solved root sets feed the analytic checks: adjacent box functions share
 simple poles whose residues cancel pairwise under the equations, and whole
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +76,74 @@ class BetheRootSet:
                                   for vs in d["roots"]))
 
 
+@lru_cache(maxsize=64)
+def _equation_rows(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
+    """The equations compiled once: one row (a, k, boundary, sign, num, den)
+    per equation, in the order of the flat root vector.
+
+    The row's root is u = roots[a][k], with a and k counted from 0.
+    ``boundary`` names the left side: "phi" is phi(u-1)/phi(u+1), "-phi" its
+    negative, "-1" is -1/1 and "1" is 1/1.  ``sign`` multiplies the
+    numerator product; it is None in the B(0|s) rows, which have none.
+    ``num`` and ``den`` list (b, shift) for the factors Q_{b+1}(u + shift).
+    """
+    s = spec.s
+
+    def color_row(a: int):
+        if spec.family == "B" and spec.r == 0:
+            if s == 1:
+                return "phi", None, [(1, 1), (1, -2)], [(1, -1), (1, 2)]
+            if a == 1:
+                return "-phi", None, [(1, -2), (2, 1)], [(1, 2), (2, -1)]
+            if a < s:
+                return ("-1", None, [(a - 1, 1), (a, -2), (a + 1, 1)],
+                        [(a - 1, -1), (a, 2), (a + 1, -1)])
+            # a == s: the exceptional odd-root form
+            return ("1", None, [(s - 1, 1), (s, 1), (s, -2)],
+                    [(s - 1, -1), (s, -1), (s, 2)])
+        # a zero coupling drops out: its ratio is identically 1
+        cs = [(b, c) for b in range(1, spec.rank + 1)
+              if (c := bilinear_form(spec, a, b)) != 0]
+        return ("-phi" if a == 1 else "-1", (-1) ** root_degree(spec, a),
+                cs, [(b, -c) for b, c in cs])
+
+    rows = []
+    for a, n_a in enumerate(root_counts, start=1):
+        boundary, sign, num, den = color_row(a)
+        num, den = (tuple((b - 1, complex(c)) for b, c in pairs)
+                    for pairs in (num, den))
+        rows += [(a - 1, k, boundary, sign, num, den) for k in range(n_a)]
+    return tuple(rows)
+
+
+_ONE = complex(1)
+
+
+def _row_parts(row: tuple, w: list[complex],
+               roots: Sequence[Sequence[complex]]) -> tuple[complex, ...]:
+    """(ln, ld, rn, rd) of one equation row; ``roots`` has one sequence per
+    color.  Every product runs left to right from complex(1), so the floats
+    do not depend on the caller."""
+    a, k, boundary, sign, num, den = row
+    u = roots[a][k]
+    if boundary == "phi" or boundary == "-phi":
+        ln = poly_at(w, u - 1, _ONE)
+        ld = poly_at(w, u + 1, _ONE)
+        if boundary == "-phi":
+            ln = -ln
+    else:
+        ln, ld = complex(-1 if boundary == "-1" else 1), _ONE
+    rn = _ONE
+    for b, c in num:
+        rn *= poly_at(roots[b], u + c, _ONE)
+    rd = _ONE
+    for b, c in den:
+        rd *= poly_at(roots[b], u + c, _ONE)
+    if sign is not None:
+        rn = sign * rn
+    return ln, ld, rn, rd
+
+
 def bae_parts(sys: BetheSystem, roots: BetheRootSet, a: int,
               k: int) -> tuple[complex, complex, complex, complex]:
     """Numerators and denominators (ln, ld, rn, rd) of equation (a, k).
@@ -79,52 +151,11 @@ def bae_parts(sys: BetheSystem, roots: BetheRootSet, a: int,
     The equation reads ln/ld = rn/rd; products only, so any root
     configuration can be evaluated.
     """
-    spec = sys.spec
-    s = spec.s
-    u = roots.for_color(a)[k - 1]
-    w = [complex(x) for x in sys.inhoms]
-
-    def q(b: int, shift) -> complex:
-        return poly_at(roots.for_color(b), u + complex(shift), complex(1))
-
-    def qprod(pairs) -> complex:
-        out = complex(1)
-        for b, c in pairs:
-            out *= q(b, c)
-        return out
-
-    if spec.family == "B" and spec.r == 0:
-        if s == 1:
-            return (poly_at(w, u - 1, complex(1)),
-                    poly_at(w, u + 1, complex(1)),
-                    qprod([(1, 1), (1, -2)]), qprod([(1, -1), (1, 2)]))
-        if a == 1:
-            return (-poly_at(w, u - 1, complex(1)),
-                    poly_at(w, u + 1, complex(1)),
-                    qprod([(1, -2), (2, 1)]), qprod([(1, 2), (2, -1)]))
-        if a < s:
-            return (complex(-1), complex(1),
-                    qprod([(a - 1, 1), (a, -2), (a + 1, 1)]),
-                    qprod([(a - 1, -1), (a, 2), (a + 1, -1)]))
-        # a == s: the exceptional odd-root form
-        return (complex(1), complex(1),
-                qprod([(s - 1, 1), (s, 1), (s, -2)]),
-                qprod([(s - 1, -1), (s, -1), (s, 2)]))
-
-    if a == 1:
-        ln = -poly_at(w, u - 1, complex(1))
-        ld = poly_at(w, u + 1, complex(1))
-    else:
-        ln, ld = complex(-1), complex(1)
-    num, den = [], []
-    for b in range(1, spec.rank + 1):
-        c = bilinear_form(spec, a, b)
-        if c == 0:
-            continue  # the ratio is identically 1
-        num.append((b, complex(c)))
-        den.append((b, complex(-c)))
-    sign = (-1) ** root_degree(spec, a)
-    return ln, ld, sign * qprod(num), qprod(den)
+    counts = tuple(len(vs) for vs in roots.roots)
+    if not (1 <= a <= len(counts) and 1 <= k <= counts[a - 1]):
+        raise IndexError(f"no equation ({a},{k}) for root counts {counts}")
+    row = _equation_rows(sys.spec, counts)[sum(counts[:a - 1]) + k - 1]
+    return _row_parts(row, [complex(x) for x in sys.inhoms], roots.roots)
 
 
 def bae_sides(sys: BetheSystem, roots: BetheRootSet, a: int, k: int) -> tuple[complex, complex]:
@@ -153,29 +184,26 @@ def max_residual(sys: BetheSystem, roots: BetheRootSet) -> float:
 # numeric solving
 
 
-def _unpack(sys: BetheSystem, vec: np.ndarray) -> BetheRootSet:
-    out = []
-    pos = 0
-    for n_a in sys.root_counts:
-        out.append(tuple(complex(v) for v in vec[pos:pos + n_a]))
-        pos += n_a
-    return BetheRootSet(tuple(out))
+def _split(counts: tuple[int, ...], vec: np.ndarray) -> tuple[tuple[complex, ...], ...]:
+    """The flat root vector cut into one tuple per color."""
+    xs = tuple(vec.tolist())
+    return tuple([xs[j - n:j] for n, j in zip(counts, accumulate(counts))])
 
 
-def _residual_vector(sys: BetheSystem, vec: np.ndarray) -> np.ndarray:
+def _residual_vector(sys: BetheSystem, rows: tuple, w: list[complex],
+                     vec: np.ndarray) -> np.ndarray:
     # polynomial form ln*rd - rn*ld: grows at infinity, so Newton is not
     # drawn to the spurious solution where both ratios flatten out; the log
     # and plain rational forms both strand the iteration there
-    roots = _unpack(sys, vec)
+    roots = _split(sys.root_counts, vec)
     vals = []
-    for a, n_a in enumerate(sys.root_counts, start=1):
-        for k in range(1, n_a + 1):
-            ln, ld, rn, rd = bae_parts(sys, roots, a, k)
-            vals.append(ln * rd - rn * ld)
+    for row in rows:
+        ln, ld, rn, rd = _row_parts(row, w, roots)
+        vals.append(ln * rd - rn * ld)
     return np.asarray(vals, dtype=complex)
 
 
-def _jacobian(sys: BetheSystem, vec: np.ndarray, f0: np.ndarray,
+def _jacobian(residuals, vec: np.ndarray, f0: np.ndarray,
               h: float = 1e-7) -> np.ndarray:
     n = len(vec)
     jac = np.empty((n, n), dtype=complex)
@@ -183,7 +211,7 @@ def _jacobian(sys: BetheSystem, vec: np.ndarray, f0: np.ndarray,
         step = h * max(1.0, abs(vec[i]))
         bumped = vec.copy()
         bumped[i] += step
-        jac[:, i] = (_residual_vector(sys, bumped) - f0) / step
+        jac[:, i] = (residuals(bumped) - f0) / step
     return jac
 
 
@@ -237,9 +265,11 @@ def solve_bae(sys: BetheSystem, seeds: Sequence[BetheRootSet] | None = None,
     if n == 0:
         return [BetheRootSet(tuple(() for _ in sys.root_counts))]
 
+    w = [complex(x) for x in sys.inhoms]
+    residuals = partial(_residual_vector, sys,
+                        _equation_rows(sys.spec, sys.root_counts), w)
     rng = np.random.default_rng(seed)
-    center = (sum(complex(w) for w in sys.inhoms) / sys.n_sites
-              if sys.n_sites else 0j)
+    center = sum(w) / sys.n_sites if sys.n_sites else 0j
     starts: list[np.ndarray] = []
     if seeds is not None:
         for rs in seeds:
@@ -256,12 +286,12 @@ def solve_bae(sys: BetheSystem, seeds: Sequence[BetheRootSet] | None = None,
         vec = vec.astype(complex)
         converged = False
         for _ in range(max_iter):
-            f0 = _residual_vector(sys, vec)
+            f0 = residuals(vec)
             norm0 = float(np.linalg.norm(f0))
             if norm0 < 1e-13:
                 converged = True
                 break
-            jac = _jacobian(sys, vec, f0)
+            jac = _jacobian(residuals, vec, f0)
             try:
                 step = np.linalg.solve(jac, -f0)
             except np.linalg.LinAlgError:
@@ -270,7 +300,7 @@ def solve_bae(sys: BetheSystem, seeds: Sequence[BetheRootSet] | None = None,
             improved = False
             for _ in range(25):
                 trial = vec + lam * step
-                if float(np.linalg.norm(_residual_vector(sys, trial))) < norm0:
+                if float(np.linalg.norm(residuals(trial))) < norm0:
                     vec = trial
                     improved = True
                     break
@@ -281,7 +311,7 @@ def solve_bae(sys: BetheSystem, seeds: Sequence[BetheRootSet] | None = None,
         if not converged:
             continue
         stats["converged"] += 1
-        roots = _unpack(sys, vec)
+        roots = BetheRootSet(_split(sys.root_counts, vec))
         try:
             if max_residual(sys, roots) >= tol:
                 stats["residual_rejected"] += 1

@@ -42,6 +42,11 @@ class Partition:
         """1-indexed part, zero beyond the last row."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
+    def __iter__(self):
+        # without it Python iterates __getitem__ from 0 and never stops,
+        # since every index past the last row reads 0
+        return iter(self.parts)
+
     def __len__(self) -> int:
         return len(self.parts)
 

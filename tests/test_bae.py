@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from bethe_dvf.algebra import parse_spec
 from bethe_dvf.bae import (BetheRootSet, BetheSystem, NoSolutionFound,
-                           assert_generic, bae_residual, bae_sides,
+                           assert_generic, bae_parts, bae_residual, bae_sides,
                            check_lemma_products, check_pole_free,
                            check_residue_pairs, max_residual, solve_bae)
 from bethe_dvf.cli import FIXTURE_COUNTS, FIXTURE_W, solved_fixture
 from bethe_dvf.dvf import BoxContext, column_dvf
 from bethe_dvf.symbolic import GenericityViolation
+
+
+def sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
 def test_empty_system_trivially_solved():
@@ -129,6 +135,8 @@ def test_b21_solution_satisfies_printed_system():
     sols = solve_bae(system, tol=1e-10, seed=21, n_starts=200, max_iter=150,
                      start_radius=5.0)
     sol = sols[0]
+    # the exact floats of the search, recorded before the equation table
+    assert sha(sol) == "3a8aedb36e921001b08819ef8262ed43a9212872ba56f9321afdcb570b34a595"
 
     def q(b, v):
         return np.prod([v - r for r in sol.roots[b - 1]])
@@ -157,3 +165,55 @@ def test_lemma_products(name):
     rep = check_lemma_products(parse_spec(name))
     failed = [c for c in rep.details["cases"] if not c["passed"]]
     assert rep.passed, failed
+
+
+# sha256 of the solver's exact output, recorded before the equations were
+# compiled into a table: the solver must reproduce every float bit for bit
+FIXTURE_ROOTS_SHA = {
+    "B(0|1)": "7f42b9ce98cba0f8030aa9ea0a1338423813eb7b14d4f7f2f72091e6475ba6ee",
+    "B(0|2)": "2a9b5db5378650126b3c5af825408d72fe98d0b67053ce01af9c8e728b50c2da",
+    "B(1|1)": "75179540e3aba9c5d999170f4fa432c1cbc0655dc642eb491f1cb0cf8814e4d2",
+    "D(2|1)": "97d7a17af5127046c58d0bf4c9dc08296538fc76bdf74203c7865de219eab2e2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_COUNTS))
+def test_fixture_roots_are_pinned(name):
+    assert sha(solved_fixture(name)[2].roots) == FIXTURE_ROOTS_SHA[name]
+
+
+def test_b01_search_is_pinned():
+    system = BetheSystem(parse_spec("B(0|1)"), 3, FIXTURE_W, FIXTURE_COUNTS["B(0|1)"])
+    stats: dict = {}
+    sols = solve_bae(system, tol=1e-10, seed=21, n_starts=200, max_iter=150,
+                     start_radius=5.0, stats=stats)
+    assert (hashlib.sha256((repr(sols) + repr(stats)).encode()).hexdigest()
+            == "cf175a989695b4e688ac529d1b42f332b677b7d72a145303405e3b3e545cc197")
+
+
+# rows no fixture reaches: the a < s and exceptional colors of B(0|3), and
+# the generic rows of B(2|1), D(3|1) and D(2|2)
+PARTS_SHA = {
+    "B(0|3)": ("da25874f7d92e010f31c83553295cce18e9806248540bca9cb1399e7e0e49fd3", (2, 2, 2)),
+    "B(2|1)": ("bf70ebf37810adb415faca34d681564fe6b3c323ad28a0daa2c418fe9ec14a5a", (2, 2, 2)),
+    "D(3|1)": ("d9aaeced1c36b44c0e6485f5208d74e55bae1c731f628636f2f07ae1c3ba12f7", (2, 2, 1, 1)),
+    "D(2|2)": ("22559d905cbbe3a06247030576ed89873cf27a4a2b216a8ba54b098274402f75", (2, 2, 1, 1)),
+}
+
+
+def _fixed_roots(counts, m):
+    return BetheRootSet(tuple(
+        tuple(complex(0.37 * a - 0.61 * k + 0.29 * m,
+                      0.23 * k - 0.17 * a + 0.11 * m * m)
+              for k in range(1, n + 1))
+        for a, n in enumerate(counts, start=1)))
+
+
+@pytest.mark.parametrize("name", sorted(PARTS_SHA))
+def test_bae_parts_are_pinned(name):
+    digest, counts = PARTS_SHA[name]
+    system = BetheSystem(parse_spec(name), 3, FIXTURE_W, counts)
+    vals = [bae_parts(system, _fixed_roots(counts, m), a, k)
+            for m in (1, 2) for a, n in enumerate(counts, start=1)
+            for k in range(1, n + 1)]
+    assert sha(vals) == digest

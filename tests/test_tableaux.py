@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar, parse_spec,
-                               unb)
+from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar,
+                               kac_dynkin_from_diagram, parse_spec, unb)
 from bethe_dvf.tableaux import (Partition, SkewDiagram, Tableau, conjugate,
                                 count_tableaux, enumerate_tableaux,
                                 is_admissible)
@@ -29,6 +29,15 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition.make((2, -1))
     assert Partition.make((3, 2, 0, 0)).parts == (3, 2)
+
+
+def test_partition_iterates_its_parts():
+    p = Partition.make((2, 1))
+    # islice first: an endless iterator fails here instead of hanging below
+    assert list(islice(iter(p), len(p) + 2)) == list(p.parts)
+    assert Partition.make(p) == p
+    spec = parse_spec("B(2|1)")
+    assert kac_dynkin_from_diagram(spec, p) == kac_dynkin_from_diagram(spec, p.parts)
 
 
 def test_skew_containment():
