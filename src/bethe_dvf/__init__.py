@@ -9,9 +9,8 @@ from .algebra import (AlgebraSpec, IndexLabel, KacDynkinLabel,
                       parse_spec, unb)
 from .dvf import (BoxContext, TruncationTooSmall, box, build_dvf, column_dvf,
                   crossing_transform, generating_series_coeff,
-                  isolated_column_term, isolated_row_term, normalize_b0s,
-                  normalized_rect_dvf, rect_dvf, row_dvf, signed_box,
-                  top_term)
+                  isolated_column_term, normalize_b0s, normalized_rect_dvf,
+                  rect_dvf, row_dvf, signed_box, top_term)
 from .reports import IdentityReport
 from .symbolic import (Assignment, GenericityViolation, HigherOrderPole,
                        PoleHit, SamplingExhausted, SymSum, SymTerm, ZERO, ONE,

@@ -18,7 +18,7 @@ from typing import Sequence
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
                       ZERO_LABEL, bar, grading, index_set, unb, validate_label)
 from .symbolic import (ONE, ONE_TERM, RatLike, SymSum, SymTerm, ZERO, shift_u)
-from .tableaux import SkewDiagram, conjugate, iter_fillings
+from .tableaux import SkewDiagram, conjugate, fold_fillings
 
 
 class TruncationTooSmall(ValueError):
@@ -146,16 +146,11 @@ def build_dvf(ctx: BoxContext, shape: SkewDiagram) -> SymSum:
     """Signed sum over admissible tableaux of shifted box products."""
     if shape.n_cells() == 0:
         return ONE
-    fillings = iter_fillings(ctx.spec, shape)  # refuses bad D shapes first
     boxes = [[signed_box(ctx, lab, cell_shift(shape, i, j))
               for lab in index_set(ctx.spec)] for i, j in shape.cells()]
-    terms = []
-    for fill in fillings:
-        t = ONE_TERM
-        for cell_boxes, v in zip(boxes, fill):
-            t = t * cell_boxes[v]
-        terms.append(t)
-    return SymSum.make(terms)
+    # one box product per node of the walk: tableaux share their prefixes
+    return SymSum.make(fold_fillings(ctx.spec, shape, ONE_TERM,
+                                     lambda t, k, v: t * boxes[k][v]))
 
 
 @lru_cache(maxsize=None)
@@ -305,22 +300,6 @@ def isolated_column_term(spec: AlgebraSpec, a: int) -> SymTerm:
         dn = Fraction(-a + 2 * j - 1)
         t = t * SymTerm.make(1, (), [(sh + up, e) for sh, e in psi1.phis])
         t = t * SymTerm.make(1, (), [(sh + dn, e) for sh, e in psi1b.phis])
-    return t
-
-
-def isolated_row_term(spec: AlgebraSpec, m: int) -> SymTerm:
-    """h_m: the candidate isolated piece of T_m for D when s - r + 1 >= 0."""
-    if spec.family != "D":
-        raise WrongAlgebra("isolated terms are a D-family feature")
-    ctx = BoxContext(spec, include_vacuum=True)
-    t = ONE_TERM
-    for j in range(1, m + spec.r - spec.s - 1 + 1):
-        pj = box(ctx, unb(j), 0)
-        pjb = box(ctx, bar(j), 0)
-        t = t * SymTerm.make(1, (), [(sh + Fraction(-m + 2 * j - 1), e)
-                                     for sh, e in pj.phis])
-        t = t * SymTerm.make(1, (), [(sh + Fraction(m - 2 * j + 1), e)
-                                     for sh, e in pjb.phis])
     return t
 
 

@@ -286,19 +286,12 @@ def check_t_system(s: int, depth: int, trials: int = 8,
 
     salt = 0
     for m in range(1, depth + 1):
-        for a in range(1, s - 1):          # inner nodes
+        for a in range(1, s):              # inner nodes; s-1 couples to the tail
             t = block(a, m)
             lhs = [[shift_u(t, -1), shift_u(t, 1)]]
             rhs = [[block(a, m - 1), block(a, m + 1)],
                    [tsystem_g(s, a, m), block(a - 1, m), block(a + 1, m)]]
             add_eq(f"t-system B(0|{s}) node {a} m={m}", lhs, rhs, salt)
-            salt += 1
-        if s >= 2:                          # node s-1 couples to the tail
-            t = block(s - 1, m)
-            lhs = [[shift_u(t, -1), shift_u(t, 1)]]
-            rhs = [[block(s - 1, m - 1), block(s - 1, m + 1)],
-                   [tsystem_g(s, s - 1, m), block(s - 2, m), block(s, m)]]
-            add_eq(f"t-system B(0|{s}) node {s - 1} m={m}", lhs, rhs, salt)
             salt += 1
         t = block(s, m)                     # tail node, label 2m
         g_tail = tsystem_g(s, 1, m) if s == 1 else ONE

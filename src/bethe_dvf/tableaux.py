@@ -11,16 +11,27 @@ in J_- u {0}.  For the D family only single columns (1^a) and single rows
 (m^1) are defined; the column rule admits the incomparable pair
 {s+r, bar(s+r)} in either adjacent order (repeated alternation included),
 and the row rule adds the non-local constraint that s+r and bar(s+r) never
-appear together.  General skew shapes for D are refused rather than guessed.
+appear together.  That constraint follows from the local row rule: levels
+never decrease along a row and only s+r and bar(s+r) share a level, so a row
+holding both holds them side by side, which the local rule refuses.
+``is_admissible`` still checks it; the enumeration needs only the local
+rules.  General skew shapes for D are refused rather than guessed.
+
+All fillings come from one backtracking walker, ``fold_fillings``, which
+takes its candidates from per-spec successor tables built from the same
+rule predicates as ``is_admissible``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from typing import Callable, Iterator, TypeVar
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, _level,
                       bar, grading, index_set, parse_label, unb, validate_label)
+
+A = TypeVar("A")
 
 
 @dataclass(frozen=True)
@@ -105,12 +116,6 @@ class Tableau:
     shape: SkewDiagram
     entries: tuple[tuple[int, int, IndexLabel], ...]  # row-major (i, j, label)
 
-    def entry(self, i: int, j: int) -> IndexLabel:
-        for ei, ej, lab in self.entries:
-            if (ei, ej) == (i, j):
-                return lab
-        raise KeyError((i, j))
-
     def to_json(self) -> dict:
         return {"shape": {"lambda": list(self.shape.lam.parts),
                           "mu": list(self.shape.mu.parts)},
@@ -159,12 +164,15 @@ def _d_col_ok(spec: AlgebraSpec, top: IndexLabel, cur: IndexLabel) -> bool:
 
 
 def _d_row_ok(spec: AlgebraSpec, left: IndexLabel, cur: IndexLabel) -> bool:
+    # Levels never fall along a row and only s+r and bar(s+r) share one, so
+    # refusing the pair side by side keeps it out of the whole row: the
+    # non-local row rule follows, though is_admissible still checks it.
     n = spec.rank
     extreme = {unb(n), bar(n)}
     lv_left, lv_cur = _level(spec, left), _level(spec, cur)
     if grading(spec, cur) == 0:      # entry to the right in J_+: weak
         if left in extreme and cur in extreme and left != cur:
-            return False             # incomparable; also banned non-locally
+            return False             # incomparable
         return lv_left <= lv_cur
     return lv_left < lv_cur
 
@@ -206,28 +214,43 @@ def is_admissible(spec: AlgebraSpec, t: Tableau) -> bool:
 # enumeration
 
 
-def iter_fillings(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[int, ...]]:
-    """Every admissible tableau as its labels in cell order (``shape.cells()``),
-    each label given by its position in ``index_set(spec)``.
-
-    The order of the tableaux is deterministic.  D-family shapes other than
-    (1^a) and (m^1) raise UnsupportedShape here, before anything is yielded.
-    """
+@lru_cache(maxsize=None)
+def _successors(spec: AlgebraSpec) -> tuple[tuple[tuple[int, ...], ...],
+                                            tuple[tuple[int, ...], ...]]:
+    """For each label position, the positions allowed to its right and the
+    positions allowed below it, ascending; read off the predicates that
+    ``is_admissible`` uses, so each rule has one definition."""
+    labels = index_set(spec)
     if spec.family == "B":
-        return _iter_b_fillings(spec, shape)
-    if not (shape.is_column() or shape.is_row()):
+        pos = {lab: k for k, lab in enumerate(labels)}
+        row_ok = lambda a, b: _b_row_ok(spec, a, b, pos)
+        col_ok = lambda a, b: _b_col_ok(spec, a, b, pos)
+    else:
+        row_ok = lambda a, b: _d_row_ok(spec, a, b)
+        col_ok = lambda a, b: _d_col_ok(spec, a, b)
+    return (tuple(tuple(v for v, b in enumerate(labels) if row_ok(a, b))
+                  for a in labels),
+            tuple(tuple(v for v, b in enumerate(labels) if col_ok(a, b))
+                  for a in labels))
+
+
+def fold_fillings(spec: AlgebraSpec, shape: SkewDiagram, start: A,
+                  step: Callable[[A, int, int], A]) -> Iterator[A]:
+    """Fold ``step(acc, k, v)`` along every admissible tableau, from ``start``,
+    and yield the final value of each; k is the cell's index in
+    ``shape.cells()`` and v its label's position in ``index_set(spec)``.
+
+    One backtracking walk over the cells in row-major order, each cell
+    taking its labels in ascending position, so the order of the tableaux is
+    deterministic and a prefix shared by several tableaux is folded once.
+    D-family shapes other than (1^a) and (m^1) raise UnsupportedShape here,
+    before anything is yielded.
+    """
+    if spec.family == "D" and not (shape.is_column() or shape.is_row()):
         raise UnsupportedShape(
             "D-family tableaux are defined only for (1^a) and (m^1)")
-    return _iter_d_lines(spec, shape)
-
-
-def _iter_b_fillings(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[int, ...]]:
-    labels = index_set(spec)
-    nlab = len(labels)
-    row_step = [1 if grading(spec, lab) == 1 or lab.kind == "zero" else 0
-                for lab in labels]
-    col_step = [1 if grading(spec, lab) == 0 and lab.kind != "zero" else 0
-                for lab in labels]
+    right, below = _successors(spec)
+    every = tuple(range(len(right)))
     cells = shape.cells()
     index = {c: k for k, c in enumerate(cells)}
     # neighbours precede a cell in row-major order, so they are filled first
@@ -235,54 +258,31 @@ def _iter_b_fillings(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[in
     top = [index.get((i - 1, j)) for i, j in cells]
     fill = [0] * len(cells)
 
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
+    def rec(k: int, acc: A) -> Iterator[A]:
         if k == len(cells):
-            yield tuple(fill)
+            yield acc
             return
-        lo = 0
-        if left[k] is not None:
-            v = fill[left[k]]
-            lo = v + row_step[v]
-        if top[k] is not None:
-            v = fill[top[k]]
-            lo = max(lo, v + col_step[v])
-        for v in range(lo, nlab):
+        lk, tk = left[k], top[k]
+        if lk is None:
+            cands = every if tk is None else below[fill[tk]]
+        elif tk is None:
+            cands = right[fill[lk]]
+        else:
+            # only B cells have both neighbours, and B successor lists are
+            # suffixes of the label order: the shorter one is the intersection
+            cands = min(right[fill[lk]], below[fill[tk]], key=len)
+        for v in cands:
             fill[k] = v
-            yield from rec(k + 1)
+            yield from rec(k + 1, step(acc, k, v))
 
-    yield from rec(0)
+    return rec(0, start)
 
 
-def _iter_d_lines(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[int, ...]]:
-    labels = index_set(spec)
-    n_cells = shape.n_cells()
-    column = shape.is_column()
-    n = spec.rank
-    line: list[int] = []
-    extreme_counts = {unb(n): 0, bar(n): 0}  # row rule 3 bookkeeping
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == n_cells:
-            yield tuple(line)
-            return
-        for v, lab in enumerate(labels):
-            if line:
-                prev = labels[line[-1]]
-                ok = _d_col_ok(spec, prev, lab) if column else _d_row_ok(spec, prev, lab)
-                if not ok:
-                    continue
-            if not column and lab in extreme_counts:
-                other = bar(n) if lab == unb(n) else unb(n)
-                if extreme_counts[other] > 0:
-                    continue
-                extreme_counts[lab] += 1
-            line.append(v)
-            yield from rec(k + 1)
-            line.pop()
-            if not column and lab in extreme_counts:
-                extreme_counts[lab] -= 1
-
-    yield from rec(0)
+def iter_fillings(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[int, ...]]:
+    """Every admissible tableau as its labels in cell order (``shape.cells()``),
+    each label given by its position in ``index_set(spec)``, in the order of
+    ``fold_fillings``."""
+    return fold_fillings(spec, shape, (), lambda acc, k, v: acc + (v,))
 
 
 def enumerate_tableaux(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[Tableau]:

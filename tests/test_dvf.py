@@ -7,14 +7,14 @@ import pytest
 from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar, parse_spec,
                                unb)
 from bethe_dvf.dvf import (BoxContext, TruncationTooSmall, box, build_dvf,
-                           column_dvf, crossing_transform,
+                           cell_shift, column_dvf, crossing_transform,
                            generating_series_coeff, isolated_column_term,
                            normalize_b0s, normalized_rect_dvf, rect_dvf,
                            row_dvf, signed_box, top_term, vacuum_row_term)
 from bethe_dvf.goldens import (golden_t1_b21, golden_t2_b21, golden_t21_b21,
                                parse_term)
-from bethe_dvf.symbolic import ONE, SymSum, SymTerm, shift_u
-from bethe_dvf.tableaux import SkewDiagram
+from bethe_dvf.symbolic import ONE, ONE_TERM, SymSum, SymTerm, shift_u
+from bethe_dvf.tableaux import SkewDiagram, enumerate_tableaux
 
 
 B21 = parse_spec("B(2|1)")
@@ -71,6 +71,24 @@ def test_golden_expansions(mu, make, n_terms):
     want = make()
     assert len(built) == n_terms
     assert built == want
+
+
+@pytest.mark.parametrize("name,lam,mu", [
+    ("B(2|1)", (), (2, 1)), ("B(1|1)", (1,), (3, 2)),
+    ("D(3|1)", (), (1, 1, 1)), ("D(2|2)", (), (3,)),
+])
+@pytest.mark.parametrize("vacuum", [True, False])
+def test_build_dvf_is_the_sum_of_tableau_products(name, lam, mu, vacuum):
+    # the per-tableau product, against the prefix products of the walker
+    ctx = BoxContext(parse_spec(name), vacuum)
+    shape = SkewDiagram.make(lam, mu)
+    terms = []
+    for tab in enumerate_tableaux(ctx.spec, shape):
+        t = ONE_TERM
+        for i, j, lab in tab.entries:
+            t = t * signed_box(ctx, lab, cell_shift(shape, i, j))
+        terms.append(t)
+    assert build_dvf(ctx, shape) == SymSum.make(terms)
 
 
 def test_empty_shape_is_one():

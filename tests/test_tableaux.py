@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import islice, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar,
+from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar, index_set,
                                kac_dynkin_from_diagram, parse_spec, unb)
-from bethe_dvf.tableaux import (Partition, SkewDiagram, Tableau, conjugate,
-                                count_tableaux, enumerate_tableaux,
-                                is_admissible)
+from bethe_dvf.tableaux import (Partition, SkewDiagram, Tableau, _d_row_ok,
+                                conjugate, count_tableaux, enumerate_tableaux,
+                                is_admissible, iter_fillings)
 
 
 def test_conjugate_examples():
@@ -168,3 +169,44 @@ def test_enumeration_deterministic():
     a = [t.entries for t in enumerate_tableaux(spec, shape)]
     b = [t.entries for t in enumerate_tableaux(spec, shape)]
     assert a == b
+
+
+STRAIGHT_UP_TO_5 = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1),
+                    (2, 2), (2, 1, 1), (1, 1, 1, 1), (5,), (4, 1), (3, 2),
+                    (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+B_SHAPES = ([((), mu) for mu in STRAIGHT_UP_TO_5]
+            + [((1,), (3, 2)), ((2, 1), (3, 3, 1))])
+D_SHAPES = ([((), (1,) * n) for n in range(1, 5)]
+            + [((), (n,)) for n in range(2, 5)])
+
+
+# sha256 of the fillings of every shape, in enumeration order (demo 01 prints
+# tableaux in this order), recorded before B and D shared one walker
+ORDER_SHA = {
+    "B(1|1)": "b376a01d71d2ce00ad77685b102c783a053c0a39296c555ba63a53ae82d1a294",
+    "B(2|1)": "41a0aaf903d6f4fa88a6fbe1b3913461ed9b4f88b8ce55534538f5e39507cc69",
+    "D(2|1)": "8cf1da343544c9cfd8a02027f2e98fe5b9224f989af44bb7b4b653ea0c290bee",
+    "D(3|1)": "ac1321d5628dac7b355e906454b80e3aa5e97a1ac87e63699fb0483913ebc936",
+    "D(2|2)": "24906f595f239c5c761c131872bc6a6d5b3e05b44e67cc9e6adbf4ac0ba17827",
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_SHA))
+def test_enumeration_order_is_pinned(name):
+    spec = parse_spec(name)
+    shapes = B_SHAPES if spec.family == "B" else D_SHAPES
+    fills = [list(iter_fillings(spec, SkewDiagram.make(lam, mu)))
+             for lam, mu in shapes]
+    assert hashlib.sha256(repr(fills).encode()).hexdigest() == ORDER_SHA[name]
+
+
+@pytest.mark.parametrize("name", ["D(2|1)", "D(3|1)", "D(2|2)"])
+def test_d_row_local_rule_implies_non_local(name):
+    # rows whose neighbours all pass _d_row_ok never hold s+r and bar(s+r)
+    spec = parse_spec(name)
+    extreme = {unb(spec.rank), bar(spec.rank)}
+    rows = [[lab] for lab in index_set(spec)]
+    for _ in range(4):
+        rows = [row + [lab] for row in rows for lab in index_set(spec)
+                if _d_row_ok(spec, row[-1], lab)]
+        assert rows and not any(extreme <= set(row) for row in rows)
