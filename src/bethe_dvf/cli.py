@@ -279,15 +279,19 @@ SUITES = {
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     jobs = args.jobs or int(os.environ.get("BETHE_DVF_JOBS", "1"))
-    reports: list[IdentityReport] = []
     if jobs > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
+        # the suites that read the solved Bethe fixtures share one task, the
+        # longest, so that one worker solves the fixtures, and only once
+        shared = [n for n in names if n in ("residues", "polefree")]
+        tasks = ([shared] if shared else []) + [[n] for n in names
+                                                if n not in shared]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(_run_suite, [(n, args.seed) for n in names]):
-                reports.extend(batch)
+            reports = [rep for batch in pool.map(_run_suites, tasks,
+                                                 [args.seed] * len(tasks))
+                       for rep in batch]
     else:
-        for n in names:
-            reports.extend(SUITES[n](args.seed))
+        reports = _run_suites(names, args.seed)
     reports.sort(key=lambda r: r.name)
     print(json.dumps([r.to_json() for r in reports], sort_keys=True, indent=1))
     failed = [r.name for r in reports if not r.passed]
@@ -297,9 +301,8 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _run_suite(pair):
-    name, seed = pair
-    return SUITES[name](seed)
+def _run_suites(names: list[str], seed: int) -> list[IdentityReport]:
+    return [rep for name in names for rep in SUITES[name](seed)]
 
 
 def cmd_export(args) -> int:

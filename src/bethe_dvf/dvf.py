@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import Sequence
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
                       ZERO_LABEL, bar, grading, index_set, unb, validate_label)
-from .symbolic import (ONE, ONE_TERM, RatLike, SymSum, SymTerm, ZERO, shift_u)
-from .tableaux import SkewDiagram, conjugate, fold_fillings
+from .symbolic import (ONE, ONE_TERM, Assignment, RatLike, SymSum, SymTerm,
+                       ZERO, evaluate_term, shift_u)
+from .tableaux import SkewDiagram, fold_fillings, transfer_sum
 
 
 class TruncationTooSmall(ValueError):
@@ -137,9 +139,8 @@ def box_product(ctx: BoxContext, labels: Sequence[IndexLabel],
 
 
 def cell_shift(shape: SkewDiagram, i: int, j: int) -> Fraction:
-    mu1 = shape.mu[1]
-    mu1p = conjugate(shape.mu)[1]
-    return Fraction(-mu1 + mu1p - 2 * i + 2 * j)
+    # mu'_1, the first part of the conjugate, is the number of rows of mu
+    return Fraction(-shape.mu[1] + len(shape.mu) - 2 * i + 2 * j)
 
 
 def build_dvf(ctx: BoxContext, shape: SkewDiagram) -> SymSum:
@@ -156,30 +157,73 @@ def build_dvf(ctx: BoxContext, shape: SkewDiagram) -> SymSum:
 @lru_cache(maxsize=None)
 def column_dvf(ctx: BoxContext, a: int) -> SymSum:
     """T^a: the DVF of a single column of height a (1 for a = 0, 0 for a < 0)."""
-    if a < 0:
-        return ZERO
-    if a == 0:
-        return ONE
-    return build_dvf(ctx, SkewDiagram.straight((1,) * a))
+    return rect_dvf(ctx, 1, a)
 
 
 @lru_cache(maxsize=None)
 def row_dvf(ctx: BoxContext, m: int) -> SymSum:
     """T_m: the DVF of a single row of length m (1 for m = 0, 0 for m < 0)."""
-    if m < 0:
-        return ZERO
-    if m == 0:
-        return ONE
-    return build_dvf(ctx, SkewDiagram.straight((m,)))
+    return rect_dvf(ctx, m, 1)
 
 
 def rect_dvf(ctx: BoxContext, m: int, a: int) -> SymSum:
-    """T_m^a: the DVF of the rectangle with a rows of length m."""
+    """T_m^a: the DVF of the rectangle with a rows of length m (1 when a side
+    is 0, 0 when one is negative)."""
     if m < 0 or a < 0:
         return ZERO
-    if m == 0 or a == 0:
-        return ONE
     return build_dvf(ctx, SkewDiagram.straight((m,) * a))
+
+
+# ---------------------------------------------------------------------------
+# tableaux sums at a point
+
+
+# the evaluator's box terms, built once per (ctx, label, shift)
+_signed_box_once = lru_cache(maxsize=None)(signed_box)
+
+
+def _box_row(ctx: BoxContext, at: Fraction, asg: Assignment,
+             cache: dict) -> tuple[list[int], int]:
+    """The signed boxes of every label at u + at, evaluated at ``asg`` over
+    one common denominator: (numerators in ``index_set`` order, denominator).
+    Memoized in ``cache``, the per-point factor cache of ``evaluate``."""
+    key = (ctx, at.numerator, at.denominator)
+    row = cache.get(key)
+    if row is None:
+        vals = [evaluate_term(_signed_box_once(ctx, lab, at), asg, cache)
+                for lab in index_set(ctx.spec)]
+        den = lcm(*(v.denominator for v in vals))
+        row = cache[key] = ([v.numerator * (den // v.denominator)
+                             for v in vals], den)
+    return row
+
+
+def dvf_value(ctx: BoxContext, shape: SkewDiagram, asg: Assignment,
+              cache: dict, shift: RatLike = 0) -> Fraction:
+    """Value of ``shift_u(build_dvf(ctx, shape), shift)`` at the exact point
+    ``asg``, by ``transfer_sum`` over the signed box values, without building
+    the sum.
+
+    Each cell's box values come over a common denominator, so the transfer
+    matrix runs on integers and divides once at the end.  They are evaluated
+    once per point and shift and kept in ``cache``, so cells on one diagonal
+    and shifted copies of a block share them.  Raises PoleHit when any box
+    denominator vanishes, also one that would cancel in the expanded sum.
+    """
+    sh = Fraction(shift)
+    rows = [_box_row(ctx, cell_shift(shape, i, j) + sh, asg, cache)
+            for i, j in shape.cells()]
+    total = transfer_sum(ctx.spec, shape, [nums for nums, _ in rows])
+    return Fraction(total, prod(den for _, den in rows))
+
+
+def rect_value(ctx: BoxContext, m: int, a: int, asg: Assignment, cache: dict,
+               shift: RatLike = 0) -> Fraction:
+    """Value of ``shift_u(rect_dvf(ctx, m, a), shift)`` at ``asg``, as
+    ``dvf_value`` gives it; 0 for a negative side, 1 for a zero side."""
+    if m < 0 or a < 0:
+        return Fraction(0)
+    return dvf_value(ctx, SkewDiagram.straight((m,) * a), asg, cache, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +303,6 @@ def top_term(ctx: BoxContext, shape: SkewDiagram) -> SymTerm:
     if shape.lam.size() != 0:
         raise UnsupportedShape("top term defined for straight shapes only")
     mu = shape.mu
-    mup = conjugate(mu)
     s, r = spec.s, spec.r
 
     if spec.family == "B":

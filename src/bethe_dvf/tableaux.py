@@ -19,14 +19,15 @@ rules.  General skew shapes for D are refused rather than guessed.
 
 All fillings come from one backtracking walker, ``fold_fillings``, which
 takes its candidates from per-spec successor tables built from the same
-rule predicates as ``is_admissible``.
+rule predicates as ``is_admissible``.  ``transfer_sum`` follows the same
+plan to sum weights over the fillings without walking them one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, _level,
                       bar, grading, index_set, parse_label, unb, validate_label)
@@ -234,6 +235,36 @@ def _successors(spec: AlgebraSpec) -> tuple[tuple[tuple[int, ...], ...],
                   for a in labels))
 
 
+def _walk_plan(spec: AlgebraSpec, shape: SkewDiagram):
+    """What every walk over the fillings of ``shape`` follows: for each cell
+    of ``shape.cells()``, the index of its left and of its top neighbour
+    (None at an edge), and ``cands(lv, tv)``, the label positions allowed in
+    a cell whose left and top neighbours hold lv and tv (None where absent),
+    ascending.  Neighbours precede a cell in row-major order, so they are
+    filled first.  D-family shapes other than (1^a) and (m^1) raise
+    UnsupportedShape."""
+    if spec.family == "D" and not (shape.is_column() or shape.is_row()):
+        raise UnsupportedShape(
+            "D-family tableaux are defined only for (1^a) and (m^1)")
+    right, below = _successors(spec)
+    every = tuple(range(len(right)))
+    cells = shape.cells()
+    index = {c: k for k, c in enumerate(cells)}
+    left = [index.get((i, j - 1)) for i, j in cells]
+    top = [index.get((i - 1, j)) for i, j in cells]
+
+    def cands(lv: int | None, tv: int | None) -> tuple[int, ...]:
+        if lv is None:
+            return every if tv is None else below[tv]
+        if tv is None:
+            return right[lv]
+        # only B cells have both neighbours, and B successor lists are
+        # suffixes of the label order: the shorter one is the intersection
+        return min(right[lv], below[tv], key=len)
+
+    return left, top, cands
+
+
 def fold_fillings(spec: AlgebraSpec, shape: SkewDiagram, start: A,
                   step: Callable[[A, int, int], A]) -> Iterator[A]:
     """Fold ``step(acc, k, v)`` along every admissible tableau, from ``start``,
@@ -246,36 +277,61 @@ def fold_fillings(spec: AlgebraSpec, shape: SkewDiagram, start: A,
     D-family shapes other than (1^a) and (m^1) raise UnsupportedShape here,
     before anything is yielded.
     """
-    if spec.family == "D" and not (shape.is_column() or shape.is_row()):
-        raise UnsupportedShape(
-            "D-family tableaux are defined only for (1^a) and (m^1)")
-    right, below = _successors(spec)
-    every = tuple(range(len(right)))
-    cells = shape.cells()
-    index = {c: k for k, c in enumerate(cells)}
-    # neighbours precede a cell in row-major order, so they are filled first
-    left = [index.get((i, j - 1)) for i, j in cells]
-    top = [index.get((i - 1, j)) for i, j in cells]
-    fill = [0] * len(cells)
+    left, top, cands = _walk_plan(spec, shape)
+    n = len(left)
+    fill = [0] * n
 
     def rec(k: int, acc: A) -> Iterator[A]:
-        if k == len(cells):
+        if k == n:
             yield acc
             return
         lk, tk = left[k], top[k]
-        if lk is None:
-            cands = every if tk is None else below[fill[tk]]
-        elif tk is None:
-            cands = right[fill[lk]]
-        else:
-            # only B cells have both neighbours, and B successor lists are
-            # suffixes of the label order: the shorter one is the intersection
-            cands = min(right[fill[lk]], below[fill[tk]], key=len)
-        for v in cands:
+        for v in cands(None if lk is None else fill[lk],
+                       None if tk is None else fill[tk]):
             fill[k] = v
             yield from rec(k + 1, step(acc, k, v))
 
     return rec(0, start)
+
+
+def transfer_sum(spec: AlgebraSpec, shape: SkewDiagram,
+                 weights: Sequence[Sequence[A]]) -> A:
+    """Sum over the admissible tableaux of prod_k ``weights[k][v_k]``, exact,
+    without visiting the tableaux one by one; k and v index cells and labels
+    as in ``fold_fillings``, whose plan it follows.
+
+    A transfer matrix over the cells in row-major order (the lattice-path
+    reading of Jacobi-Trudi, Gessel & Viennot 1985).  Its state is the
+    labels of the filled cells that a later cell still needs as its left or
+    top neighbour: a frontier of columns on a B shape, the previous label
+    alone on a D line.  Each state carries the weight summed over every
+    partial filling that reaches it.  Returns 1 for the empty shape.
+    """
+    left, top, cands = _walk_plan(spec, shape)
+    n = len(left)
+    needed = [max((k2 for k2 in range(n) if c in (left[k2], top[k2])),
+                  default=-1) for c in range(n)]   # last cell needing c
+    live: list[int] = []            # cells whose labels make up the state
+    states = {(): 1}
+    for k in range(n):
+        pos = {c: p for p, c in enumerate(live)}
+        lp, tp = pos.get(left[k]), pos.get(top[k])
+        live = [c for c in live if needed[c] > k]
+        keep = [pos[c] for c in live]
+        grow = needed[k] > k
+        if grow:
+            live.append(k)
+        wk = weights[k]
+        nxt: dict = {}
+        for st, val in states.items():
+            base = tuple([st[p] for p in keep])
+            for v in cands(None if lp is None else st[lp],
+                           None if tp is None else st[tp]):
+                if wk[v]:
+                    key = base + (v,) if grow else base
+                    nxt[key] = nxt.get(key, 0) + val * wk[v]
+        states = nxt
+    return sum(states.values())
 
 
 def iter_fillings(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[int, ...]]:

@@ -6,6 +6,8 @@ per criterion, including wall time.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -71,9 +73,16 @@ def test_criterion_04_term_count_identities():
     report(4, "six worked count/dimension identities", ok, t0, 10.0)
 
 
+# sha256 of json.dumps([report.to_json(), ...], sort_keys=True) over the
+# 116 determinant reports of criterion 5, in loop order
+CRITERION_05_SHA256 = \
+    "153ddbe2de922332020fae96b8ea41b5f06a220d08c825d866f541322b310c4e"
+
+
 def test_criterion_05_determinant_formulas():
     t0 = time.time()
     ok = True
+    reports = []
     for name in ("B(1|1)", "B(2|1)"):
         spec = parse_spec(name)
         for mu in partitions_up_to(6):
@@ -82,6 +91,10 @@ def test_criterion_05_determinant_formulas():
                 rep = check_det_vs_tableaux(spec, sd, variant, trials=20,
                                             seed=17)
                 ok &= rep.passed and rep.max_deviation == 0
+                reports.append(rep.to_json())
+    text = json.dumps(reports, sort_keys=True)
+    ok &= len(reports) == 116
+    ok &= hashlib.sha256(text.encode()).hexdigest() == CRITERION_05_SHA256
     d21 = parse_spec("D(2|1)")
     ctx = BoxContext(d21)
     t1 = column_dvf(ctx, 1)

@@ -120,12 +120,14 @@ def test_main_callable_directly():
     assert main(["count", "B(0|2)", "--shape", "1^4"]) == 0
 
 
-# sha256 of `verify <suite> --seed 42` stdout for the sub-second exact
-# suites: reports are reproducible byte for byte, so a refactor must leave
-# these unchanged
+# sha256 of `verify <suite> --seed 42` stdout for the suites that take
+# about a second or less: reports are reproducible byte for byte, so a
+# refactor must leave these unchanged
 VERIFY_SEED42_SHA256 = {
     "golden": "76ae49c3686abf8158e8f56d07560ef970265503d6108fc718b917fb6ecf60e5",
     "counts": "dcc1c5b9e322000f2b9dabcf17760f247c48fa812d0fa9c5983ec545179c5592",
+    "determinant": "dea9771f894a67d60f433228364ed21cacdb2456bae773dadc8f4015af7d3ef5",
+    "hirota": "87172fffd8924a5adea7fb2547bc57222098e4e54d5c31062633f14ab48cad21",
     "duality": "fd41a6ef4bdbad8a04cd82dbfdc26a7437741d00f99829a7298fdf3e280e8c86",
     "lemmas": "d49e7f1b5224cfb5ac28c8f3ed3a30cbfe40adefbd6513963935e66fe249f11b",
     "crossing": "b362b491af819240d90e65018e6022ef97a3d5748ee20f326650097e494906df",

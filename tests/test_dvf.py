@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -8,13 +9,17 @@ from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar, parse_spec,
                                unb)
 from bethe_dvf.dvf import (BoxContext, TruncationTooSmall, box, build_dvf,
                            cell_shift, column_dvf, crossing_transform,
-                           generating_series_coeff, isolated_column_term,
-                           normalize_b0s, normalized_rect_dvf, rect_dvf,
-                           row_dvf, signed_box, top_term, vacuum_row_term)
+                           dvf_value, generating_series_coeff,
+                           isolated_column_term, normalize_b0s,
+                           normalized_rect_dvf, rect_dvf, rect_value, row_dvf,
+                           signed_box, top_term, vacuum_row_term)
 from bethe_dvf.goldens import (golden_t1_b21, golden_t2_b21, golden_t21_b21,
                                parse_term)
-from bethe_dvf.symbolic import ONE, ONE_TERM, SymSum, SymTerm, shift_u
+from bethe_dvf.symbolic import (ONE, ONE_TERM, Assignment, PoleHit, SymSum,
+                                SymTerm, evaluate, random_rational, shift_u)
 from bethe_dvf.tableaux import SkewDiagram, enumerate_tableaux
+
+from conftest import partitions_up_to
 
 
 B21 = parse_spec("B(2|1)")
@@ -100,6 +105,59 @@ def test_rect_conventions():
     assert rect_dvf(ctx, 0, 3) == ONE
     assert rect_dvf(ctx, 3, 0) == ONE
     assert rect_dvf(ctx, -1, 2).is_zero()
+
+
+def _point(rng: Random, spec) -> Assignment:
+    """A random exact point with N_a and N drawn from 0..4 per color."""
+    roots = {c: [random_rational(rng) for _ in range(rng.randint(0, 4))]
+             for c in range(1, spec.rank + 1)}
+    inhoms = [random_rational(rng) for _ in range(rng.randint(0, 4))]
+    return Assignment.exact_point(random_rational(rng), roots, inhoms)
+
+
+TRANSFER_CASES = [
+    (name, SkewDiagram.straight(mu))
+    for name in ("B(1|1)", "B(2|1)", "B(0|2)") for mu in partitions_up_to(5)
+] + [
+    (name, SkewDiagram.make(lam, mu))
+    for name in ("B(1|1)", "B(2|1)", "B(0|2)")
+    for lam, mu in (((1,), (3, 2)), ((2, 1), (3, 3, 1)))
+] + [
+    (name, SkewDiagram.straight(mu))
+    for name in ("D(2|1)", "D(3|1)", "D(2|2)")
+    for n in range(1, 6) for mu in ((1,) * n, (n,))
+]
+
+
+@pytest.mark.parametrize("name,shape", TRANSFER_CASES,
+                         ids=lambda x: x if isinstance(x, str)
+                         else f"{x.mu.parts}/{x.lam.parts}")
+def test_transfer_value_matches_expanded_sum(name, shape):
+    # the transfer matrix against the plain path: build, shift, evaluate
+    spec = parse_spec(name)
+    ctx = BoxContext(spec)
+    direct = build_dvf(ctx, shape)
+    rng = Random(f"{name} {shape}")
+    for _ in range(2):
+        asg, shift = _point(rng, spec), rng.randint(-3, 3)
+        want = evaluate(shift_u(direct, shift), asg)
+        assert dvf_value(ctx, shape, asg, {}, shift) == want
+
+
+def test_transfer_value_edge_cases():
+    ctx11 = BoxContext(parse_spec("B(1|1)"))
+    asg = _point(Random(0), ctx11.spec)
+    assert dvf_value(ctx11, SkewDiagram.straight(()), asg, {}) == 1
+    assert dvf_value(ctx11, SkewDiagram.straight((4, 4, 4)), asg, {}) == 0
+    assert rect_value(ctx11, 4, 3, asg, {}) == 0
+    assert rect_value(ctx11, 0, 3, asg, {}) == rect_value(ctx11, 2, 0, asg, {}) == 1
+    assert rect_value(ctx11, -1, 2, asg, {}) == rect_value(ctx11, 2, -1, asg, {}) == 0
+    with pytest.raises(UnsupportedShape):
+        dvf_value(BoxContext(D21), SkewDiagram.make((1,), (2, 2)), asg, {})
+    # [1]_u of B(1|1) has the denominator Q_1(u - 1): a root at u - 1 is a pole
+    pole = Assignment.exact_point(5, {1: (4, 9), 2: (7,)}, (3,))
+    with pytest.raises(PoleHit):
+        dvf_value(ctx11, SkewDiagram.straight((1,)), pole, {})
 
 
 def test_normalize_f1_is_identity():

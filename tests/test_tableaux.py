@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 from itertools import islice, product
+from math import prod
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +12,7 @@ from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar, index_set,
                                kac_dynkin_from_diagram, parse_spec, unb)
 from bethe_dvf.tableaux import (Partition, SkewDiagram, Tableau, _d_row_ok,
                                 conjugate, count_tableaux, enumerate_tableaux,
-                                is_admissible, iter_fillings)
+                                is_admissible, iter_fillings, transfer_sum)
 
 
 def test_conjugate_examples():
@@ -210,3 +212,26 @@ def test_d_row_local_rule_implies_non_local(name):
         rows = [row + [lab] for row in rows for lab in index_set(spec)
                 if _d_row_ok(spec, row[-1], lab)]
         assert rows and not any(extreme <= set(row) for row in rows)
+
+
+@pytest.mark.parametrize("name,lam,mu", [
+    ("B(1|1)", (), (3, 2, 1)), ("B(1|1)", (), (4, 4, 4)),
+    ("B(2|1)", (), (2, 2, 2)), ("B(2|1)", (2, 1), (3, 3, 1)),
+    ("B(0|2)", (1,), (3, 2)), ("B(0|2)", (), ()),
+    ("D(2|1)", (), (1,) * 5), ("D(3|1)", (), (4,)), ("D(2|2)", (), (5,)),
+])
+def test_transfer_sum_is_the_sum_over_fillings(name, lam, mu):
+    spec = parse_spec(name)
+    shape = SkewDiagram.make(lam, mu)
+    rng = Random(name)
+    weights = [[rng.randint(-9, 9) for _ in index_set(spec)]
+               for _ in shape.cells()]
+    want = sum(prod(weights[k][v] for k, v in enumerate(fill))
+               for fill in iter_fillings(spec, shape))
+    assert transfer_sum(spec, shape, weights) == want
+
+
+def test_transfer_sum_refuses_d_skew_shapes():
+    spec, shape = parse_spec("D(2|1)"), SkewDiagram.straight((2, 1))
+    with pytest.raises(UnsupportedShape):
+        transfer_sum(spec, shape, [[1] * len(index_set(spec))] * 3)
