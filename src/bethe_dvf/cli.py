@@ -29,8 +29,8 @@ from .relations import (check_det_vs_tableaux, check_duality_suite,
                         check_hirota, check_t_system,
                         check_term_count_conjecture)
 from .reports import IdentityReport
-from .symbolic import (SymSum, equal_as_rational_functions, equal_group_sums,
-                       shift_u, sum_to_json, sum_to_latex, sum_to_text)
+from .symbolic import (SymSum, equal_as_rational_functions, shift_u,
+                       sum_to_json, sum_to_latex, sum_to_text)
 from .tableaux import SkewDiagram, count_tableaux
 
 
@@ -148,13 +148,10 @@ def _suite_determinant(seed: int) -> list[IdentityReport]:
             for variant in ("column", "row"):
                 out.append(check_det_vs_tableaux(spec, sd, variant,
                                                  trials=20, seed=seed))
-    d21 = parse_spec("D(2|1)")
-    ctx = BoxContext(d21)
-    t1 = column_dvf(ctx, 1)
-    lhs = [[shift_u(t1, -1), shift_u(t1, 1)]]
-    rhs = [[row_dvf(ctx, 2)], [column_dvf(ctx, 2)]]
-    out.append(equal_group_sums(lhs, rhs, trials=20, seed=seed,
-                                name="determinant[d_row] D(2|1) m=2"))
+    rep = check_det_vs_tableaux(parse_spec("D(2|1)"),
+                                SkewDiagram.straight((2,)), "d_row",
+                                trials=20, seed=seed)
+    out.append(replace(rep, name="determinant[d_row] D(2|1) m=2"))
     return out
 
 

@@ -244,24 +244,22 @@ def _f_term(s: int, m: int, offset: RatLike) -> SymTerm:
     return SymTerm.make(1, (), phis)
 
 
-def normalize_b0s(spec: AlgebraSpec, x: SymSum, shape: SkewDiagram,
-                  rows: int | None = None) -> SymSum:
-    """Divide a B(0|s) DVF by its product of row normalizers F.
-
-    ``rows`` overrides the number of rows entering the product; it matters
-    only for formally zero-length rows (rectangles m = 0).
-    """
+def _normalizer(spec: AlgebraSpec, shape: SkewDiagram, nrows: int) -> SymTerm:
+    """The product of the row normalizers F over rows 1..nrows of ``shape``;
+    ``nrows`` exceeds its row count for the zero-length rows of m = 0."""
     if spec.family != "B" or spec.r != 0:
         raise WrongAlgebra("normalization is defined for B(0|s) only")
     mu, lam = shape.mu, shape.lam
-    nrows = len(mu.parts) if rows is None else rows
-    mu1 = mu[1]
-    mu1p = nrows
     div = ONE_TERM
     for j in range(1, nrows + 1):
-        off = Fraction(-mu1 + mu1p + mu[j] + lam[j] - 2 * j + 1)
+        off = Fraction(-mu[1] + nrows + mu[j] + lam[j] - 2 * j + 1)
         div = div * _f_term(spec.s, mu[j] - lam[j], off)
-    return x * div.inverse()
+    return div
+
+
+def normalize_b0s(spec: AlgebraSpec, x: SymSum, shape: SkewDiagram) -> SymSum:
+    """Divide a B(0|s) DVF by its product of row normalizers F."""
+    return x * _normalizer(spec, shape, len(shape.mu.parts)).inverse()
 
 
 def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int,
@@ -271,13 +269,24 @@ def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int,
         raise WrongAlgebra("normalization is defined for B(0|s) only")
     if m < 0 or a < 0:
         return ZERO
-    if a == 0:
-        return ONE
-    ctx = BoxContext(spec, include_vacuum)
-    raw = rect_dvf(ctx, m, a)
+    raw = rect_dvf(BoxContext(spec, include_vacuum), m, a)
     if not include_vacuum:
         return raw
-    return normalize_b0s(spec, raw, SkewDiagram.straight((m,) * a), rows=a)
+    return raw * _normalizer(spec, SkewDiagram.straight((m,) * a), a).inverse()
+
+
+def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
+                          cache: dict, shift: RatLike = 0) -> Fraction:
+    """``shift_u(normalized_rect_dvf(spec, m, a), shift)`` at ``asg``: the
+    rectangle's ``dvf_value`` times the inverted normalizer's value."""
+    if spec.family != "B" or spec.r != 0:
+        raise WrongAlgebra("normalization is defined for B(0|s) only")
+    if m < 0 or a < 0:
+        return Fraction(0)
+    shape = SkewDiagram.straight((m,) * a)
+    div = _normalizer(spec, shape, a).inverse().shifted(shift)
+    return (dvf_value(BoxContext(spec), shape, asg, cache, shift)
+            * evaluate_term(div, asg, cache))
 
 
 def vacuum_row_term(spec: AlgebraSpec, m: int = 0) -> SymSum:

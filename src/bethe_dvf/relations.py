@@ -11,17 +11,18 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iproduct
 
 from .algebra import (AlgebraSpec, KacDynkinLabel, UnsupportedShape,
                       WrongAlgebra, ZERO_LABEL, bar, dimension_b0s, unb)
 from .dvf import (BoxContext, box_product, column_dvf, dvf_value,
-                  normalized_rect_dvf, rect_value, row_dvf, vacuum_row_term)
+                  normalized_rect_dvf, normalized_rect_value, rect_value,
+                  row_dvf, vacuum_row_term)
 from .reports import IdentityReport, merge_reports
 from .symbolic import (ONE, ONE_TERM, SymSum, ZERO,
-                       equal_as_rational_functions, equal_group_sums,
-                       exact_det, sample_max_deviation, shift_u)
+                       equal_as_rational_functions, evaluate, exact_det,
+                       sample_max_deviation, shift_u)
 from .tableaux import SkewDiagram, conjugate, count_tableaux
 
 
@@ -97,10 +98,15 @@ def det_formula(spec: AlgebraSpec, shape: SkewDiagram, variant: str) -> SymSum:
                  for row in det_matrix(spec, shape, variant)])
 
 
-def _colors(spec: AlgebraSpec) -> set[int]:
-    """The Q colors the sampled sums depend on: every color of the algebra,
-    since the fundamental blocks T^1 and T_1 hold a box of every label."""
-    return set(range(1, spec.rank + 1))
+def _sampled_report(name: str, spec: AlgebraSpec, lhs_minus_rhs, trials: int,
+                    seed: int) -> IdentityReport:
+    """Randomized-exact report of ``lhs_minus_rhs(asg, cache)`` over every Q
+    color: the fundamental blocks T^1 and T_1 hold a box of every label."""
+    worst, _ = sample_max_deviation(lhs_minus_rhs,
+                                    set(range(1, spec.rank + 1)), trials, seed)
+    return IdentityReport(name=name, mode="randomized-exact", samples=trials,
+                          max_deviation=worst, passed=(worst == 0), details={},
+                          seed=seed)
 
 
 def check_det_vs_tableaux(spec: AlgebraSpec, shape: SkewDiagram, variant: str,
@@ -117,12 +123,9 @@ def check_det_vs_tableaux(spec: AlgebraSpec, shape: SkewDiagram, variant: str,
                               for n, sh in row] for row in matrix])
         return det_val - dvf_value(ctx, shape, asg, cache)
 
-    worst, _ = sample_max_deviation(det_minus_direct, _colors(spec), trials,
-                                    seed)
-    return IdentityReport(
-        name=f"determinant[{variant}] {spec} {shape.mu.parts}/{shape.lam.parts}",
-        mode="randomized-exact", samples=trials, max_deviation=worst,
-        passed=(worst == 0), details={}, seed=seed)
+    return _sampled_report(
+        f"determinant[{variant}] {spec} {shape.mu.parts}/{shape.lam.parts}",
+        spec, det_minus_direct, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +148,8 @@ def check_hirota(spec: AlgebraSpec, a: int, m: int, trials: int = 20,
         return (t(m, a, -1) * t(m, a, 1)
                 - (t(m - 1, a) * t(m + 1, a) + t(m, a - 1) * t(m, a + 1)))
 
-    worst, _ = sample_max_deviation(lhs_minus_rhs, _colors(spec), trials, seed)
-    return IdentityReport(name=f"hirota {spec} a={a} m={m}",
-                          mode="randomized-exact", samples=trials,
-                          max_deviation=worst, passed=(worst == 0), details={},
-                          seed=seed)
+    return _sampled_report(f"hirota {spec} a={a} m={m}", spec, lhs_minus_rhs,
+                           trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -234,29 +234,23 @@ def check_duality_suite(s: int, trials: int = 8, seed: int = 0) -> IdentityRepor
 # the closed B(0|s) T-system
 
 
-def _fundamental_rows(s: int) -> dict[int, SymSum]:
-    """Normalized single-row sums indexed 0..2s+1 (zero outside)."""
-    spec = AlgebraSpec("B", 0, s)
-    return {k: normalized_rect_dvf(spec, k, 1) if k else vacuum_row_term(spec, 1)
-            for k in range(0, 2 * s + 2)}
-
-
-def _row_entry(rows: dict[int, SymSum], k: int) -> SymSum:
-    return rows.get(k, ZERO) if k >= 0 else ZERO
-
-
-def tsystem_block(s: int, a: int, m: int,
-                  rows: dict[int, SymSum] | None = None) -> SymSum:
-    """Determinant solution for T_m^(a); index n of T_n^(s) must be even."""
-    if a == 0 or m == 0:
-        return ONE
-    if not 1 <= a <= s:
+def _block_matrix(s: int, a: int, m: int) -> list[list[tuple[int, Fraction]]]:
+    """``det_matrix`` of T_m^(a), m >= 0: the rectangle (a^m) over the
+    normalized single rows (empty, so of determinant 1, when a or m is 0)."""
+    if a and m and not 1 <= a <= s:
         raise ValueError(f"node index {a} out of range 1..{s}")
-    if rows is None:
-        rows = _fundamental_rows(s)
-    matrix = [[shift_u(_row_entry(rows, a + i - j), Fraction(m - i - j + 1))
-               for j in range(1, m + 1)] for i in range(1, m + 1)]
-    return _det(matrix)
+    return det_matrix(AlgebraSpec("B", 0, s), SkewDiagram.straight((a,) * m),
+                      "row")
+
+
+def tsystem_block(s: int, a: int, m: int) -> SymSum:
+    """Determinant solution for T_m^(a) over the normalized rows, 1 when a or
+    m is 0 and 0 when m < 0; index n of T_n^(s) must be even."""
+    if m < 0:
+        return ZERO
+    spec = AlgebraSpec("B", 0, s)
+    return _det([[shift_u(normalized_rect_dvf(spec, n, 1), sh) for n, sh in row]
+                 for row in _block_matrix(s, a, m)])
 
 
 def tsystem_g(s: int, b: int, m: int) -> SymSum:
@@ -267,20 +261,16 @@ def tsystem_g(s: int, b: int, m: int) -> SymSum:
     single node plays both roles and its level-2m factor is the same m-fold
     product.
     """
-    spec = AlgebraSpec("B", 0, s)
-    if b != 1:
-        return ONE
-    return vacuum_row_term(spec, m)
+    return vacuum_row_term(AlgebraSpec("B", 0, s), m) if b == 1 else ONE
 
 
-def tsystem_block_by_label(s: int, a: int, n: int,
-                           rows: dict[int, SymSum] | None = None) -> SymSum:
+def tsystem_block_by_label(s: int, a: int, n: int) -> SymSum:
     """T_n^(a) by its weight label n; the tail node accepts even n only."""
     if a == s:
         if n % 2:
             raise OddSpinLabel(f"tail label must be even, got {n}")
-        return tsystem_block(s, a, n // 2, rows)
-    return tsystem_block(s, a, n, rows)
+        return tsystem_block(s, a, n // 2)
+    return tsystem_block(s, a, n)
 
 
 def check_t_system(s: int, depth: int, trials: int = 8,
@@ -289,49 +279,52 @@ def check_t_system(s: int, depth: int, trials: int = 8,
 
     Every node relation at levels m <= depth is checked, together with the
     bilinear relation of the g factors and a cross-check of the determinant
-    blocks against directly built rectangle sums.
+    blocks against directly built rectangle sums.  Blocks and rectangles are
+    valued at the sample points by transfer matrix (``exact_det`` over
+    ``normalized_rect_value`` entries), never expanded.
     """
+    if depth < 1:
+        raise ValueError("need depth >= 1")
     spec = AlgebraSpec("B", 0, s)
-    rows = _fundamental_rows(s)
     reports = []
 
-    def block(a: int, m: int) -> SymSum:
-        return tsystem_block(s, a, m, rows)
+    def block(asg, cache, a: int, m: int, shift: int = 0) -> Fraction:
+        return exact_det([[normalized_rect_value(spec, n, 1, asg, cache,
+                                                 sh + shift) for n, sh in row]
+                          for row in _block_matrix(s, a, m)])
 
-    def add_eq(name: str, lhs, rhs, salt: int):
-        reports.append(equal_group_sums(lhs, rhs, trials=trials,
-                                        seed=seed + salt, name=name))
+    def relation(asg, cache, a: int, m: int) -> Fraction:
+        """lhs - rhs at node a; the tail node s couples to itself."""
+        t = partial(block, asg, cache)
+        g = evaluate(tsystem_g(s, a, m), asg, cache)
+        return (t(a, m, -1) * t(a, m, 1) - t(a, m - 1) * t(a, m + 1)
+                - g * t(a - 1, m) * t(min(a + 1, s), m))
+
+    def block_vs_direct(asg, cache, a: int, m: int) -> Fraction:
+        return (block(asg, cache, a, m)
+                - normalized_rect_value(spec, a, m, asg, cache))
 
     salt = 0
     for m in range(1, depth + 1):
-        for a in range(1, s):              # inner nodes; s-1 couples to the tail
-            t = block(a, m)
-            lhs = [[shift_u(t, -1), shift_u(t, 1)]]
-            rhs = [[block(a, m - 1), block(a, m + 1)],
-                   [tsystem_g(s, a, m), block(a - 1, m), block(a + 1, m)]]
-            add_eq(f"t-system B(0|{s}) node {a} m={m}", lhs, rhs, salt)
+        for a in range(1, s + 1):          # inner nodes, then the tail (label 2m)
+            node = f"node {a}" if a < s else "tail"
+            reports.append(_sampled_report(
+                f"t-system B(0|{s}) {node} m={m}", spec,
+                partial(relation, a=a, m=m), trials, seed + salt))
             salt += 1
-        t = block(s, m)                     # tail node, label 2m
-        g_tail = tsystem_g(s, 1, m) if s == 1 else ONE
-        lhs = [[shift_u(t, -1), shift_u(t, 1)]]
-        rhs = [[block(s, m - 1), block(s, m + 1)],
-               [g_tail, block(s - 1, m), t]]
-        add_eq(f"t-system B(0|{s}) tail m={m}", lhs, rhs, salt)
-        salt += 1
 
     g_ok = all(tsystem_g(s, 1, m + 1) * tsystem_g(s, 1, m - 1)
                == shift_u(tsystem_g(s, 1, m), 1) * shift_u(tsystem_g(s, 1, m), -1)
                for m in range(1, depth + 1))
-    reports.append(IdentityReport(name=f"g-bilinear B(0|{s})",
-                                  mode="exact-symbolic", samples=depth,
-                                  max_deviation=Fraction(0), passed=g_ok,
-                                  details={}, seed=seed))
+    reports.append(IdentityReport(
+        name=f"g-bilinear B(0|{s})", mode="exact-symbolic", samples=depth,
+        max_deviation=Fraction(0), passed=g_ok, details={}, seed=seed))
 
     for a in range(1, s + 1):
         for m in range(1, depth + 1):
-            direct = normalized_rect_dvf(spec, a, m)
-            add_eq(f"block-vs-tableaux B(0|{s}) a={a} m={m}",
-                   [[block(a, m)]], [[direct]], salt)
+            reports.append(_sampled_report(
+                f"block-vs-tableaux B(0|{s}) a={a} m={m}", spec,
+                partial(block_vs_direct, a=a, m=m), trials, seed + salt))
             salt += 1
     return merge_reports(f"t-system B(0|{s}) depth {depth}", reports)
 

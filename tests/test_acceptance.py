@@ -17,11 +17,11 @@ from bethe_dvf.algebra import KacDynkinLabel, dimension_b0s, parse_spec
 from bethe_dvf.bae import BetheRootSet, BetheSystem, check_pole_free
 from bethe_dvf.cli import FIXTURE_W, SUITES
 from bethe_dvf.dvf import (BoxContext, build_dvf, column_dvf,
-                           crossing_transform, row_dvf)
+                           crossing_transform)
 from bethe_dvf.relations import (check_det_vs_tableaux, check_duality,
                                  det_formula, verify_const, verify_modi,
                                  verify_modi1)
-from bethe_dvf.symbolic import equal_as_rational_functions, equal_group_sums, shift_u
+from bethe_dvf.symbolic import equal_as_rational_functions
 from bethe_dvf.tableaux import SkewDiagram, count_tableaux
 
 from conftest import partitions_up_to
@@ -95,12 +95,9 @@ def test_criterion_05_determinant_formulas():
     text = json.dumps(reports, sort_keys=True)
     ok &= len(reports) == 116
     ok &= hashlib.sha256(text.encode()).hexdigest() == CRITERION_05_SHA256
-    d21 = parse_spec("D(2|1)")
-    ctx = BoxContext(d21)
-    t1 = column_dvf(ctx, 1)
-    rep = equal_group_sums([[shift_u(t1, -1), shift_u(t1, 1)]],
-                           [[row_dvf(ctx, 2)], [column_dvf(ctx, 2)]],
-                           trials=20, seed=17)
+    rep = check_det_vs_tableaux(parse_spec("D(2|1)"),
+                                SkewDiagram.straight((2,)), "d_row",
+                                trials=20, seed=17)
     ok &= rep.passed and rep.max_deviation == 0
     report(5, "determinant formulas at 20 exact points per shape", ok, t0, 60.0)
 

@@ -132,6 +132,7 @@ VERIFY_SEED42_SHA256 = {
     "lemmas": "d49e7f1b5224cfb5ac28c8f3ed3a30cbfe40adefbd6513963935e66fe249f11b",
     "crossing": "b362b491af819240d90e65018e6022ef97a3d5748ee20f326650097e494906df",
     "conjecture": "157d21aa547cd61eff61d90c7df0d65f213fadc80105deedf55ae303e4add376",
+    "tsystem": "0ca20b2bfa80fee83681b50fc67406cdcfc5e69642a8cae92f073581cc5b7a57",
 }
 
 

@@ -11,8 +11,9 @@ from bethe_dvf.dvf import (BoxContext, TruncationTooSmall, box, build_dvf,
                            cell_shift, column_dvf, crossing_transform,
                            dvf_value, generating_series_coeff,
                            isolated_column_term, normalize_b0s,
-                           normalized_rect_dvf, rect_dvf, rect_value, row_dvf,
-                           signed_box, top_term, vacuum_row_term)
+                           normalized_rect_dvf, normalized_rect_value,
+                           rect_dvf, rect_value, row_dvf, signed_box, top_term,
+                           vacuum_row_term)
 from bethe_dvf.goldens import (golden_t1_b21, golden_t2_b21, golden_t21_b21,
                                parse_term)
 from bethe_dvf.symbolic import (ONE, ONE_TERM, Assignment, PoleHit, SymSum,
@@ -126,22 +127,40 @@ TRANSFER_CASES = [
     (name, SkewDiagram.straight(mu))
     for name in ("D(2|1)", "D(3|1)", "D(2|2)")
     for n in range(1, 6) for mu in ((1,) * n, (n,))
+] + [
+    # (m, a): the normalized B(0|s) rectangle T_m^a, rows past 2s+1 are 0
+    ("B(0|1)", (m, a)) for m in range(0, 5) for a in (0, 1, 2)
+] + [
+    ("B(0|2)", (m, a)) for m, a in ((0, 1), (0, 2), (1, 1), (2, 1), (3, 2),
+                                     (5, 1), (6, 1), (7, 1))
 ]
 
 
-@pytest.mark.parametrize("name,shape", TRANSFER_CASES,
-                         ids=lambda x: x if isinstance(x, str)
-                         else f"{x.mu.parts}/{x.lam.parts}")
+def _case_id(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, SkewDiagram):
+        return f"{x.mu.parts}/{x.lam.parts}"
+    return "normalized m={} a={}".format(*x)
+
+
+@pytest.mark.parametrize("name,shape", TRANSFER_CASES, ids=_case_id)
 def test_transfer_value_matches_expanded_sum(name, shape):
     # the transfer matrix against the plain path: build, shift, evaluate
     spec = parse_spec(name)
-    ctx = BoxContext(spec)
-    direct = build_dvf(ctx, shape)
+    if isinstance(shape, SkewDiagram):
+        ctx = BoxContext(spec)
+        direct = build_dvf(ctx, shape)
+        value = lambda asg, shift: dvf_value(ctx, shape, asg, {}, shift)
+    else:
+        direct = normalized_rect_dvf(spec, *shape)
+        value = lambda asg, shift: normalized_rect_value(spec, *shape, asg,
+                                                         {}, shift)
     rng = Random(f"{name} {shape}")
     for _ in range(2):
         asg, shift = _point(rng, spec), rng.randint(-3, 3)
         want = evaluate(shift_u(direct, shift), asg)
-        assert dvf_value(ctx, shape, asg, {}, shift) == want
+        assert value(asg, shift) == want
 
 
 def test_transfer_value_edge_cases():

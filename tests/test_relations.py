@@ -14,7 +14,7 @@ from bethe_dvf.relations import (OddSpinLabel, check_det_vs_tableaux,
                                  term_count_prediction, tsystem_block,
                                  tsystem_block_by_label, verify_const,
                                  verify_modi, verify_modi1)
-from bethe_dvf.symbolic import ONE, ZERO, equal_group_sums
+from bethe_dvf.symbolic import ONE, ZERO, equal_group_sums, sum_to_json
 from bethe_dvf.tableaux import SkewDiagram
 
 
@@ -74,7 +74,9 @@ B11 = parse_spec("B(1|1)")
                                   trials=0),
     lambda: equal_group_sums([[ONE]], [[ZERO]], trials=0),
     lambda: check_hirota(B11, 1, 1, trials=0),
-], ids=["determinant", "group-sums", "hirota"])
+    lambda: check_t_system(1, 1, trials=0),
+    lambda: check_t_system(1, 0),
+], ids=["determinant", "group-sums", "hirota", "tsystem", "tsystem-depth-0"])
 def test_zero_trials_refused(check):
     # a randomized-exact check with no sample point must not pass
     with pytest.raises(ValueError):
@@ -164,6 +166,24 @@ def test_dress_duality_is_termwise():
 def test_tsystem_blocks_boundary():
     assert tsystem_block(2, 0, 5) == ONE
     assert tsystem_block(2, 1, 0) == ONE
+    assert tsystem_block(2, 1, -1) == ZERO
+
+
+# sha256 of json.dumps(sum_to_json(tsystem_block(s, a, m)), sort_keys=True):
+# the expanded determinant blocks, term for term
+TSYSTEM_BLOCK_SHA256 = {
+    (1, 1, 3): "055ed7924482069c9d6f9c490c0688506d2a3a0930d230ab7b4deba762f3382f",
+    (2, 1, 3): "a112b4b576d70a3833b3f32ef5576c54b856624a2ef454f12b81321bd0b92f82",
+    (2, 2, 2): "c0a55e9d3d5ec59df0ca19ca3a94c9af1f803e83a24d7561946933c618adb6d0",
+    (3, 2, 2): "47b49774f1b61a833ce2da8891622ff79eb313966555dffe9b0aa72924221aa1",
+}
+
+
+@pytest.mark.parametrize("sam", sorted(TSYSTEM_BLOCK_SHA256),
+                         ids=lambda sam: "s={} a={} m={}".format(*sam))
+def test_tsystem_block_is_byte_stable(sam):
+    text = json.dumps(sum_to_json(tsystem_block(*sam)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TSYSTEM_BLOCK_SHA256[sam]
 
 
 def test_tsystem_odd_label_rejected():
