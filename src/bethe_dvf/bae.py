@@ -245,9 +245,8 @@ def _fingerprint(roots: BetheRootSet) -> tuple:
                  for vs in roots.roots)
 
 
-def solve_bae(sys: BetheSystem, seeds: Sequence[BetheRootSet] | None = None,
-              tol: float = 1e-10, n_starts: int = 32, seed: int = 0,
-              max_iter: int = 80, start_radius: float = 3.0,
+def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
+              seed: int = 0, max_iter: int = 80, start_radius: float = 3.0,
               stats: dict | None = None) -> list[BetheRootSet]:
     """Damped Newton with multi-start; converged root sets deduplicated up to
     same-color permutation and filtered for genericity.
@@ -270,20 +269,13 @@ def solve_bae(sys: BetheSystem, seeds: Sequence[BetheRootSet] | None = None,
                         _equation_rows(sys.spec, sys.root_counts), w)
     rng = np.random.default_rng(seed)
     center = sum(w) / sys.n_sites if sys.n_sites else 0j
-    starts: list[np.ndarray] = []
-    if seeds is not None:
-        for rs in seeds:
-            starts.append(np.asarray([v for vs in rs.roots for v in vs],
-                                     dtype=complex))
-    for _ in range(n_starts):
-        starts.append(center
-                      + start_radius * (rng.uniform(-1, 1, n)
-                                        + 1j * rng.uniform(-1, 1, n)))
+    starts = [center + start_radius * (rng.uniform(-1, 1, n)
+                                       + 1j * rng.uniform(-1, 1, n))
+              for _ in range(n_starts)]
 
     found: dict[tuple, BetheRootSet] = {}
     stats["starts"] = len(starts)
     for vec in starts:
-        vec = vec.astype(complex)
         converged = False
         for _ in range(max_iter):
             f0 = residuals(vec)
@@ -345,56 +337,49 @@ def _pair_relations(spec: AlgebraSpec):
     rels = []
     if spec.family == "B" and r == 0:
         for d in range(1, s):
-            rels.append((f"inner-up[{d}]", d, Fraction(d),
-                         [(unb(d), 1), (unb(d + 1), 1)]))
-        rels.append(("odd-up", s, Fraction(s), [(unb(s), 1), (ZERO_LABEL, -1)]))
-        rels.append(("odd-down", s, Fraction(s + 1), [(ZERO_LABEL, 1), (bar(s), -1)]))
+            rels.append((f"inner-up[{d}]", d, d, [(unb(d), 1), (unb(d + 1), 1)]))
+        rels.append(("odd-up", s, s, [(unb(s), 1), (ZERO_LABEL, -1)]))
+        rels.append(("odd-down", s, s + 1, [(ZERO_LABEL, 1), (bar(s), -1)]))
         for d in range(1, s):
-            rels.append((f"inner-down[{d}]", d, Fraction(-d + 2 * s + 1),
+            rels.append((f"inner-down[{d}]", d, -d + 2 * s + 1,
                          [(bar(d + 1), 1), (bar(d), 1)]))
         return rels
     if spec.family == "B":
         for d in range(1, s):
-            rels.append((f"inner-up[{d}]", d, Fraction(d),
-                         [(unb(d), 1), (unb(d + 1), 1)]))
-        rels.append(("odd-up", s, Fraction(s), [(unb(s), 1), (unb(s + 1), -1)]))
+            rels.append((f"inner-up[{d}]", d, d, [(unb(d), 1), (unb(d + 1), 1)]))
+        rels.append(("odd-up", s, s, [(unb(s), 1), (unb(s + 1), -1)]))
         for d in range(s + 1, n):
-            rels.append((f"outer-up[{d}]", d, Fraction(2 * s - d),
+            rels.append((f"outer-up[{d}]", d, 2 * s - d,
                          [(unb(d), 1), (unb(d + 1), 1)]))
-        rels.append(("tail-up", n, Fraction(s - r), [(unb(n), 1), (ZERO_LABEL, 1)]))
-        rels.append(("tail-down", n, Fraction(s - r + 1),
-                     [(ZERO_LABEL, 1), (bar(n), 1)]))
+        rels.append(("tail-up", n, s - r, [(unb(n), 1), (ZERO_LABEL, 1)]))
+        rels.append(("tail-down", n, s - r + 1, [(ZERO_LABEL, 1), (bar(n), 1)]))
         for d in range(s + 1, n):
-            rels.append((f"outer-down[{d}]", d, Fraction(d - 2 * r + 1),
+            rels.append((f"outer-down[{d}]", d, d - 2 * r + 1,
                          [(bar(d + 1), 1), (bar(d), 1)]))
-        rels.append(("odd-down", s, Fraction(s - 2 * r + 1),
-                     [(bar(s + 1), 1), (bar(s), -1)]))
+        rels.append(("odd-down", s, s - 2 * r + 1, [(bar(s + 1), 1), (bar(s), -1)]))
         for d in range(1, s):
-            rels.append((f"inner-down[{d}]", d, Fraction(-d + 2 * s - 2 * r + 1),
+            rels.append((f"inner-down[{d}]", d, -d + 2 * s - 2 * r + 1,
                          [(bar(d + 1), 1), (bar(d), 1)]))
         return rels
     # D family
     for d in range(1, s):
-        rels.append((f"inner-up[{d}]", d, Fraction(d),
-                     [(unb(d), 1), (unb(d + 1), 1)]))
-    rels.append(("odd-up", s, Fraction(s), [(unb(s), 1), (unb(s + 1), -1)]))
+        rels.append((f"inner-up[{d}]", d, d, [(unb(d), 1), (unb(d + 1), 1)]))
+    rels.append(("odd-up", s, s, [(unb(s), 1), (unb(s + 1), -1)]))
     for d in range(s + 1, n):
-        rels.append((f"outer-up[{d}]", d, Fraction(2 * s - d),
-                     [(unb(d), 1), (unb(d + 1), 1)]))
-    rels.append(("fork-a", n, Fraction(s - r + 1), [(unb(n - 1), 1), (bar(n), 1)]))
-    rels.append(("fork-b", n, Fraction(s - r + 1), [(unb(n), 1), (bar(n - 1), 1)]))
+        rels.append((f"outer-up[{d}]", d, 2 * s - d, [(unb(d), 1), (unb(d + 1), 1)]))
+    rels.append(("fork-a", n, s - r + 1, [(unb(n - 1), 1), (bar(n), 1)]))
+    rels.append(("fork-b", n, s - r + 1, [(unb(n), 1), (bar(n - 1), 1)]))
     for d in range(s + 1, n):
-        rels.append((f"outer-down[{d}]", d, Fraction(d - 2 * r + 2),
+        rels.append((f"outer-down[{d}]", d, d - 2 * r + 2,
                      [(bar(d + 1), 1), (bar(d), 1)]))
-    rels.append(("odd-down", s, Fraction(s - 2 * r + 2),
-                 [(bar(s + 1), 1), (bar(s), -1)]))
+    rels.append(("odd-down", s, s - 2 * r + 2, [(bar(s + 1), 1), (bar(s), -1)]))
     for d in range(1, s):
-        rels.append((f"inner-down[{d}]", d, Fraction(-d + 2 * s - 2 * r + 2),
+        rels.append((f"inner-down[{d}]", d, -d + 2 * s - 2 * r + 2,
                      [(bar(d + 1), 1), (bar(d), 1)]))
     return rels
 
 
-def _relative_residue(x: SymSum, color: int, k: int, shift: Fraction,
+def _relative_residue(x: SymSum, color: int, k: int, shift: int,
                       asg: Assignment) -> float:
     parts = residue_breakdown(x, color, k - 1, shift, asg)
     scale = sum(abs(p) for p in parts)
@@ -423,13 +408,13 @@ def check_residue_pairs(spec: AlgebraSpec, sys: BetheSystem, roots: BetheRootSet
                           passed=worst < eps, details={"cases": rows})
 
 
-def candidate_poles(x: SymSum) -> list[tuple[int, Fraction]]:
+def candidate_poles(x: SymSum) -> list[tuple[int, int]]:
     """(color, pole shift) pairs: u = u_k^(color) + shift zeroes a denominator."""
     out = {(c, -s) for t in x.terms for c, s, e in t.qs if e < 0}
     return sorted(out)
 
 
-def _max_term_pole_order(x: SymSum, color: int, shift: Fraction) -> int:
+def _max_term_pole_order(x: SymSum, color: int, shift: int) -> int:
     return max((-e for t in x.terms for c, s, e in t.qs
                 if c == color and s == -shift and e < 0), default=0)
 
@@ -584,7 +569,7 @@ def _d_tail_groups(spec: AlgebraSpec, n_alt: int) -> dict[str, SymSum]:
 def _column_sum(ctx: BoxContext, patterns: list[list[IndexLabel]]) -> SymSum:
     terms = []
     for labs in patterns:
-        shifts = [Fraction(-2 * i) for i in range(len(labs))]
+        shifts = [-2 * i for i in range(len(labs))]
         terms.append(box_product(ctx, labs, shifts))
     return SymSum.make(terms)
 
@@ -634,18 +619,18 @@ def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
 
     if spec.family == "B" and r >= 2:
         for b in range(s + 1, n):
-            up = box_product(ctx, [unb(b), unb(b + 1)], [Fraction(0), Fraction(-2)])
-            dn = box_product(ctx, [bar(b + 1), bar(b)], [Fraction(0), Fraction(-2)])
+            up = box_product(ctx, [unb(b), unb(b + 1)], [0, -2])
+            dn = box_product(ctx, [bar(b + 1), bar(b)], [0, -2])
             checks.append((f"column-pair[{b}]", not _contains_color(up, b)))
             checks.append((f"column-pair-bar[{b}]", not _contains_color(dn, b)))
     if spec.family == "B" and r == 0:
         for b in range(1, s):
-            up = box_product(ctx, [unb(b), unb(b + 1)], [Fraction(0), Fraction(2)])
-            dn = box_product(ctx, [bar(b + 1), bar(b)], [Fraction(0), Fraction(2)])
+            up = box_product(ctx, [unb(b), unb(b + 1)], [0, 2])
+            dn = box_product(ctx, [bar(b + 1), bar(b)], [0, 2])
             checks.append((f"row-pair[{b}]", not _contains_color(up, b)))
             checks.append((f"row-pair-bar[{b}]", not _contains_color(dn, b)))
         run = box_product(ctx, [unb(s), ZERO_LABEL, bar(s)],
-                         [Fraction(0), Fraction(2), Fraction(4)])
+                         [0, 2, 4])
         checks.append(("odd-run", not _contains_color(run, s)))
     if spec.family == "B" and r >= 1:
         for k in (2, 3):

@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
                       ZERO_LABEL, bar, grading, index_set, unb, validate_label)
-from .symbolic import (ONE, ONE_TERM, Assignment, RatLike, SymSum, SymTerm,
-                       ZERO, evaluate_term, shift_u)
+from .symbolic import (ONE, ONE_TERM, Assignment, SymSum, SymTerm, ZERO,
+                       evaluate_term, shift_u)
 from .tableaux import SkewDiagram, fold_fillings, transfer_sum
 
 
@@ -33,7 +33,7 @@ class BoxContext:
     include_vacuum: bool = True
 
 
-def _q(color: int, shift: RatLike, exp: int):
+def _q(color: int, shift: int, exp: int):
     """Q factor entry, silently dropping the color-0 convention Q_0 = 1."""
     if color == 0:
         return []
@@ -50,13 +50,13 @@ def _vacuum_shifts(spec: AlgebraSpec, label: IndexLabel) -> tuple[int, int]:
     return (0, edge)
 
 
-def box(ctx: BoxContext, label: IndexLabel, u_shift: RatLike = 0) -> SymTerm:
+def box(ctx: BoxContext, label: IndexLabel, u_shift: int = 0) -> SymTerm:
     """The box function [label]_{u + u_shift} as a single canonical term."""
     spec = ctx.spec
     validate_label(spec, label)
     s, r = spec.s, spec.r
     n = s + r
-    qs: list[tuple[int, RatLike, int]] = []
+    qs: list[tuple[int, int, int]] = []
 
     if spec.family == "B":
         if label.kind == "unbarred" and label.value <= s:
@@ -112,20 +112,20 @@ def box(ctx: BoxContext, label: IndexLabel, u_shift: RatLike = 0) -> SymTerm:
             qs += _q(a - 1, c - 1, 1) + _q(a, c - 4, 1)
             qs += _q(a - 1, c - 3, -1) + _q(a, c - 2, -1)
 
-    phis: list[tuple[RatLike, int]] = []
+    phis: list[tuple[int, int]] = []
     if ctx.include_vacuum:
         for c in _vacuum_shifts(spec, label):
             phis.append((c, 1))
     return SymTerm.make(1, qs, phis).shifted(u_shift)
 
 
-def signed_box(ctx: BoxContext, label: IndexLabel, u_shift: RatLike = 0) -> SymTerm:
+def signed_box(ctx: BoxContext, label: IndexLabel, u_shift: int = 0) -> SymTerm:
     t = box(ctx, label, u_shift)
     return SymTerm(-t.coeff, t.qs, t.phis) if grading(ctx.spec, label) else t
 
 
 def box_product(ctx: BoxContext, labels: Sequence[IndexLabel],
-                shifts: Sequence[RatLike]) -> SymTerm:
+                shifts: Sequence[int]) -> SymTerm:
     """Product of the unsigned boxes [label]_{u + shift} along a line
     (ONE_TERM for an empty line)."""
     t = ONE_TERM
@@ -138,9 +138,9 @@ def box_product(ctx: BoxContext, labels: Sequence[IndexLabel],
 # the tableaux sum
 
 
-def cell_shift(shape: SkewDiagram, i: int, j: int) -> Fraction:
+def cell_shift(shape: SkewDiagram, i: int, j: int) -> int:
     # mu'_1, the first part of the conjugate, is the number of rows of mu
-    return Fraction(-shape.mu[1] + len(shape.mu) - 2 * i + 2 * j)
+    return -shape.mu[1] + len(shape.mu) - 2 * i + 2 * j
 
 
 def build_dvf(ctx: BoxContext, shape: SkewDiagram) -> SymSum:
@@ -182,12 +182,12 @@ def rect_dvf(ctx: BoxContext, m: int, a: int) -> SymSum:
 _signed_box_once = lru_cache(maxsize=None)(signed_box)
 
 
-def _box_row(ctx: BoxContext, at: Fraction, asg: Assignment,
+def _box_row(ctx: BoxContext, at: int, asg: Assignment,
              cache: dict) -> tuple[list[int], int]:
     """The signed boxes of every label at u + at, evaluated at ``asg`` over
     one common denominator: (numerators in ``index_set`` order, denominator).
     Memoized in ``cache``, the per-point factor cache of ``evaluate``."""
-    key = (ctx, at.numerator, at.denominator)
+    key = (ctx, at)
     row = cache.get(key)
     if row is None:
         vals = [evaluate_term(_signed_box_once(ctx, lab, at), asg, cache)
@@ -199,7 +199,7 @@ def _box_row(ctx: BoxContext, at: Fraction, asg: Assignment,
 
 
 def dvf_value(ctx: BoxContext, shape: SkewDiagram, asg: Assignment,
-              cache: dict, shift: RatLike = 0) -> Fraction:
+              cache: dict, shift: int = 0) -> Fraction:
     """Value of ``shift_u(build_dvf(ctx, shape), shift)`` at the exact point
     ``asg``, by ``transfer_sum`` over the signed box values, without building
     the sum.
@@ -210,15 +210,14 @@ def dvf_value(ctx: BoxContext, shape: SkewDiagram, asg: Assignment,
     and shifted copies of a block share them.  Raises PoleHit when any box
     denominator vanishes, also one that would cancel in the expanded sum.
     """
-    sh = Fraction(shift)
-    rows = [_box_row(ctx, cell_shift(shape, i, j) + sh, asg, cache)
+    rows = [_box_row(ctx, cell_shift(shape, i, j) + shift, asg, cache)
             for i, j in shape.cells()]
     total = transfer_sum(ctx.spec, shape, [nums for nums, _ in rows])
     return Fraction(total, prod(den for _, den in rows))
 
 
 def rect_value(ctx: BoxContext, m: int, a: int, asg: Assignment, cache: dict,
-               shift: RatLike = 0) -> Fraction:
+               shift: int = 0) -> Fraction:
     """Value of ``shift_u(rect_dvf(ctx, m, a), shift)`` at ``asg``, as
     ``dvf_value`` gives it; 0 for a negative side, 1 for a zero side."""
     if m < 0 or a < 0:
@@ -230,13 +229,12 @@ def rect_value(ctx: BoxContext, m: int, a: int, asg: Assignment, cache: dict,
 # osp(1|2s) normalization
 
 
-def _f_term(s: int, m: int, offset: RatLike) -> SymTerm:
-    """The row normalizer F_m(u + offset) as a single phi term."""
-    off = Fraction(offset)
+def _f_term(s: int, m: int, off: int) -> SymTerm:
+    """The row normalizer F_m(u + off) as a single phi term."""
     if m < 0:
         raise ValueError("F_m needs m >= 0")
     if m == 0:
-        return SymTerm.make(1, (), [(off + 1, -1), (off - Fraction(2 * s + 2), -1)])
+        return SymTerm.make(1, (), [(off + 1, -1), (off - 2 * s - 2, -1)])
     phis = []
     for j in range(1, m):
         phis.append((off - m + 2 * j + 1, 1))
@@ -252,7 +250,7 @@ def _normalizer(spec: AlgebraSpec, shape: SkewDiagram, nrows: int) -> SymTerm:
     mu, lam = shape.mu, shape.lam
     div = ONE_TERM
     for j in range(1, nrows + 1):
-        off = Fraction(-mu[1] + nrows + mu[j] + lam[j] - 2 * j + 1)
+        off = -mu[1] + nrows + mu[j] + lam[j] - 2 * j + 1
         div = div * _f_term(spec.s, mu[j] - lam[j], off)
     return div
 
@@ -276,7 +274,7 @@ def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int,
 
 
 def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
-                          cache: dict, shift: RatLike = 0) -> Fraction:
+                          cache: dict, shift: int = 0) -> Fraction:
     """``shift_u(normalized_rect_dvf(spec, m, a), shift)`` at ``asg``: the
     rectangle's ``dvf_value`` times the inverted normalizer's value."""
     if spec.family != "B" or spec.r != 0:
@@ -287,17 +285,6 @@ def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
     div = _normalizer(spec, shape, a).inverse().shifted(shift)
     return (dvf_value(BoxContext(spec), shape, asg, cache, shift)
             * evaluate_term(div, asg, cache))
-
-
-def vacuum_row_term(spec: AlgebraSpec, m: int = 0) -> SymSum:
-    """Normalized T_0 (m-fold product form used by the T-system g functions)."""
-    if spec.family != "B" or spec.r != 0:
-        raise WrongAlgebra("defined for B(0|s) only")
-    t = ONE_TERM
-    for j in range(1, m + 1):
-        off = Fraction(2 * j - m - 1)
-        t = t * SymTerm.make(1, (), [(off + 1, 1), (off - Fraction(2 * spec.s + 2), 1)])
-    return SymSum.from_term(t)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +335,8 @@ def isolated_column_term(spec: AlgebraSpec, a: int) -> SymTerm:
     for j in range(1, a + 1 - spec.r + spec.s + 1):
         psi1 = box(ctx, unb(1), 0)
         psi1b = box(ctx, bar(1), 0)
-        up = Fraction(a - 2 * j + 1)
-        dn = Fraction(-a + 2 * j - 1)
+        up = a - 2 * j + 1
+        dn = -a + 2 * j - 1
         t = t * SymTerm.make(1, (), [(sh + up, e) for sh, e in psi1.phis])
         t = t * SymTerm.make(1, (), [(sh + dn, e) for sh, e in psi1b.phis])
     return t

@@ -18,7 +18,7 @@ from .algebra import (AlgebraSpec, KacDynkinLabel, UnsupportedShape,
                       WrongAlgebra, ZERO_LABEL, bar, dimension_b0s, unb)
 from .dvf import (BoxContext, box_product, column_dvf, dvf_value,
                   normalized_rect_dvf, normalized_rect_value, rect_value,
-                  row_dvf, vacuum_row_term)
+                  row_dvf)
 from .reports import IdentityReport, merge_reports
 from .symbolic import (ONE, ONE_TERM, SymSum, ZERO,
                        equal_as_rational_functions, evaluate, exact_det,
@@ -57,7 +57,7 @@ def _det(matrix: list[list[SymSum]]) -> SymSum:
 
 
 def det_matrix(spec: AlgebraSpec, shape: SkewDiagram,
-               variant: str) -> list[list[tuple[int, Fraction]]]:
+               variant: str) -> list[list[tuple[int, int]]]:
     """Entry matrix of the determinant expression of the tableaux sum, each
     entry a pair (n, shift): the block of size n shifted by shift along u.
 
@@ -70,7 +70,7 @@ def det_matrix(spec: AlgebraSpec, shape: SkewDiagram,
         if spec.family != "D" or not shape.is_row():
             raise UnsupportedShape("d_row needs a D-family single row")
         m = shape.n_cells()
-        return [[(1 - i + j, Fraction(-m + i + j - 1))
+        return [[(1 - i + j, -m + i + j - 1)
                  for j in range(1, m + 1)] for i in range(1, m + 1)]
     if variant not in ("column", "row"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -81,11 +81,11 @@ def det_matrix(spec: AlgebraSpec, shape: SkewDiagram,
     if variant == "column":
         size = mu[1]
         return [[(mup[i] - lamp[j] - i + j,
-                  Fraction(-mu[1] + mup[1] - mup[i] - lamp[j] + i + j - 1))
+                  -mu[1] + mup[1] - mup[i] - lamp[j] + i + j - 1)
                  for j in range(1, size + 1)] for i in range(1, size + 1)]
     size = mup[1]
     return [[(mu[j] - lam[i] + i - j,
-              Fraction(-mu[1] + mup[1] + mu[j] + lam[i] - i - j + 1))
+              -mu[1] + mup[1] + mu[j] + lam[i] - i - j + 1)
              for j in range(1, size + 1)] for i in range(1, size + 1)]
 
 
@@ -176,11 +176,11 @@ def verify_modi1(s: int, a: int) -> bool:
     slot convention above.  Dress parts only.
     """
     ctx = _b0s_dress(s)
-    lhs = box_product(ctx, [_b0s_label_bar(s, a)], [Fraction(0)]) \
+    lhs = box_product(ctx, [_b0s_label_bar(s, a)], [0]) \
         * box_product(ctx, [_b0s_label(s, k) for k in range(1, a + 1)],
-                      [Fraction(-2 * s - 3 + 2 * k) for k in range(1, a + 1)])
+                      [-2 * s - 3 + 2 * k for k in range(1, a + 1)])
     rhs = box_product(ctx, [_b0s_label(s, k) for k in range(1, a)],
-                      [Fraction(-2 * s - 1 + 2 * k) for k in range(1, a)])
+                      [-2 * s - 1 + 2 * k for k in range(1, a)])
     return lhs == rhs
 
 
@@ -188,12 +188,12 @@ def verify_modi(s: int, a: int) -> bool:
     """[a]_u x [abar..1bar] at u-2a+2s+3, ... equals [(a-1)bar..1bar]."""
     ctx = _b0s_dress(s)
     down = list(range(a, 0, -1))
-    lhs = box_product(ctx, [_b0s_label(s, a)], [Fraction(0)]) \
+    lhs = box_product(ctx, [_b0s_label(s, a)], [0]) \
         * box_product(ctx, [_b0s_label_bar(s, k) for k in down],
-                      [Fraction(-2 * k + 2 * s + 3) for k in down])
+                      [-2 * k + 2 * s + 3 for k in down])
     down1 = list(range(a - 1, 0, -1))
     rhs = box_product(ctx, [_b0s_label_bar(s, k) for k in down1],
-                      [Fraction(-2 * k + 2 * s + 1) for k in down1])
+                      [-2 * k + 2 * s + 1 for k in down1])
     return lhs == rhs
 
 
@@ -201,7 +201,7 @@ def verify_const(s: int) -> bool:
     """The full-width strict row [1..s|0|sbar..1bar] multiplies out to 1."""
     labels = [unb(k) for k in range(1, s + 1)] + [ZERO_LABEL] \
         + [bar(k) for k in range(s, 0, -1)]
-    shifts = [Fraction(-2 * s + 2 * j) for j in range(2 * s + 1)]
+    shifts = [-2 * s + 2 * j for j in range(2 * s + 1)]
     return box_product(_b0s_dress(s), labels, shifts) == ONE_TERM
 
 
@@ -234,7 +234,7 @@ def check_duality_suite(s: int, trials: int = 8, seed: int = 0) -> IdentityRepor
 # the closed B(0|s) T-system
 
 
-def _block_matrix(s: int, a: int, m: int) -> list[list[tuple[int, Fraction]]]:
+def _block_matrix(s: int, a: int, m: int) -> list[list[tuple[int, int]]]:
     """``det_matrix`` of T_m^(a), m >= 0: the rectangle (a^m) over the
     normalized single rows (empty, so of determinant 1, when a or m is 0)."""
     if a and m and not 1 <= a <= s:
@@ -257,11 +257,11 @@ def tsystem_g(s: int, b: int, m: int) -> SymSum:
     """Scalar factor attached to node b at level m of the relation family.
 
     Nontrivial only where the inhomogeneity polynomial enters: node 1, where
-    it is an m-fold product of normalized empty-row terms.  For s = 1 the
-    single node plays both roles and its level-2m factor is the same m-fold
-    product.
+    it is the normalized T_0^m, an m-fold product of normalized empty-row
+    terms.  For s = 1 the single node plays both roles and its level-2m
+    factor is the same m-fold product.
     """
-    return vacuum_row_term(AlgebraSpec("B", 0, s), m) if b == 1 else ONE
+    return normalized_rect_dvf(AlgebraSpec("B", 0, s), 0, m) if b == 1 else ONE
 
 
 def tsystem_block_by_label(s: int, a: int, n: int) -> SymSum:

@@ -5,7 +5,7 @@ Every quantity handled by this package is a finite signed sum of monomials
     c * prod_i Q_{a_i}(u + c_i)^{e_i} * prod_j phi(u + d_j)^{f_j}
 
 with an exact rational coefficient c, integer exponents (negative exponents
-are denominators) and exact rational argument shifts.  Here Q_a is the
+are denominators) and exact integer argument shifts.  Here Q_a is the
 polynomial whose zeros are the color-a Bethe roots and phi the polynomial
 whose zeros are the inhomogeneities:
 
@@ -15,7 +15,8 @@ The building block (u - z) is hard-wired; other additive choices would need
 a different evaluator.
 
 A ``SymTerm`` is one monomial in canonical form: factors keyed by
-(color, shift) resp. shift, merged exponents, no zero exponents.  A
+(color, shift) resp. shift, merged exponents, no zero exponents.  Every
+stored shift is an ``int`` (``_shift`` checks each one on the way in).  A
 ``SymSum`` is a sum of terms in a deterministic canonical order, so two
 equal sums serialize identically.  All values are immutable; every
 operation is a pure function.
@@ -29,7 +30,8 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-Rat = Fraction
+from .reports import IdentityReport
+
 RatLike = Union[Fraction, int, str]
 
 SAMPLE_BOUND = 10**4     # numerators/denominators of random sample points
@@ -42,7 +44,7 @@ class PoleHit(ArithmeticError):
     ``color`` is the Q color, or None when the phi part is responsible.
     """
 
-    def __init__(self, color: int | None, shift: Fraction):
+    def __init__(self, color: int | None, shift: int):
         self.color = color
         self.shift = shift
         what = "phi" if color is None else f"Q_{color}"
@@ -65,20 +67,33 @@ def _rat(x: RatLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _canon_q(qs: Iterable[tuple[int, RatLike, int]]) -> tuple[tuple[int, Fraction, int], ...]:
-    merged: dict[tuple[int, Fraction], int] = {}
+def _shift(x: int | Fraction | str) -> int:
+    """An argument shift as the int it must be: an int passes unchanged, an
+    integral Fraction or numeric string becomes an int, anything else raises
+    ValueError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (int, Fraction, str)):
+        v = Fraction(x)
+        if v.denominator == 1:
+            return int(v)
+    raise ValueError(f"argument shifts are integers, got {x!r}")
+
+
+def _canon_q(qs: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+    merged: dict[tuple[int, int], int] = {}
     for color, shift, exp in qs:
         if color < 1:
             raise ValueError(f"Q color must be >= 1, got {color}")
-        key = (color, _rat(shift))
+        key = (color, shift if type(shift) is int else _shift(shift))
         merged[key] = merged.get(key, 0) + exp
     return tuple(sorted((c, s, e) for (c, s), e in merged.items() if e != 0))
 
 
-def _canon_phi(phis: Iterable[tuple[RatLike, int]]) -> tuple[tuple[Fraction, int], ...]:
-    merged: dict[Fraction, int] = {}
+def _canon_phi(phis: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    merged: dict[int, int] = {}
     for shift, exp in phis:
-        key = _rat(shift)
+        key = shift if type(shift) is int else _shift(shift)
         merged[key] = merged.get(key, 0) + exp
     return tuple(sorted((s, e) for s, e in merged.items() if e != 0))
 
@@ -88,13 +103,13 @@ class SymTerm:
     """One canonical monomial: coefficient * Q factors * phi factors."""
 
     coeff: Fraction
-    qs: tuple[tuple[int, Fraction, int], ...] = ()
-    phis: tuple[tuple[Fraction, int], ...] = ()
+    qs: tuple[tuple[int, int, int], ...] = ()
+    phis: tuple[tuple[int, int], ...] = ()
 
     @staticmethod
     def make(coeff: RatLike,
-             qs: Iterable[tuple[int, RatLike, int]] = (),
-             phis: Iterable[tuple[RatLike, int]] = ()) -> SymTerm:
+             qs: Iterable[tuple[int, int, int]] = (),
+             phis: Iterable[tuple[int, int]] = ()) -> SymTerm:
         return SymTerm(_rat(coeff), _canon_q(qs), _canon_phi(phis))
 
     @property
@@ -114,8 +129,8 @@ class SymTerm:
                             [(c, s, -e) for c, s, e in self.qs],
                             [(s, -e) for s, e in self.phis])
 
-    def shifted(self, delta: RatLike) -> SymTerm:
-        d = _rat(delta)
+    def shifted(self, delta: int) -> SymTerm:
+        d = _shift(delta)
         return SymTerm(self.coeff,
                        tuple((c, s + d, e) for c, s, e in self.qs),
                        tuple((s + d, e) for s, e in self.phis))
@@ -183,11 +198,12 @@ ZERO = SymSum()
 ONE = SymSum.constant(1)
 
 
-def shift_u(x: SymSum | SymTerm, delta: RatLike):
+def shift_u(x: SymSum | SymTerm, delta: int):
     """Shift the spectral parameter: every factor argument moves by delta."""
     if isinstance(x, SymTerm):
         return x.shifted(delta)
-    return SymSum(tuple(t.shifted(delta) for t in x.terms))
+    d = _shift(delta)
+    return SymSum(tuple(t.shifted(d) for t in x.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +250,14 @@ def poly_at(zeros: Iterable, v, start):
     return prod
 
 
-def _factor_value(asg: Assignment, color: int | None, shift: Fraction, cache: dict):
+def _factor_value(asg: Assignment, color: int | None, shift: int, cache: dict):
     """Base value of Q_color(u + shift) or phi(u + shift), memoized per point.
 
     In exact mode the cached value is the integer pair (numerator,
     denominator): per-term products then run on plain integers, which is far
-    cheaper than chained Fraction multiplication.  Cache keys avoid Fraction
-    hashing (slow) by using the integer pair of the shift.
+    cheaper than chained Fraction multiplication.
     """
-    key = (color, shift.numerator, shift.denominator)
+    key = (color, shift)
     val = cache.get(key)
     if val is None:
         zeros = asg.inhoms if color is None else asg.roots.get(color, ())
@@ -377,8 +392,7 @@ def sample_max_deviation(value_at: Callable[[Assignment, dict], Fraction],
 
 
 def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
-                                seed: int = 0, roots_per_color: int = 2,
-                                n_inhom: int = 2):
+                                seed: int = 0):
     """Randomized-exact equality test of two sums.
 
     Evaluates a - b at ``trials`` random points (``sample_max_deviation``).
@@ -386,8 +400,6 @@ def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
     point is astronomically unlikely but the report mode is labeled
     "randomized-exact", not "proof".
     """
-    from .reports import IdentityReport
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     diff = a - b
@@ -399,7 +411,7 @@ def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
                               seed=seed)
     worst, points = sample_max_deviation(
         lambda asg, cache: evaluate(diff, asg, cache), colors_of(diff),
-        trials, seed, roots_per_color, n_inhom)
+        trials, seed)
     return IdentityReport(name="equal-as-rational-functions",
                           mode="randomized-exact", samples=trials,
                           max_deviation=worst, passed=(worst == 0),
@@ -427,8 +439,6 @@ def equal_group_sums(lhs: Sequence[Sequence[SymSum]],
     Factors are evaluated individually at each sample point, so large
     products never get expanded.
     """
-    from .reports import IdentityReport
-
     cols = colors_of(*(f for side in (lhs, rhs) for g in side for f in g))
     worst, _ = sample_max_deviation(
         lambda asg, cache: (_group_sum_at(lhs, asg, cache)
@@ -464,7 +474,7 @@ def exact_det(matrix: list[list[Fraction]]) -> Fraction:
 # residues
 
 
-def _term_residue(t: SymTerm, color: int, root_index: int, shift: Fraction,
+def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
                   asg: Assignment, tol: float = 1e-9) -> complex:
     roots = asg.roots.get(color, ())
     u_k = roots[root_index]
@@ -517,14 +527,14 @@ def _term_residue(t: SymTerm, color: int, root_index: int, shift: Fraction,
     return rest / deriv
 
 
-def residue_breakdown(x: SymSum, color: int, root_index: int, shift: RatLike,
+def residue_breakdown(x: SymSum, color: int, root_index: int, shift: int,
                       asg: Assignment) -> list[complex]:
     """Per-term simple-pole residues of x at u = u_{root_index}^(color) + shift."""
-    s = _rat(shift)
+    s = _shift(shift)
     return [_term_residue(t, color, root_index, s, asg) for t in x.terms]
 
 
-def residue_at(x: SymSum, color: int, root_index: int, shift: RatLike,
+def residue_at(x: SymSum, color: int, root_index: int, shift: int,
                asg: Assignment) -> complex:
     """Total residue of x at u = u_{root_index}^(color) + shift.
 
@@ -545,9 +555,7 @@ def term_to_json(t: SymTerm) -> dict:
 
 
 def term_from_json(d: Mapping) -> SymTerm:
-    return SymTerm.make(Fraction(d["coeff"]),
-                        [(c, Fraction(s), e) for c, s, e in d.get("Q", [])],
-                        [(Fraction(s), e) for s, e in d.get("phi", [])])
+    return SymTerm.make(Fraction(d["coeff"]), d.get("Q", []), d.get("phi", []))
 
 
 def sum_to_json(x: SymSum) -> dict:
@@ -570,7 +578,7 @@ def loads(text: str) -> SymSum:
 # display
 
 
-def _arg_str(shift: Fraction) -> str:
+def _arg_str(shift: int) -> str:
     if shift == 0:
         return "u"
     sign = "+" if shift > 0 else "-"

@@ -133,6 +133,7 @@ VERIFY_SEED42_SHA256 = {
     "crossing": "b362b491af819240d90e65018e6022ef97a3d5748ee20f326650097e494906df",
     "conjecture": "157d21aa547cd61eff61d90c7df0d65f213fadc80105deedf55ae303e4add376",
     "tsystem": "0ca20b2bfa80fee83681b50fc67406cdcfc5e69642a8cae92f073581cc5b7a57",
+    "genseries": "f6a53e724eac07a94dd2b219dd99fd1c7f8aebae322fd365a00db2a1426a232e",
 }
 
 
@@ -141,3 +142,11 @@ def test_verify_stdout_is_byte_stable(suite, capsys):
     assert main(["verify", suite, "--seed", "42"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED42_SHA256[suite]
+
+
+def test_verify_all_stdout_is_byte_stable(capsys):
+    # every suite, numeric ones included, in registry order
+    assert main(["verify", "all", "--seed", "42"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "54471fbd6e8e92dc5d67d71de554d62898c688fe404b53675f42b87d57ebf291")

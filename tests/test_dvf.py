@@ -12,10 +12,10 @@ from bethe_dvf.dvf import (BoxContext, TruncationTooSmall, box, build_dvf,
                            dvf_value, generating_series_coeff,
                            isolated_column_term, normalize_b0s,
                            normalized_rect_dvf, normalized_rect_value,
-                           rect_dvf, rect_value, row_dvf, signed_box, top_term,
-                           vacuum_row_term)
+                           rect_dvf, rect_value, row_dvf, signed_box, top_term)
 from bethe_dvf.goldens import (golden_t1_b21, golden_t2_b21, golden_t21_b21,
                                parse_term)
+from bethe_dvf.relations import tsystem_g
 from bethe_dvf.symbolic import (ONE, ONE_TERM, Assignment, PoleHit, SymSum,
                                 SymTerm, evaluate, random_rational, shift_u)
 from bethe_dvf.tableaux import SkewDiagram, enumerate_tableaux
@@ -192,7 +192,7 @@ def test_normalized_empty_row_value():
     got = normalized_rect_dvf(spec, 0, 1)
     assert got == SymSum.from_term(
         SymTerm.make(1, (), [(1, 1), (-6, 1)]))
-    assert vacuum_row_term(spec, 1) == got
+    assert tsystem_g(2, 1, 1) == got
 
 
 def test_normalize_rejects_wrong_family():

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bethe_dvf.algebra import parse_spec
+from bethe_dvf.dvf import BoxContext, build_dvf, generating_series_coeff
+from bethe_dvf.relations import det_formula, tsystem_block
 from bethe_dvf.symbolic import (Assignment, PoleHit, SymSum, SymTerm, ZERO,
                                 equal_as_rational_functions, evaluate,
                                 exact_det, loads, dumps,
                                 residue_at, shift_u, sum_from_json,
-                                sum_to_json)
+                                sum_to_json, sum_to_latex, sum_to_text,
+                                term_from_json)
+from bethe_dvf.tableaux import SkewDiagram
 
 
 def q1_ratio(up: int, down: int) -> SymTerm:
@@ -52,7 +59,8 @@ def test_shift_examples():
     shifted = shift_u(x, 2)
     assert shifted == SymSum.from_term(SymTerm.make(1, [(1, 2, 1), (1, 0, -1)]))
     assert shift_u(x, 0) == x
-    assert shift_u(shift_u(x, Fraction(3, 2)), Fraction(-3, 2)) == x
+    with pytest.raises(ValueError):
+        shift_u(x, Fraction(3, 2))
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-3, 3))
@@ -205,3 +213,110 @@ def test_residue_coincident_roots_raise():
     asg = Assignment.float_point(0, {1: (0.4, 0.4)})
     with pytest.raises(GenericityViolation):
         residue_at(x, 1, 0, 0, asg)
+
+
+# ---------------------------------------------------------------------------
+# argument shifts are integers
+
+
+NON_INTEGER_SHIFTS = [Fraction(3, 2), "1/2"]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_SHIFTS, ids=str)
+def test_make_refuses_non_integer_shift(bad):
+    with pytest.raises(ValueError):
+        SymTerm.make(1, [(1, bad, 1)])
+    with pytest.raises(ValueError):
+        SymTerm.make(1, (), [(bad, 1)])
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_SHIFTS, ids=str)
+def test_shift_u_refuses_non_integer_shift(bad):
+    x = SymSum.from_term(q1_ratio(1, -1))
+    for target in (x, x.terms[0], ZERO):
+        with pytest.raises(ValueError):
+            shift_u(target, bad)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_SHIFTS, ids=str)
+def test_json_refuses_non_integer_shift(bad):
+    with pytest.raises(ValueError):
+        term_from_json({"coeff": "1", "Q": [], "phi": [[str(bad), 1]]})
+    text = json.dumps({"schema": 1, "terms": [
+        {"coeff": "1", "Q": [[1, str(bad), -1]], "phi": []}]})
+    with pytest.raises(ValueError):
+        loads(text)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_SHIFTS, ids=str)
+def test_residue_refuses_non_integer_shift(bad):
+    x = SymSum.from_term(SymTerm.make(1, [(1, 1, 1), (1, 0, -1)]))
+    asg = Assignment.float_point(0, {1: (0.3j,)})
+    with pytest.raises(ValueError):
+        residue_at(x, 1, 0, bad, asg)
+
+
+def test_integral_shifts_are_stored_as_ints():
+    t = SymTerm.make(1, [(1, Fraction(4, 2), 1), (2, "-3", -1)], [("0", 1)])
+    assert t == SymTerm.make(1, [(1, 2, 1), (2, -3, -1)], [(0, 1)])
+    assert t.shifted(Fraction(-2)) == t.shifted(-2)
+    assert [type(s) for _, s, _ in t.shifted("5").qs] == [int, int]
+
+
+def _shift_types(x: SymSum) -> set:
+    return ({type(s) for t in x.terms for _, s, _ in t.qs}
+            | {type(s) for t in x.terms for s, _ in t.phis})
+
+
+def test_built_sums_carry_int_shifts():
+    b21, d21 = parse_spec("B(2|1)"), parse_spec("D(2|1)")
+    sums = [build_dvf(BoxContext(b21), SkewDiagram.straight((2, 1))),
+            build_dvf(BoxContext(parse_spec("B(1|1)"), False),
+                      SkewDiagram.make((1,), (3, 2))),
+            build_dvf(BoxContext(d21), SkewDiagram.straight((3,))),
+            det_formula(parse_spec("B(1|1)"), SkewDiagram.straight((2, 1)),
+                        "column"),
+            det_formula(d21, SkewDiagram.straight((2,)), "d_row"),
+            tsystem_block(2, 1, 2),
+            tsystem_block(2, 2, 1),
+            generating_series_coeff(BoxContext(b21), "row", 2),
+            generating_series_coeff(BoxContext(d21), "column", 2)]
+    for x in sums:
+        assert not x.is_zero()
+        assert _shift_types(x) == {int}
+
+
+# sha256 of the JSON (sorted keys), LaTeX and text renderings; recorded
+# before shifts became ints, so the stored type does not show in the output
+RENDERING_SHA256 = {
+    ("B(2|1)", (2, 1), (), True): (
+        "ca540df046b55cb023f0f1722282a6a3590ddc976294681f23cdc22b172df2e1",
+        "72843fa409982b853556391de076dcc99d847519b94f6824f6b3796ee4dd7687",
+        "2d2c4d64a74e2af60a98c9d9b076c50a37d15b57c082359ba73bce0dea051afc"),
+    ("D(3|1)", (1, 1, 1), (), True): (
+        "287eac12629da20da327b3c446d361231b3348730894382062997c69cacf1136",
+        "8da1ec9059fd7b6cbc9c754111fb5a285931050a9ebe7c10fd28d0215cad2803",
+        "d126abb0a71bc88a8d480e05e1e335ff027ca8b974e318e1d0d2a72bb7037bba"),
+    ("B(0|2)", (3, 1), (1,), False): (
+        "86016182abc94bd68e50cff69cb79a6134b21901b20c153101c32da7bd5168a8",
+        "60140e98f31399c8435a80dd7fd549c5b72cc67279bbb8ab4ffe6520bad9d769",
+        "9e591fe8ad380c06a81b25936cf093115e096c6ba8d21ebc70f174a1cd92e27a"),
+    ("det B(1|1)", (2, 1), (), True): (
+        "8befc67f766a2abe5e6372216ebabe880f2ec49f6d113bcc2518194948185ef5",
+        "6049ab75c4ed9efb801f76522f4499ac9422c6c1ff381b51fd46b1282335dc46",
+        "496a44a2d6d903fdddbfb995ae4ae55091bf924b6a67d5677ac624dd37a93f42"),
+}
+
+
+@pytest.mark.parametrize("case", list(RENDERING_SHA256), ids=str)
+def test_renderings_are_byte_stable(case):
+    name, mu, lam, vacuum = case
+    shape = SkewDiagram.make(lam, mu)
+    if name.startswith("det "):
+        x = det_formula(parse_spec(name[4:]), shape, "row")
+    else:
+        x = build_dvf(BoxContext(parse_spec(name), vacuum), shape)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (json.dumps(sum_to_json(x), sort_keys=True),
+                             sum_to_latex(x), sum_to_text(x)))
+    assert got == RENDERING_SHA256[case]
