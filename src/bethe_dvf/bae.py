@@ -5,8 +5,17 @@ only for a = 1, where the inhomogeneity polynomial phi enters) with a
 product of Q-ratios over the colors coupled to a.  For B(0|s) the color-s
 equations take a special form that is NOT the specialization of the generic
 root-system expression; the equation table below hard-codes that exception.
-Each system is compiled once into that table, and the solver, bae_parts and
-the residuals all evaluate its rows.
+Each system is compiled once into that table.  One evaluator values it at
+many root vectors at once, in numpy arrays, with the floats that Python's
+complex arithmetic gives on one vector; the solver, bae_parts and
+max_residual all use it.
+
+The multi-start Newton solver advances every live start together: one
+evaluation covers all starts, all bumped Jacobian columns or all trials of
+a line-search round.  Each start still takes exactly the iterates it takes
+alone.  Products are written in real arithmetic, bump sizes use np.hypot
+and every accept or reject takes the start's own np.linalg.norm, since
+numpy's complex products, np.abs and batched norms round differently.
 
 Solved root sets feed the analytic checks: adjacent box functions share
 simple poles whose residues cancel pairwise under the equations, and whole
@@ -20,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +37,7 @@ from .algebra import (AlgebraSpec, IndexLabel, ZERO_LABEL, bar, bilinear_form,
 from .dvf import BoxContext, box, box_product
 from .reports import IdentityReport
 from .symbolic import (Assignment, GenericityViolation, SymSum, SymTerm,
-                       evaluate, poly_at, residue_breakdown)
+                       evaluate, residue_breakdown)
 
 
 class NoSolutionFound(RuntimeError):
@@ -77,15 +85,23 @@ class BetheRootSet:
 
 
 @lru_cache(maxsize=64)
-def _equation_rows(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
-    """The equations compiled once: one row (a, k, boundary, sign, num, den)
-    per equation, in the order of the flat root vector.
+def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
+    """The equations compiled once, as (groups, blocks).
 
-    The row's root is u = roots[a][k], with a and k counted from 0.
-    ``boundary`` names the left side: "phi" is phi(u-1)/phi(u+1), "-phi" its
-    negative, "-1" is -1/1 and "1" is 1/1.  ``sign`` multiplies the
-    numerator product; it is None in the B(0|s) rows, which have none.
-    ``num`` and ``den`` list (b, shift) for the factors Q_{b+1}(u + shift).
+    Each factor is a product over a zero set Z: phi(u + c) over the
+    inhomogeneities (Z = "phi") or Q_b(u + c) over the roots of color b
+    (Z = (zlo, zhi): the entries x[zlo], ..., x[zhi - 1] of the flat root
+    vector x).  ``groups`` maps Z to (cols, re, im): the factors over Z are
+    evaluated together at the points x[cols] + (re, im).
+
+    ``blocks`` has one block (lo, hi, boundary, sign, ln, ld, num, den) per
+    color with roots, for the equations of the roots u = x[lo], ...,
+    x[hi - 1].  ``boundary`` names the left side: "phi" is
+    phi(u-1)/phi(u+1), "-phi" its negative, "-1" is -1/1 and "1" is 1/1.
+    ``sign`` multiplies the numerator product; it is None in the B(0|s)
+    rows, which have none.  ``ln`` and ``ld`` (for the phi boundaries) and
+    the entries of ``num`` and ``den`` are references (Z, rows): the factor
+    values of the block are those rows of group Z.
     """
     s = spec.s
 
@@ -107,41 +123,126 @@ def _equation_rows(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
         return ("-phi" if a == 1 else "-1", (-1) ** root_degree(spec, a),
                 cs, [(b, -c) for b, c in cs])
 
-    rows = []
+    ends = list(accumulate(root_counts))
+    points: dict = {}
+
+    def ref(zeros, lo: int, hi: int, re: float, im: float) -> tuple:
+        pts = points.setdefault(zeros, [])
+        pts += [(j, re, im) for j in range(lo, hi)]
+        return zeros, slice(len(pts) - (hi - lo), len(pts))
+
+    def q_refs(pairs, lo: int, hi: int) -> tuple:
+        return tuple(ref((ends[b - 1] - root_counts[b - 1], ends[b - 1]),
+                         lo, hi, float(c), 0.0) for b, c in pairs)
+
+    blocks = []
     for a, n_a in enumerate(root_counts, start=1):
+        if n_a == 0:
+            continue
+        lo, hi = ends[a - 1] - n_a, ends[a - 1]
         boundary, sign, num, den = color_row(a)
-        num, den = (tuple((b - 1, complex(c)) for b, c in pairs)
-                    for pairs in (num, den))
-        rows += [(a - 1, k, boundary, sign, num, den) for k in range(n_a)]
-    return tuple(rows)
+        ln = ld = None
+        if boundary in ("phi", "-phi"):
+            # u - 1 is (re - 1, im - 0) in Python, the same as adding -0.0
+            ln = ref("phi", lo, hi, -1.0, -0.0)
+            ld = ref("phi", lo, hi, 1.0, 0.0)
+        blocks.append((lo, hi, boundary, sign, ln, ld, q_refs(num, lo, hi),
+                       q_refs(den, lo, hi)))
+    groups = {z: (np.array([j for j, _, _ in pts]),
+                  np.array([[re] for _, re, _ in pts]),
+                  np.array([[im] for _, _, im in pts]))
+              for z, pts in points.items()}
+    return groups, tuple(blocks)
 
 
-_ONE = complex(1)
+def _cmul(ar, ai, br, bi):
+    """Python's complex product in split real form.  numpy's complex
+    multiply may fuse a multiply-add and round differently."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _row_parts(row: tuple, w: list[complex],
-               roots: Sequence[Sequence[complex]]) -> tuple[complex, ...]:
-    """(ln, ld, rn, rd) of one equation row; ``roots`` has one sequence per
-    color.  Every product runs left to right from complex(1), so the floats
-    do not depend on the caller."""
-    a, k, boundary, sign, num, den = row
-    u = roots[a][k]
-    if boundary == "phi" or boundary == "-phi":
-        ln = poly_at(w, u - 1, _ONE)
-        ld = poly_at(w, u + 1, _ONE)
-        if boundary == "-phi":
-            ln = -ln
-    else:
-        ln, ld = complex(-1 if boundary == "-1" else 1), _ONE
-    rn = _ONE
-    for b, c in num:
-        rn *= poly_at(roots[b], u + c, _ONE)
-    rd = _ONE
-    for b, c in den:
-        rd *= poly_at(roots[b], u + c, _ONE)
-    if sign is not None:
-        rn = sign * rn
-    return ln, ld, rn, rd
+def _parts(table: tuple, w: list[complex], x: np.ndarray) -> np.ndarray:
+    """(ln, ld, rn, rd) of every equation at every root vector, one per row
+    of ``x``, as an array of shape (4, 2, n, rows): part, real or imaginary,
+    equation, vector.
+
+    Each float comes out of the operations that Python's complex arithmetic
+    does on the same numbers, in the same order, as poly_at does them: the
+    products start from complex(1), u - 1 is (re - 1, im - 0) and u + c is
+    (re + c, im + 0).  So the values do not depend on how many vectors are
+    evaluated together.
+    """
+    groups, blocks = table
+    m, n = x.shape
+    # equation-major, so that every operation runs along the vectors
+    xr, xi = np.ascontiguousarray(x.real.T), np.ascontiguousarray(x.imag.T)
+    vals = {}
+    for zeros, (cols, re, im) in groups.items():
+        vr, vi = xr[cols] + re, xi[cols] + im
+        pr, pi = 1.0, 0.0
+        for zr, zi in ([(z.real, z.imag) for z in w] if zeros == "phi" else
+                       [(xr[j], xi[j]) for j in range(*zeros)]):
+            pr, pi = _cmul(pr, pi, vr - zr, vi - zi)
+        vals[zeros] = np.broadcast_to(pr, vr.shape), np.broadcast_to(pi, vr.shape)
+
+    def factor(ref: tuple) -> tuple:
+        (pr, pi), rows = vals[ref[0]], ref[1]
+        return pr[rows], pi[rows]
+
+    out = np.empty((4, 2, n, m))
+    for lo, hi, boundary, sign, ln, ld, num, den in blocks:
+        if ln is not None:
+            ln, ld = factor(ln), factor(ld)
+            if boundary == "-phi":
+                ln = (-ln[0], -ln[1])
+        else:
+            ln, ld = (-1.0 if boundary == "-1" else 1.0, 0.0), (1.0, 0.0)
+        rn, rd = (1.0, 0.0), (1.0, 0.0)
+        for ref in num:
+            rn = _cmul(*rn, *factor(ref))
+        for ref in den:
+            rd = _cmul(*rd, *factor(ref))
+        if sign is not None:
+            rn = _cmul(float(sign), 0.0, *rn)
+        for p, (re, im) in enumerate((ln, ld, rn, rd)):
+            out[p, 0, lo:hi] = re
+            out[p, 1, lo:hi] = im
+    return out
+
+
+_ROWS = 256  # root vectors per evaluation: bounds the working set
+
+
+def _residuals(table: tuple, w: list[complex], x: np.ndarray) -> np.ndarray:
+    """ln*rd - rn*ld of every equation (columns) at every row of ``x``.
+
+    The polynomial form grows at infinity, so Newton is not drawn to the
+    spurious solution where both ratios flatten out; the log and plain
+    rational forms both strand the iteration there.
+    """
+    f = np.empty(x.shape, dtype=complex)
+    for lo in range(0, len(x), _ROWS):
+        (lnr, lni), (ldr, ldi), (rnr, rni), (rdr, rdi) = _parts(
+            table, w, x[lo:lo + _ROWS])
+        ar, ai = _cmul(lnr, lni, rdr, rdi)
+        br, bi = _cmul(rnr, rni, ldr, ldi)
+        f.real[lo:lo + _ROWS], f.imag[lo:lo + _ROWS] = (ar - br).T, (ai - bi).T
+    return f
+
+
+def _flat(roots: BetheRootSet) -> np.ndarray:
+    """The root set as a single-row flat root vector."""
+    return np.array([[v for vs in roots.roots for v in vs]], dtype=complex)
+
+
+def _complex_parts(sys: BetheSystem, counts: tuple[int, ...],
+                   x: np.ndarray) -> list:
+    """(ln, ld, rn, rd) as nested lists of Python complex: [part][row][eq]."""
+    parts = _parts(_equation_table(sys.spec, counts),
+                   [complex(z) for z in sys.inhoms], x)
+    vals = np.empty((4, len(x), x.shape[1]), dtype=complex)
+    vals.real, vals.imag = np.swapaxes(parts, 2, 3).transpose(1, 0, 2, 3)
+    return vals.tolist()
 
 
 def bae_parts(sys: BetheSystem, roots: BetheRootSet, a: int,
@@ -154,8 +255,8 @@ def bae_parts(sys: BetheSystem, roots: BetheRootSet, a: int,
     counts = tuple(len(vs) for vs in roots.roots)
     if not (1 <= a <= len(counts) and 1 <= k <= counts[a - 1]):
         raise IndexError(f"no equation ({a},{k}) for root counts {counts}")
-    row = _equation_rows(sys.spec, counts)[sum(counts[:a - 1]) + k - 1]
-    return _row_parts(row, [complex(x) for x in sys.inhoms], roots.roots)
+    j = sum(counts[:a - 1]) + k - 1
+    return tuple(p[0][j] for p in _complex_parts(sys, counts, _flat(roots)))
 
 
 def bae_sides(sys: BetheSystem, roots: BetheRootSet, a: int, k: int) -> tuple[complex, complex]:
@@ -172,11 +273,28 @@ def bae_residual(sys: BetheSystem, roots: BetheRootSet, a: int, k: int) -> compl
     return lhs - rhs
 
 
+def _max_residuals(sys: BetheSystem, x: np.ndarray) -> list:
+    """max |LHS - RHS| over the equations at each row of ``x``, or, where a
+    denominator vanishes, the (a, k) of the first such equation."""
+    labels = [(a, k) for a, n_a in enumerate(sys.root_counts, start=1)
+              for k in range(1, n_a + 1)]
+    out = []
+    for row in zip(*_complex_parts(sys, sys.root_counts, x)):
+        worst = 0.0
+        for (a, k), ln, ld, rn, rd in zip(labels, *row):
+            if ld == 0 or rd == 0:
+                worst = (a, k)
+                break
+            worst = max(worst, abs(ln / ld - rn / rd))
+        out.append(worst)
+    return out
+
+
 def max_residual(sys: BetheSystem, roots: BetheRootSet) -> float:
-    worst = 0.0
-    for a, n_a in enumerate(sys.root_counts, start=1):
-        for k in range(1, n_a + 1):
-            worst = max(worst, abs(bae_residual(sys, roots, a, k)))
+    worst = _max_residuals(sys, _flat(roots))[0]
+    if isinstance(worst, tuple):
+        raise ZeroDivisionError(
+            "degenerate configuration in equation ({},{})".format(*worst))
     return worst
 
 
@@ -188,31 +306,6 @@ def _split(counts: tuple[int, ...], vec: np.ndarray) -> tuple[tuple[complex, ...
     """The flat root vector cut into one tuple per color."""
     xs = tuple(vec.tolist())
     return tuple([xs[j - n:j] for n, j in zip(counts, accumulate(counts))])
-
-
-def _residual_vector(sys: BetheSystem, rows: tuple, w: list[complex],
-                     vec: np.ndarray) -> np.ndarray:
-    # polynomial form ln*rd - rn*ld: grows at infinity, so Newton is not
-    # drawn to the spurious solution where both ratios flatten out; the log
-    # and plain rational forms both strand the iteration there
-    roots = _split(sys.root_counts, vec)
-    vals = []
-    for row in rows:
-        ln, ld, rn, rd = _row_parts(row, w, roots)
-        vals.append(ln * rd - rn * ld)
-    return np.asarray(vals, dtype=complex)
-
-
-def _jacobian(residuals, vec: np.ndarray, f0: np.ndarray,
-              h: float = 1e-7) -> np.ndarray:
-    n = len(vec)
-    jac = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        step = h * max(1.0, abs(vec[i]))
-        bumped = vec.copy()
-        bumped[i] += step
-        jac[:, i] = (residuals(bumped) - f0) / step
-    return jac
 
 
 def assert_generic(sys: BetheSystem, roots: BetheRootSet,
@@ -245,17 +338,129 @@ def _fingerprint(roots: BetheRootSet) -> tuple:
                  for vs in roots.roots)
 
 
+# line-search step lengths 1, 1/2, ..., 2^-24, tried in rounds: the full step
+# for every start, the next three for the starts that rejected it, then the
+# rest; later rounds take few starts, so the batches stay small
+_LAMBDAS = np.ldexp(1.0, -np.arange(25))
+_ROUNDS = (slice(0, 1), slice(1, 4), slice(4, 25))
+
+
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.solve(jac[i], rhs[i]) for each start i, and which starts
+    have a regular Jacobian."""
+    try:
+        return (np.linalg.solve(jac, rhs[:, :, None])[:, :, 0],
+                np.ones(len(jac), dtype=bool))
+    except np.linalg.LinAlgError:
+        # the stacked solve refuses the whole batch; only the singular
+        # starts stop, as each would alone
+        steps, regular = np.zeros_like(rhs), np.ones(len(jac), dtype=bool)
+        for i in range(len(jac)):
+            try:
+                steps[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                regular[i] = False
+        return steps, regular
+
+
+def _first_descent(f: np.ndarray, norm0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each start i, the first trial j with np.linalg.norm(f[i, j]) <
+    norm0[i] (-1 if there is none) and that norm.
+
+    Every decision takes the exact norm of one row, as a single start's
+    search does: no batched norm reproduces its floats.  A vectorised
+    estimate only skips trials whose norm is surely not below norm0.
+    """
+    approx = np.sqrt(np.square(f.real).sum(axis=-1)
+                     + np.square(f.imag).sum(axis=-1))
+    maybe = ~(approx > norm0[:, None] * (1 + 1e-12)) | np.isinf(approx)
+    first = np.full(len(f), -1)
+    norms = np.zeros(len(f))
+    for i, j in zip(*np.nonzero(maybe)):
+        if first[i] < 0:
+            norm = float(np.linalg.norm(f[i, j]))
+            if norm < norm0[i]:
+                first[i], norms[i] = j, norm
+    return first, norms
+
+
+def _line_search(residuals, x: np.ndarray, f: np.ndarray, norm: np.ndarray,
+                 step: np.ndarray) -> np.ndarray:
+    """Move each start i to the first trial x[i] + lam * step[i] whose
+    residual norm is below norm[i], updating x, f and norm in place; return
+    which starts moved.  At most _ROWS trials are evaluated at once."""
+    n = x.shape[1]
+    moved = np.zeros(len(x), dtype=bool)
+    for lams in _ROUNDS:
+        lam = _LAMBDAS[lams, None]
+        todo = np.flatnonzero(~moved)
+        per = max(1, _ROWS // len(lam))
+        for part in (todo[k:k + per] for k in range(0, len(todo), per)):
+            trial = x[part, None, :] + lam * step[part, None, :]
+            ft = residuals(trial.reshape(-1, n)).reshape(trial.shape)
+            first, norms = _first_descent(ft, norm[part])
+            hit = first >= 0
+            i, j = part[hit], first[hit]
+            x[i], f[i], norm[i] = trial[hit, j], ft[hit, j], norms[hit]
+            moved[i] = True
+    return moved
+
+
+def _newton(residuals, x: np.ndarray, max_iter: int) -> dict[int, np.ndarray]:
+    """Damped Newton from every row of ``x`` at once: the converged starts
+    and their final iterates.
+
+    Each start takes the steps it would take alone: a forward-difference
+    Jacobian, then the first step length 1, 1/2, ..., 2^-24 that lowers the
+    residual norm.  A start converges when the norm drops below 1e-13, or
+    when no step length lowers a norm already below 1e-9; it fails on a
+    singular Jacobian or after ``max_iter`` iterations.
+    """
+    n = x.shape[1]
+    live = np.arange(len(x))
+    f = residuals(x)
+    norm = np.array([float(np.linalg.norm(r)) for r in f])
+    converged: dict[int, np.ndarray] = {}
+    eye = np.arange(n)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            done = norm < 1e-13
+            converged.update(zip(live[done].tolist(), x[done]))
+            x, f, norm, live = x[~done], f[~done], norm[~done], live[~done]
+            if not len(live):
+                break
+            size = np.hypot(x.real, x.imag)
+            h = 1e-7 * np.where(size > 1.0, size, 1.0)
+            bumped = np.repeat(x[:, None, :], n, axis=1)
+            bumped[:, eye, eye] += h
+            fb = residuals(bumped.reshape(-1, n)).reshape(len(x), n, n)
+            jac = ((fb - f[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
+            step, regular = _newton_steps(jac, -f)
+            x, f, norm, live, step = (v[regular] for v in
+                                      (x, f, norm, live, step))
+            moved = _line_search(residuals, x, f, norm, step)
+            done = ~moved & (norm < 1e-9)
+            converged.update(zip(live[done].tolist(), x[done]))
+            x, f, norm, live = x[moved], f[moved], norm[moved], live[moved]
+    return converged
+
+
 def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
               seed: int = 0, max_iter: int = 80, start_radius: float = 3.0,
               stats: dict | None = None) -> list[BetheRootSet]:
     """Damped Newton with multi-start; converged root sets deduplicated up to
     same-color permutation and filtered for genericity.
 
-    Raises NoSolutionFound when nothing converges; that is a report about
-    this search, not a proof that no solution exists.  Pass a dict as
+    All starts advance together, and each takes exactly the iterates it
+    would take alone.  Raises ValueError for ``n_starts`` or ``max_iter``
+    below 1, and NoSolutionFound when nothing converges; that is a report
+    about this search, not a proof that no solution exists.  Pass a dict as
     ``stats`` to receive per-start bookkeeping (how many starts converged,
     were rejected and why).
     """
+    if n_starts < 1 or max_iter < 1:
+        raise ValueError(f"need n_starts >= 1 and max_iter >= 1, "
+                         f"got {n_starts} and {max_iter}")
     if stats is None:
         stats = {}
     stats.update(starts=0, converged=0, residual_rejected=0,
@@ -265,52 +470,27 @@ def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
         return [BetheRootSet(tuple(() for _ in sys.root_counts))]
 
     w = [complex(x) for x in sys.inhoms]
-    residuals = partial(_residual_vector, sys,
-                        _equation_rows(sys.spec, sys.root_counts), w)
     rng = np.random.default_rng(seed)
     center = sum(w) / sys.n_sites if sys.n_sites else 0j
     starts = [center + start_radius * (rng.uniform(-1, 1, n)
                                        + 1j * rng.uniform(-1, 1, n))
               for _ in range(n_starts)]
+    stats["starts"] = len(starts)
+    converged = _newton(
+        partial(_residuals, _equation_table(sys.spec, sys.root_counts), w),
+        np.array(starts), max_iter)
 
     found: dict[tuple, BetheRootSet] = {}
-    stats["starts"] = len(starts)
-    for vec in starts:
-        converged = False
-        for _ in range(max_iter):
-            f0 = residuals(vec)
-            norm0 = float(np.linalg.norm(f0))
-            if norm0 < 1e-13:
-                converged = True
-                break
-            jac = _jacobian(residuals, vec, f0)
-            try:
-                step = np.linalg.solve(jac, -f0)
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            improved = False
-            for _ in range(25):
-                trial = vec + lam * step
-                if float(np.linalg.norm(residuals(trial))) < norm0:
-                    vec = trial
-                    improved = True
-                    break
-                lam /= 2
-            if not improved:
-                converged = norm0 < 1e-9
-                break
-        if not converged:
-            continue
-        stats["converged"] += 1
-        roots = BetheRootSet(_split(sys.root_counts, vec))
-        try:
-            if max_residual(sys, roots) >= tol:
-                stats["residual_rejected"] += 1
-                continue
-        except ZeroDivisionError:
+    order = sorted(converged)
+    stats["converged"] = len(order)
+    worst = _max_residuals(sys, np.array([converged[i] for i in order],
+                                         dtype=complex).reshape(-1, n))
+    for i, res in zip(order, worst):
+        # a tuple: a spurious polynomial root sitting on a denominator zero
+        if isinstance(res, tuple) or res >= tol:
             stats["residual_rejected"] += 1
-            continue  # spurious polynomial root sitting on a denominator zero
+            continue
+        roots = BetheRootSet(_split(sys.root_counts, converged[i]))
         if not _passes_genericity(sys, roots):
             stats["genericity_rejected"] += 1
             continue

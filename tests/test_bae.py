@@ -217,3 +217,102 @@ def test_bae_parts_are_pinned(name):
             for m in (1, 2) for a, n in enumerate(counts, start=1)
             for k in range(1, n + 1)]
     assert sha(vals) == digest
+
+
+# sha256 of repr(sols) + repr(stats) from 40 starts, recorded before the
+# starts were batched: systems no fixture reaches, all of whose floats the
+# batched search must reproduce.  D(2|2) (2, 2, 1, 1) accepts no root set
+# (sols is None), so its pin covers how each of its 40 starts ended.
+SEARCH_SHA = {
+    ("B(2|1)", (2, 2, 2)): "f36aa1ebeeb2b2ed4804672c408aebe3116a49304fff16041f3e9756defe6a7b",
+    ("D(3|1)", (2, 2, 1, 1)): "6493b374962e5b3c1e0bff2104bfdc5eddd6c4bb8ce0d80f9171984e530c3f6e",
+    ("B(0|3)", (2, 2, 2)): "ab7920ec889638e1742c90ae2a3367263a23d6fcf0fd03412c45f03875479838",
+    ("D(2|2)", (2, 2, 1, 1)): "411b0749e0dc150672652c007bb9c39dc10e6663a8e05e5d916875c10cadd735",
+    ("D(2|2)", (2, 2, 1, 0)): "4d8f0976ef941b02eac1f8fb1009ad322b75853fa39436bdcb379f31af67e67e",
+}
+
+
+def _search(system, **kw):
+    stats: dict = {}
+    try:
+        sols = solve_bae(system, stats=stats, **kw)
+    except NoSolutionFound:
+        sols = None
+    return sols, stats
+
+
+@pytest.mark.parametrize("name,counts", sorted(SEARCH_SHA))
+def test_search_is_pinned(name, counts):
+    system = BetheSystem(parse_spec(name), 3, FIXTURE_W, counts)
+    sols, stats = _search(system, tol=1e-10, seed=21, n_starts=40,
+                          max_iter=150, start_radius=5.0)
+    assert (hashlib.sha256((repr(sols) + repr(stats)).encode()).hexdigest()
+            == SEARCH_SHA[name, counts])
+
+
+@pytest.mark.parametrize("kw", [{"n_starts": 0}, {"n_starts": -2},
+                                {"max_iter": 0}, {"max_iter": -1}])
+def test_solver_refuses_bad_arguments(kw):
+    for counts in ((1,), (0,)):
+        system = BetheSystem(parse_spec("B(0|1)"), 2, (2.0, -1.0), counts)
+        stats: dict = {}
+        with pytest.raises(ValueError):
+            solve_bae(system, stats=stats, **kw)
+        assert stats == {}
+
+
+def test_starts_do_not_affect_each_other():
+    # the first 10 of 200 starts are the 10 starts: each root set they give
+    # comes out of the 200-start search float for float
+    system = BetheSystem(parse_spec("B(0|2)"), 3, FIXTURE_W,
+                         FIXTURE_COUNTS["B(0|2)"])
+    kw = dict(tol=1e-10, seed=0, max_iter=150, start_radius=5.0)
+    few = solve_bae(system, n_starts=10, **kw)
+    many = solve_bae(system, n_starts=200, **kw)
+    assert len(few) == 2 and all(sol in many for sol in few)
+
+
+class _Draws:
+    """Stands in for the start draw: returns the given starts' real and
+    imaginary parts, start by start."""
+
+    def __init__(self, starts):
+        self.parts = [[v] for z in starts for v in (z.real, z.imag)]
+
+    def uniform(self, low, high, size):
+        return np.array(self.parts.pop(0))
+
+
+def test_singular_starts_stop_alone(monkeypatch):
+    # the lone root of B(0|1) with phi of degree 2: far up the imaginary
+    # axis every bump rounds away and the Jacobian is exactly zero
+    system = BetheSystem(parse_spec("B(0|1)"), 2, (2.0, -1.0), (1,))
+    regular = [complex(-0.25, 0.125), complex(0.375, -0.5)]
+    singular = [complex(0, 2.0 ** 60), complex(0.25, -2.0 ** 61)]
+    refused = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            refused.append(np.shape(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+
+    def search(starts):
+        # center 0.5 and radius 1: the drawn parts land exactly on ``starts``
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _Draws([z - 0.5 for z in starts]))
+        return _search(system, n_starts=len(starts), start_radius=1.0)
+
+    assert search(singular[:1]) == (None, dict(
+        starts=1, converged=0, residual_rejected=0, genericity_rejected=0,
+        runaway_rejected=0, distinct=0))
+    alone = search(regular)
+    refused.clear()
+    sols, stats = search([regular[0], singular[0], regular[1], singular[1]])
+    assert (4, 1, 1) in refused  # the stacked solve refused the batch
+    assert sols == alone[0]
+    assert stats == dict(alone[1], starts=4)

@@ -89,6 +89,14 @@ def test_solve_no_solution_exit_3():
     assert code == 3
 
 
+def test_solve_zero_starts_exit_2():
+    # a search without starts is bad input, not a failed search
+    code, out, err = run_cli("solve", "B(0|1)", "--N", "2", "--w", "2,-1",
+                             "--Na", "1", "--starts", "0")
+    assert code == 2 and out == ""
+    assert "n_starts" in err
+
+
 def test_verify_golden_deterministic():
     code1, out1, _ = run_cli("verify", "golden", "--seed", "42")
     code2, out2, _ = run_cli("verify", "golden", "--seed", "42")
