@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -254,8 +255,8 @@ def _factor_value(asg: Assignment, color: int | None, shift: int, cache: dict):
     """Base value of Q_color(u + shift) or phi(u + shift), memoized per point.
 
     In exact mode the cached value is the integer pair (numerator,
-    denominator): per-term products then run on plain integers, which is far
-    cheaper than chained Fraction multiplication.
+    denominator); ``_exact_value`` raises it to each exponent once per point
+    and keeps the powered pairs in a memo of its own.
     """
     key = (color, shift)
     val = cache.get(key)
@@ -278,8 +279,48 @@ def _powered(base: complex, exp: int) -> complex:
     return base ** exp
 
 
+_POWERED = object()   # cache key of the exact evaluator's memo
+
+
+def _power(asg: Assignment, f: tuple, cache: dict,
+           memo: dict) -> tuple[int, int]:
+    """Memo miss: the integer pair of the factor ``f`` of a term, (color,
+    shift, exp) or (shift, exp) for phi, raised to exp; PoleHit when a
+    denominator factor vanishes."""
+    color, shift, exp = f if len(f) == 3 else (None, *f)
+    bn, bd = _factor_value(asg, color, shift, cache)
+    if exp < 0 and bn == 0:
+        raise PoleHit(color, shift)
+    memo[f] = (bn ** exp, bd ** exp) if exp > 0 else (bd ** -exp, bn ** -exp)
+    return memo[f]
+
+
+def _exact_value(terms: Iterable[SymTerm], asg: Assignment,
+                 cache: dict) -> Fraction:
+    """Exact sum of the terms on integers, reduced once at the end.  A factor
+    costs one lookup in the per-point memo of powered pairs and two products;
+    the first vanishing denominator factor, in canonical order, raises."""
+    memo = cache.get(_POWERED)
+    if memo is None:
+        memo = cache[_POWERED] = {}
+    tn, td = 0, 1
+    for t in terms:
+        num, den = t.coeff.numerator, t.coeff.denominator
+        # not t.qs + t.phis: freed joined tuples stay on the tuple free lists
+        for factors in (t.qs, t.phis):
+            for f in factors:
+                pn, pd = memo.get(f) or _power(asg, f, cache, memo)
+                num *= pn
+                den *= pd
+        g = gcd(td, den)
+        tn = tn * (den // g) + num * (td // g)
+        td *= den // g
+    return Fraction(tn, td)
+
+
 def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
-    """Value of one term at the assignment.
+    """Value of one term at the assignment: in exact mode ``evaluate`` of the
+    one-term sum.
 
     Raises PoleHit when a denominator factor vanishes, even where a numerator
     factor vanishes too (0/0 is not a value).
@@ -298,41 +339,20 @@ def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
                 raise PoleHit(None, shift)
             val *= _powered(base, exp)
         return val
-
-    num = t.coeff.numerator
-    den = t.coeff.denominator
-    for color, shift, exp in t.qs:
-        bn, bd = _factor_value(asg, color, shift, cache)
-        if exp > 0:
-            num *= bn if exp == 1 else bn ** exp
-            den *= bd if exp == 1 else bd ** exp
-        else:
-            if bn == 0:
-                raise PoleHit(color, shift)
-            num *= bd if exp == -1 else bd ** -exp
-            den *= bn if exp == -1 else bn ** -exp
-    for shift, exp in t.phis:
-        bn, bd = _factor_value(asg, None, shift, cache)
-        if exp > 0:
-            num *= bn if exp == 1 else bn ** exp
-            den *= bd if exp == 1 else bd ** exp
-        else:
-            if bn == 0:
-                raise PoleHit(None, shift)
-            num *= bd if exp == -1 else bd ** -exp
-            den *= bn if exp == -1 else bn ** -exp
-    return Fraction(num, den)
+    return _exact_value((t,), asg, cache)
 
 
 def evaluate(x: SymSum, asg: Assignment, _cache: dict | None = None):
-    """Value of the rational expression at the assignment (0 for the empty sum)."""
+    """Value of the rational expression at the assignment (0 for the empty sum).
+
+    Exact values are summed on integers and reduced to a Fraction once per
+    sum.  PoleHit names the first denominator factor, in term order and then
+    factor order, that vanishes at the point, also where 0/0 would result.
+    """
     cache = {} if _cache is None else _cache
     if not asg.exact:
         return sum((evaluate_term(t, asg, cache) for t in x.terms), complex(0))
-    total = Fraction(0)
-    for t in x.terms:
-        total += evaluate_term(t, asg, cache)
-    return total
+    return _exact_value(x.terms, asg, cache)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,21 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bethe_dvf.algebra import parse_spec
-from bethe_dvf.dvf import BoxContext, build_dvf, generating_series_coeff
-from bethe_dvf.relations import det_formula, tsystem_block
+from bethe_dvf.dvf import (BoxContext, build_dvf, column_dvf, dvf_value,
+                           generating_series_coeff, normalized_rect_value)
+from bethe_dvf.relations import det_formula, tsystem_block, tsystem_g
 from bethe_dvf.symbolic import (Assignment, PoleHit, SymSum, SymTerm, ZERO,
-                                equal_as_rational_functions, evaluate,
-                                exact_det, loads, dumps,
-                                residue_at, shift_u, sum_from_json,
-                                sum_to_json, sum_to_latex, sum_to_text,
-                                term_from_json)
+                                colors_of, equal_as_rational_functions,
+                                evaluate, evaluate_term, exact_det, loads,
+                                dumps, random_assignment, residue_at, shift_u,
+                                sum_from_json, sum_to_json, sum_to_latex,
+                                sum_to_text, term_from_json)
 from bethe_dvf.tableaux import SkewDiagram
 
 
@@ -320,3 +322,180 @@ def test_renderings_are_byte_stable(case):
                 for text in (json.dumps(sum_to_json(x), sort_keys=True),
                              sum_to_latex(x), sum_to_text(x)))
     assert got == RENDERING_SHA256[case]
+
+
+# ---------------------------------------------------------------------------
+# the exact evaluator against a plain-Fraction reference
+
+
+def _ref_base(asg: Assignment, color, shift: int) -> Fraction:
+    zeros = asg.inhoms if color is None else asg.roots.get(color, ())
+    base = Fraction(1)
+    for z in zeros:
+        base *= asg.u + shift - z
+    return base
+
+
+def _ref_factors(t: SymTerm):
+    """(color, shift, exp) of every factor of t in canonical order, phi
+    factors with color None after the Q factors."""
+    return list(t.qs) + [(None, s, e) for s, e in t.phis]
+
+
+def _ref_first_pole(terms, asg: Assignment):
+    for t in terms:
+        for color, shift, exp in _ref_factors(t):
+            if exp < 0 and _ref_base(asg, color, shift) == 0:
+                return color, shift
+    return None
+
+
+def _ref_value(terms, asg: Assignment) -> Fraction:
+    total = Fraction(0)
+    for t in terms:
+        val = t.coeff
+        for color, shift, exp in _ref_factors(t):
+            val *= _ref_base(asg, color, shift) ** exp
+        total += val
+    return total
+
+
+def _random_sum(rng) -> SymSum:
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                         rng.randint(1, 5))
+        qs = [(rng.randint(1, 3), rng.randint(-3, 3),
+               rng.choice([-3, -2, -1, 1, 2, 3]))
+              for _ in range(rng.randint(0, 4))]
+        phis = [(rng.randint(-3, 3), rng.choice([-3, -2, -1, 1, 2, 3]))
+                for _ in range(rng.randint(0, 3))]
+        terms.append(SymTerm.make(coeff, qs, phis))
+    return SymSum.make(terms)
+
+
+def _small_rational(rng) -> Fraction:
+    # small values, so that factors vanish by chance too
+    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+
+
+def _random_point(rng, x: SymSum) -> Assignment:
+    """N_a and N in 0..4; color 3, when present, may get no entry at all.
+    Every other point is moved so that one denominator factor of x vanishes
+    there, when x has a denominator factor with a zero."""
+    roots = {c: [_small_rational(rng) for _ in range(rng.randint(0, 4))]
+             for c in (1, 2, 3)}
+    if rng.random() < 0.3:
+        del roots[3]
+    inhoms = [_small_rational(rng) for _ in range(rng.randint(0, 4))]
+    u = _small_rational(rng)
+    dens = [(c, s) for t in x.terms for c, s, e in _ref_factors(t)
+            if e < 0 and (inhoms if c is None else roots.get(c))]
+    if dens and rng.random() < 0.5:
+        color, shift = rng.choice(dens)
+        u = rng.choice(inhoms if color is None else roots[color]) - shift
+    return Assignment.exact_point(u, roots, inhoms)
+
+
+def test_exact_evaluation_matches_reference():
+    rng = Random(2024)
+    poles = values = 0
+    for _ in range(400):
+        x = _random_sum(rng)
+        asg = _random_point(rng, x)
+        pole = _ref_first_pole(x.terms, asg)
+        cache: dict = {}
+        for _ in range(2):      # the second pass reads the filled cache
+            if pole is None:
+                assert evaluate(x, asg, cache) == _ref_value(x.terms, asg)
+            else:
+                with pytest.raises(PoleHit) as hit:
+                    evaluate(x, asg, cache)
+                assert (hit.value.color, hit.value.shift) == pole
+            for t in x.terms:
+                term_pole = _ref_first_pole((t,), asg)
+                if term_pole is None:
+                    want = _ref_value((t,), asg)
+                    assert evaluate_term(t, asg, cache) == want
+                else:
+                    with pytest.raises(PoleHit) as hit:
+                        evaluate_term(t, asg, cache)
+                    assert (hit.value.color, hit.value.shift) == term_pole
+        poles += pole is not None
+        values += pole is None
+    # both outcomes are well represented
+    assert poles > 100 and values > 100
+
+
+def test_one_cache_serves_every_exact_evaluator():
+    # phi(u+1)^2 has the factor tuple (1, 2), which is also the base key of
+    # Q_1(u+2); Q_2(u+1)^-1 has the tuple (2, 1, -1)
+    b02 = parse_spec("B(0|2)")
+    ctx = BoxContext(b02)
+    x = SymSum.make([SymTerm.make(Fraction(3, 2), [(1, 2, 1), (2, 1, -1)],
+                                  [(1, 2), (2, -1)]),
+                     SymTerm.make(-1, [(1, 1, 2)], [(1, -1)])])
+    y = column_dvf(ctx, 2)
+    t = x.terms[0]
+    shape = SkewDiagram.straight((2, 1))
+    roots = {1: (Fraction(1, 2), -3), 2: (Fraction(5, 4),)}
+    asg = Assignment.exact_point(Fraction(7, 3), roots, (Fraction(-2, 3), 4))
+    calls = [lambda c: evaluate(x, asg, c),
+             lambda c: evaluate(y, asg, c),
+             lambda c: evaluate_term(t, asg, c),
+             lambda c: dvf_value(ctx, shape, asg, c, 1),
+             lambda c: normalized_rect_value(b02, 2, 1, asg, c)]
+    fresh = [call({}) for call in calls]
+    for order in (calls, calls[::-1]):
+        cache: dict = {}
+        got = [call(cache) for call in order]
+        assert got == (fresh if order is calls else fresh[::-1])
+    # the evaluator keeps at most one entry besides the base values
+    for z in (x, y):
+        cache = {}
+        evaluate(z, asg, cache)
+        bases = {(c, s) for term in z.terms
+                 for c, s, _ in _ref_factors(term)}
+        assert len(cache) <= len(bases) + 1
+
+
+def _value_digest(x: SymSum) -> str:
+    rng = Random(11)
+    vals = [str(evaluate(x, random_assignment(rng, colors_of(x) or {1}, i,
+                                              4 - i)))
+            for i in range(5)]
+    return hashlib.sha256("\n".join(vals).encode()).hexdigest()
+
+
+# sha256 of the str of exact values at five seeded points (N_a = 0..4,
+# N = 4..0), and the repr of one float value; recorded before the exact
+# evaluator became one integer kernel
+VALUE_SHA256 = {
+    "B(2|1) (2,1)":
+        "179bfab508ad7c794ba710c77e01ef7cb8c607797731e486215737b0a49a36d0",
+    "B(1|1) T^3 at u-2":
+        "8fab67e5282d36be6ece51f96bf70900dbcadaaf5cd3877e69d29312e4be70bf",
+    "tsystem_g(2,1,2)":
+        "0703404ab66834c8d79890a1b02a184dc758aa9e656f542f9ce89b3b704f56e0",
+    "det B(1|1) (2,1) row":
+        "6de49a483fe9f9fe7a6db3bbaa253de181bf748c6dde4e91a6b7a85b38594c91",
+}
+FLOAT_REPR = "(30488.10157390853-13724.151411874778j)"
+
+
+def test_evaluate_is_byte_stable():
+    b11 = parse_spec("B(1|1)")
+    sums = {
+        "B(2|1) (2,1)": build_dvf(BoxContext(parse_spec("B(2|1)")),
+                                  SkewDiagram.straight((2, 1))),
+        "B(1|1) T^3 at u-2": shift_u(column_dvf(BoxContext(b11), 3), -2),
+        "tsystem_g(2,1,2)": tsystem_g(2, 1, 2),
+        "det B(1|1) (2,1) row": det_formula(b11, SkewDiagram.straight((2, 1)),
+                                            "row"),
+    }
+    assert {k: _value_digest(x) for k, x in sums.items()} == VALUE_SHA256
+    y = column_dvf(BoxContext(parse_spec("B(0|2)")), 2)
+    asg = Assignment.float_point(0.3 + 0.7j, {1: (0.25 - 1.5j, -2.1 + 0.4j),
+                                              2: (1.3 + 0.2j,)},
+                                 (0.6 - 0.9j, -1.2 + 0.1j))
+    assert repr(evaluate(y, asg)) == FLOAT_REPR
