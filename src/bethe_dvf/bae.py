@@ -259,20 +259,6 @@ def bae_parts(sys: BetheSystem, roots: BetheRootSet, a: int,
     return tuple(p[0][j] for p in _complex_parts(sys, counts, _flat(roots)))
 
 
-def bae_sides(sys: BetheSystem, roots: BetheRootSet, a: int, k: int) -> tuple[complex, complex]:
-    """(LHS, RHS) of equation (a, k); zero denominators raise ZeroDivisionError."""
-    ln, ld, rn, rd = bae_parts(sys, roots, a, k)
-    if ld == 0 or rd == 0:
-        raise ZeroDivisionError(f"degenerate configuration in equation ({a},{k})")
-    return ln / ld, rn / rd
-
-
-def bae_residual(sys: BetheSystem, roots: BetheRootSet, a: int, k: int) -> complex:
-    """LHS - RHS of equation (a, k); zero iff the root set satisfies it."""
-    lhs, rhs = bae_sides(sys, roots, a, k)
-    return lhs - rhs
-
-
 def _max_residuals(sys: BetheSystem, x: np.ndarray) -> list:
     """max |LHS - RHS| over the equations at each row of ``x``, or, where a
     denominator vanishes, the (a, k) of the first such equation."""
@@ -323,14 +309,6 @@ def assert_generic(sys: BetheSystem, roots: BetheRootSet,
                 if abs(d - gap) < tol or abs(d - 2) < tol:
                     raise GenericityViolation(
                         f"color {a} roots {i} and {j} at resonant separation {d:.3g}")
-
-
-def _passes_genericity(sys: BetheSystem, roots: BetheRootSet, tol: float = 1e-6) -> bool:
-    try:
-        assert_generic(sys, roots, tol)
-    except GenericityViolation:
-        return False
-    return True
 
 
 def _fingerprint(roots: BetheRootSet) -> tuple:
@@ -491,7 +469,9 @@ def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
             stats["residual_rejected"] += 1
             continue
         roots = BetheRootSet(_split(sys.root_counts, converged[i]))
-        if not _passes_genericity(sys, roots):
+        try:
+            assert_generic(sys, roots)
+        except GenericityViolation:
             stats["genericity_rejected"] += 1
             continue
         if max(abs(v) for vs in roots.roots for v in vs) > 1e3:
@@ -511,52 +491,36 @@ def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
 
 
 def _pair_relations(spec: AlgebraSpec):
-    """(name, color d, pole shift, [(label, sign), (label, sign)]) tuples."""
+    """(name, color d, pole shift, [(label, sign), (label, sign)]) tuples.
+
+    One list serves both families.  The D down-shifts sit one below the B
+    ones (offset k).  In B(0|s) the label 0 stands where s+1 and its bar
+    stand otherwise, and there is no outer block and no tail; only the tail
+    differs between the families.
+    """
     s, r = spec.s, spec.r
     n = s + r
-    rels = []
-    if spec.family == "B" and r == 0:
-        for d in range(1, s):
-            rels.append((f"inner-up[{d}]", d, d, [(unb(d), 1), (unb(d + 1), 1)]))
-        rels.append(("odd-up", s, s, [(unb(s), 1), (ZERO_LABEL, -1)]))
-        rels.append(("odd-down", s, s + 1, [(ZERO_LABEL, 1), (bar(s), -1)]))
-        for d in range(1, s):
-            rels.append((f"inner-down[{d}]", d, -d + 2 * s + 1,
-                         [(bar(d + 1), 1), (bar(d), 1)]))
-        return rels
-    if spec.family == "B":
-        for d in range(1, s):
-            rels.append((f"inner-up[{d}]", d, d, [(unb(d), 1), (unb(d + 1), 1)]))
-        rels.append(("odd-up", s, s, [(unb(s), 1), (unb(s + 1), -1)]))
-        for d in range(s + 1, n):
-            rels.append((f"outer-up[{d}]", d, 2 * s - d,
-                         [(unb(d), 1), (unb(d + 1), 1)]))
-        rels.append(("tail-up", n, s - r, [(unb(n), 1), (ZERO_LABEL, 1)]))
-        rels.append(("tail-down", n, s - r + 1, [(ZERO_LABEL, 1), (bar(n), 1)]))
-        for d in range(s + 1, n):
-            rels.append((f"outer-down[{d}]", d, d - 2 * r + 1,
-                         [(bar(d + 1), 1), (bar(d), 1)]))
-        rels.append(("odd-down", s, s - 2 * r + 1, [(bar(s + 1), 1), (bar(s), -1)]))
-        for d in range(1, s):
-            rels.append((f"inner-down[{d}]", d, -d + 2 * s - 2 * r + 1,
-                         [(bar(d + 1), 1), (bar(d), 1)]))
-        return rels
-    # D family
-    for d in range(1, s):
-        rels.append((f"inner-up[{d}]", d, d, [(unb(d), 1), (unb(d + 1), 1)]))
-    rels.append(("odd-up", s, s, [(unb(s), 1), (unb(s + 1), -1)]))
-    for d in range(s + 1, n):
-        rels.append((f"outer-up[{d}]", d, 2 * s - d, [(unb(d), 1), (unb(d + 1), 1)]))
-    rels.append(("fork-a", n, s - r + 1, [(unb(n - 1), 1), (bar(n), 1)]))
-    rels.append(("fork-b", n, s - r + 1, [(unb(n), 1), (bar(n - 1), 1)]))
-    for d in range(s + 1, n):
-        rels.append((f"outer-down[{d}]", d, d - 2 * r + 2,
-                     [(bar(d + 1), 1), (bar(d), 1)]))
-    rels.append(("odd-down", s, s - 2 * r + 2, [(bar(s + 1), 1), (bar(s), -1)]))
-    for d in range(1, s):
-        rels.append((f"inner-down[{d}]", d, -d + 2 * s - 2 * r + 2,
-                     [(bar(d + 1), 1), (bar(d), 1)]))
-    return rels
+    k = 1 if spec.family == "B" else 2
+    up, down = (unb(s + 1), bar(s + 1)) if r else (ZERO_LABEL, ZERO_LABEL)
+    if spec.family == "D":
+        tail = [("fork-a", n, s - r + 1, [(unb(n - 1), 1), (bar(n), 1)]),
+                ("fork-b", n, s - r + 1, [(unb(n), 1), (bar(n - 1), 1)])]
+    elif r:
+        tail = [("tail-up", n, s - r, [(unb(n), 1), (ZERO_LABEL, 1)]),
+                ("tail-down", n, s - r + 1, [(ZERO_LABEL, 1), (bar(n), 1)])]
+    else:
+        tail = []
+    return ([(f"inner-up[{d}]", d, d, [(unb(d), 1), (unb(d + 1), 1)])
+             for d in range(1, s)]
+            + [("odd-up", s, s, [(unb(s), 1), (up, -1)])]
+            + [(f"outer-up[{d}]", d, 2 * s - d, [(unb(d), 1), (unb(d + 1), 1)])
+               for d in range(s + 1, n)]
+            + tail
+            + [(f"outer-down[{d}]", d, d - 2 * r + k,
+                [(bar(d + 1), 1), (bar(d), 1)]) for d in range(s + 1, n)]
+            + [("odd-down", s, s - 2 * r + k, [(down, 1), (bar(s), -1)])]
+            + [(f"inner-down[{d}]", d, -d + 2 * s - 2 * r + k,
+                [(bar(d + 1), 1), (bar(d), 1)]) for d in range(1, s)])
 
 
 def _relative_residue(x: SymSum, color: int, k: int, shift: int,
@@ -691,23 +655,12 @@ def _ratio_sum(entries) -> SymSum:
     return SymSum.make(terms)
 
 
-def _b_tail_group_a(spec: AlgebraSpec) -> SymSum:
-    s, r, n = spec.s, spec.r, spec.rank
-    e = -s + r
-    return _ratio_sum([
-        ([(n, e + 1)], [(n, e)]),
-        ([(n - 1, e + 1), (n, e - 1)], [(n - 1, e - 1), (n, e)]),
-    ])
-
-
-def _b_tail_group_b(spec: AlgebraSpec, k: int) -> SymSum:
-    s, r, n = spec.s, spec.r, spec.rank
-    e = -s + r
-    return _ratio_sum([
-        ([(n, e - 2 * k)], [(n, e - 2 * k + 1)]),
-        ([(n - 1, e - 2 * k), (n, e - 2 * k + 2)],
-         [(n - 1, e - 2 * k + 2), (n, e - 2 * k + 1)]),
-    ])
+def _b_tail_group(spec: AlgebraSpec, z: int, d: int) -> SymSum:
+    """Q_n(u+z+d)/Q_n(u+z) + Q_{n-1}(u+z+d) Q_n(u+z-d) / (Q_{n-1}(u+z-d)
+    Q_n(u+z)): a two-term factor of the B-family tail analysis."""
+    n = spec.rank
+    return _ratio_sum([([(n, z + d)], [(n, z)]),
+                       ([(n - 1, z + d), (n, z - d)], [(n - 1, z - d), (n, z)])])
 
 
 def _d_tail_groups(spec: AlgebraSpec, n_alt: int) -> dict[str, SymSum]:
@@ -717,33 +670,21 @@ def _d_tail_groups(spec: AlgebraSpec, n_alt: int) -> dict[str, SymSum]:
     2*n_alt + 1 partial sums).  A/B and E/H avoid Q_{s+r}; C/D and F/G avoid
     Q_{s+r-1}.  E equals A and G equals C.
     """
-    s, r, n = spec.s, spec.r, spec.rank
-    e = -s + r
+    n = spec.rank
+    e = spec.r - spec.s
     m = 4 * n_alt
-    a = _ratio_sum([([(n - 1, e + 1)], [(n - 1, e - 1)]),
-                    ([(n - 2, e), (n - 1, e - 3)],
-                     [(n - 2, e - 2), (n - 1, e - 1)])])
-    c = _ratio_sum([([(n, e + 1)], [(n, e - 1)]),
-                    ([(n - 2, e), (n, e - 3)],
-                     [(n - 2, e - 2), (n, e - 1)])])
-    return {
-        "A": a,
-        "B": _ratio_sum([([(n - 1, e - m - 1)], [(n - 1, e - m + 1)]),
-                         ([(n - 2, e - m), (n - 1, e - m + 3)],
-                          [(n - 2, e - m + 2), (n - 1, e - m + 1)])]),
-        "C": c,
-        "D": _ratio_sum([([(n, e - m - 1)], [(n, e - m + 1)]),
-                         ([(n - 2, e - m), (n, e - m + 3)],
-                          [(n - 2, e - m + 2), (n, e - m + 1)])]),
-        "E": a,
-        "F": _ratio_sum([([(n, e - m - 3)], [(n, e - m - 1)]),
-                         ([(n - 2, e - m - 2), (n, e - m + 1)],
-                          [(n - 2, e - m), (n, e - m - 1)])]),
-        "G": c,
-        "H": _ratio_sum([([(n - 1, e - m - 3)], [(n - 1, e - m - 1)]),
-                         ([(n - 2, e - m - 2), (n - 1, e - m + 1)],
-                          [(n - 2, e - m), (n - 1, e - m - 1)])]),
-    }
+
+    def g(c: int, x: int, d: int) -> SymSum:
+        # Q_c(u+x+d)/Q_c(u+x-d)
+        #   + Q_{n-2}(u+x) Q_c(u+x-3d) / (Q_{n-2}(u+x-2d) Q_c(u+x-d))
+        return _ratio_sum([([(c, x + d)], [(c, x - d)]),
+                           ([(n - 2, x), (c, x - 3 * d)],
+                            [(n - 2, x - 2 * d), (c, x - d)])])
+
+    a, c = g(n - 1, e, 1), g(n, e, 1)
+    return {"A": a, "B": g(n - 1, e - m, -1), "C": c, "D": g(n, e - m, -1),
+            "E": a, "F": g(n, e - m - 2, -1), "G": c,
+            "H": g(n - 1, e - m - 2, -1)}
 
 
 def _column_sum(ctx: BoxContext, patterns: list[list[IndexLabel]]) -> SymSum:
@@ -752,37 +693,6 @@ def _column_sum(ctx: BoxContext, patterns: list[list[IndexLabel]]) -> SymSum:
         shifts = [-2 * i for i in range(len(labs))]
         terms.append(box_product(ctx, labs, shifts))
     return SymSum.make(terms)
-
-
-def _d_partial_sum_even(spec: AlgebraSpec, n_alt: int, group: str) -> SymSum:
-    n = spec.rank
-    t, b_, t1, b1 = unb(n), bar(n), unb(n - 1), bar(n - 1)
-    mid = [b_, t] * (n_alt - 1)
-    if group == "AB":
-        pats = [[t1] + mid + [b1], [t1] + mid + [b_],
-                [t] + mid + [b1], [t] + mid + [b_]]
-    else:  # "CD"
-        pats = [[b_, t] * n_alt,
-                [t1, t] + [b_, t] * (n_alt - 1),
-                [b_, t] * (n_alt - 1) + [b_, b1],
-                [t1, t] + [b_, t] * (n_alt - 2) + [b_, b1]]
-    return _column_sum(_dress(spec), pats)
-
-
-def _d_partial_sum_odd(spec: AlgebraSpec, n_alt: int, group: str) -> SymSum:
-    n = spec.rank
-    t, b_, t1, b1 = unb(n), bar(n), unb(n - 1), bar(n - 1)
-    if group == "EF":
-        pats = [[t] + [b_, t] * n_alt,
-                [t] + [b_, t] * (n_alt - 1) + [b_, b1],
-                [t1] + [b_, t] * n_alt,
-                [t1] + [b_, t] * (n_alt - 1) + [b_, b1]]
-    else:  # "GH"
-        pats = [[b_] + [t, b_] * n_alt,
-                [t1, t] + [b_, t] * (n_alt - 1) + [b_],
-                [b_] + [t, b_] * (n_alt - 1) + [t, b1],
-                [t1, t] + [b_, t] * (n_alt - 1) + [b1]]
-    return _column_sum(_dress(spec), pats)
 
 
 def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
@@ -819,9 +729,19 @@ def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
                     [ZERO_LABEL] * (k - 1) + [bar(n)],
                     [unb(n)] + [ZERO_LABEL] * (k - 2) + [bar(n)]]
             lhs = _column_sum(ctx, pats)
-            rhs = _b_tail_group_a(spec) * _b_tail_group_b(spec, k)
+            # group a, then group b(k)
+            rhs = (_b_tail_group(spec, r - s, 1)
+                   * _b_tail_group(spec, r - s - 2 * k + 1, -1))
             checks.append((f"tail-factorization[k={k}]", lhs == rhs))
     if spec.family == "D":
+        t, tb, t1, tb1 = unb(n), bar(n), unb(n - 1), bar(n - 1)
+        partials = [("even-factorization-AB", [[t1], [t]], 1, [[tb1], [tb]]),
+                    ("even-factorization-CD", [[tb, t], [t1, t]], 2,
+                     [[tb, t], [tb, tb1]]),
+                    ("odd-factorization-EF", [[t], [t1]], 1,
+                     [[tb, t], [tb, tb1]]),
+                    ("odd-factorization-GH", [[tb, t], [t1, t]], 1,
+                     [[tb], [tb1]])]
         for n_alt in (2, 3):
             g = _d_tail_groups(spec, n_alt)
             for key in "ABEH":
@@ -830,18 +750,13 @@ def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
             for key in "CDFG":
                 checks.append((f"{key}-avoids-Q{n - 1}[n={n_alt}]",
                                not _contains_color(g[key], n - 1)))
-            checks.append((f"even-factorization-AB[n={n_alt}]",
-                           _d_partial_sum_even(spec, n_alt, "AB")
-                           == g["A"] * g["B"]))
-            checks.append((f"even-factorization-CD[n={n_alt}]",
-                           _d_partial_sum_even(spec, n_alt, "CD")
-                           == g["C"] * g["D"]))
-            checks.append((f"odd-factorization-EF[n={n_alt}]",
-                           _d_partial_sum_odd(spec, n_alt, "EF")
-                           == g["E"] * g["F"]))
-            checks.append((f"odd-factorization-GH[n={n_alt}]",
-                           _d_partial_sum_odd(spec, n_alt, "GH")
-                           == g["G"] * g["H"]))
+            # each four-term partial sum, head + [nbar, n]^(n_alt-k) + tail,
+            # is the product of the two groups its name ends in
+            for name, heads, k, tails in partials:
+                pats = [h + [tb, t] * (n_alt - k) + tl
+                        for h in heads for tl in tails]
+                checks.append((f"{name}[n={n_alt}]", _column_sum(ctx, pats)
+                               == g[name[-2]] * g[name[-1]]))
 
     passed = all(ok for _, ok in checks)
     return IdentityReport(name=f"lemma-products {spec}", mode="exact-symbolic",

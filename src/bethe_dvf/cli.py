@@ -275,15 +275,14 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    jobs = args.jobs or int(os.environ.get("BETHE_DVF_JOBS", "1"))
-    if jobs > 1 and len(names) > 1:
+    if args.jobs > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
         # the suites that read the solved Bethe fixtures share one task, the
         # longest, so that one worker solves the fixtures, and only once
         shared = [n for n in names if n in ("residues", "polefree")]
         tasks = ([shared] if shared else []) + [[n] for n in names
                                                 if n not in shared]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = [rep for batch in pool.map(_run_suites, tasks,
                                                  [args.seed] * len(tasks))
                        for rep in batch]
@@ -369,8 +368,8 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(SUITES) + ["all"])
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default $BETHE_DVF_JOBS or 1)")
+    v.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1)")
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("export", help="write the frozen reference expansions")

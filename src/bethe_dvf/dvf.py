@@ -399,29 +399,17 @@ def _series_linear(t: SymTerm, sign: int, order: int) -> list[SymSum]:
     return out
 
 
-def _series_geometric(t: SymTerm, sign: int, order: int) -> list[SymSum]:
-    """(1 - sign * [t] X)^(-1) expanded; sound because X carries degree 1."""
+def _series_geometric(t: SymTerm, sign: int, order: int,
+                      step: int = 1) -> list[SymSum]:
+    """(1 - sign * [t] X^step)^(-1) expanded; sound because X carries
+    degree 1."""
     out = [ZERO] * (order + 1)
     out[0] = ONE
     power = ONE_TERM
-    for k in range(1, order + 1):
-        power = power * t.shifted(2 * (k - 1))
-        out[k] = SymSum.from_term(SymTerm(power.coeff * (sign ** k),
-                                          power.qs, power.phis))
-    return out
-
-
-def _series_geometric_pair(t1: SymTerm, t2: SymTerm, order: int) -> list[SymSum]:
-    """(1 - [t1] X [t2] X)^(-1): the D column middle factor, stepping by X^2."""
-    pair = t1 * t2.shifted(2)
-    out = [ZERO] * (order + 1)
-    out[0] = ONE
-    power = ONE_TERM
-    k = 1
-    while 2 * k <= order:
-        power = power * pair.shifted(4 * (k - 1))
-        out[2 * k] = SymSum.from_term(power)
-        k += 1
+    for k in range(1, order // step + 1):
+        power = power * t.shifted(2 * step * (k - 1))
+        out[step * k] = SymSum.from_term(SymTerm(power.coeff * (sign ** k),
+                                                 power.qs, power.phis))
     return out
 
 
@@ -460,8 +448,10 @@ def generating_series_coeff(ctx: BoxContext, kind: str, n: int,
         if spec.family == "B":
             factors.append(_series_geometric(b(ZERO_LABEL), +1, max_order))
         else:
-            factors.append(_series_geometric_pair(b(unb(n_rank)), b(bar(n_rank)),
-                                                  max_order))
+            # (1 - [n] X [nbar] X)^(-1), stepping by X^2
+            factors.append(_series_geometric(
+                b(unb(n_rank)) * b(bar(n_rank)).shifted(2), +1, max_order,
+                step=2))
         for v in range(n_rank, s, -1):
             factors.append(_series_linear(b(unb(v)), +1, max_order))
         for v in range(s, 0, -1):

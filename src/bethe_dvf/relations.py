@@ -26,10 +26,6 @@ from .symbolic import (ONE, ONE_TERM, SymSum, ZERO,
 from .tableaux import SkewDiagram, conjugate, count_tableaux
 
 
-class OddSpinLabel(ValueError):
-    """The last T-system row is indexed by even integers only."""
-
-
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -262,15 +258,6 @@ def tsystem_g(s: int, b: int, m: int) -> SymSum:
     factor is the same m-fold product.
     """
     return normalized_rect_dvf(AlgebraSpec("B", 0, s), 0, m) if b == 1 else ONE
-
-
-def tsystem_block_by_label(s: int, a: int, n: int) -> SymSum:
-    """T_n^(a) by its weight label n; the tail node accepts even n only."""
-    if a == s:
-        if n % 2:
-            raise OddSpinLabel(f"tail label must be even, got {n}")
-        return tsystem_block(s, a, n // 2)
-    return tsystem_block(s, a, n)
 
 
 def check_t_system(s: int, depth: int, trials: int = 8,

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from bethe_dvf.algebra import parse_spec
+from bethe_dvf.algebra import AlgebraSpec, parse_spec
 from bethe_dvf.bae import (BetheRootSet, BetheSystem, NoSolutionFound,
-                           assert_generic, bae_parts, bae_residual, bae_sides,
+                           _pair_relations, assert_generic, bae_parts,
                            check_lemma_products, check_pole_free,
                            check_residue_pairs, max_residual, solve_bae)
 from bethe_dvf.cli import FIXTURE_COUNTS, FIXTURE_W, solved_fixture
@@ -57,7 +58,8 @@ def test_b0s_dispatch_differs_from_generic_form():
     spec = parse_spec("B(0|2)")
     system = BetheSystem(spec, 2, (0.9, -0.2), (1, 1))
     roots = BetheRootSet(((0.31 + 0.2j,), (-0.77 + 0.1j,)))
-    lhs, rhs = bae_sides(system, roots, 2, 1)
+    ln, ld, rn, rd = bae_parts(system, roots, 2, 1)
+    lhs, rhs = ln / ld, rn / rd
     # generic expression for comparison
     from bethe_dvf.algebra import bilinear_form, root_degree
 
@@ -74,9 +76,7 @@ def test_b0s_dispatch_differs_from_generic_form():
 
 def test_residual_zero_iff_solution():
     spec, system, sol = solved_fixture("B(0|1)")
-    for a, n_a in enumerate(system.root_counts, start=1):
-        for k in range(1, n_a + 1):
-            assert abs(bae_residual(system, sol, a, k)) < 1e-10
+    assert max_residual(system, sol) < 1e-10
 
 
 def test_solutions_permutation_invariant():
@@ -165,6 +165,25 @@ def test_lemma_products(name):
     rep = check_lemma_products(parse_spec(name))
     failed = [c for c in rep.details["cases"] if not c["passed"]]
     assert rep.passed, failed
+
+
+# every B(r|s) with r + s <= 6 and every D(r|s) with r + s <= 7
+FAMILY_RULE_SPECS = ([AlgebraSpec("B", r, s) for s in range(1, 7)
+                      for r in range(7 - s)]
+                     + [AlgebraSpec("D", r, s) for s in range(1, 6)
+                        for r in range(2, 8 - s)])
+
+
+def test_family_rules_are_pinned():
+    # recorded before each family rule of bae.py was written once for all
+    # families: the relations and the lemma checks must keep every name,
+    # color, shift, sign and result
+    assert sha([_pair_relations(spec) for spec in FAMILY_RULE_SPECS]) == (
+        "dc4578be0d1c852dfd296a5ca3d6a1d27df3c3304072d24be762cec69ed52012")
+    text = json.dumps([check_lemma_products(spec).to_json()
+                       for spec in FAMILY_RULE_SPECS], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7b74850e33f0c0dcf9de43342db8937f1c930805701a801733bc81de290ff8a0")
 
 
 # sha256 of the solver's exact output, recorded before the equations were

@@ -152,9 +152,11 @@ def test_verify_stdout_is_byte_stable(suite, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED42_SHA256[suite]
 
 
-def test_verify_all_stdout_is_byte_stable(capsys):
-    # every suite, numeric ones included, in registry order
-    assert main(["verify", "all", "--seed", "42"]) == 0
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_stdout_is_byte_stable(jobs, capsys):
+    # every suite, numeric ones included, in registry order; a process pool
+    # prints the same bytes
+    assert main(["verify", "all", "--seed", "42", "--jobs", jobs]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "54471fbd6e8e92dc5d67d71de554d62898c688fe404b53675f42b87d57ebf291")

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar, parse_spec,
-                               unb)
+from bethe_dvf.algebra import (AlgebraSpec, UnsupportedShape, ZERO_LABEL, bar,
+                               parse_spec, unb)
 from bethe_dvf.dvf import (BoxContext, TruncationTooSmall, box, build_dvf,
                            cell_shift, column_dvf, crossing_transform,
                            dvf_value, generating_series_coeff,
@@ -17,7 +18,8 @@ from bethe_dvf.goldens import (golden_t1_b21, golden_t2_b21, golden_t21_b21,
                                parse_term)
 from bethe_dvf.relations import tsystem_g
 from bethe_dvf.symbolic import (ONE, ONE_TERM, Assignment, PoleHit, SymSum,
-                                SymTerm, evaluate, random_rational, shift_u)
+                                SymTerm, dumps, evaluate, random_rational,
+                                shift_u)
 from bethe_dvf.tableaux import SkewDiagram, enumerate_tableaux
 
 from conftest import partitions_up_to
@@ -340,6 +342,23 @@ def test_series_matches_direct(name):
         assert col == shift_u(column_dvf(ctx, n), n - 1)
         row = generating_series_coeff(ctx, "row", n, 4)
         assert row == shift_u(row_dvf(ctx, n), n - 1)
+
+
+def test_series_coefficients_are_pinned():
+    # recorded before the geometric-series builders were folded into one:
+    # B(r|s) with r <= 2, s <= 2 and D(2..3|1..2), column and row, n = 0..5,
+    # with and without the vacuum
+    specs = ([AlgebraSpec("B", r, s) for r in range(3) for s in (1, 2)]
+             + [AlgebraSpec("D", r, s) for r in (2, 3) for s in (1, 2)])
+    h = hashlib.sha256()
+    for spec in specs:
+        for vacuum in (True, False):
+            ctx = BoxContext(spec, include_vacuum=vacuum)
+            for kind in ("column", "row"):
+                for n in range(6):
+                    h.update(dumps(generating_series_coeff(ctx, kind, n)).encode())
+    assert h.hexdigest() == (
+        "7bfa92c4538f989faff8ce4b716a214007382291be48fb1fdb49149f43c27ebe")
 
 
 def test_isolated_term_d31():

@@ -7,13 +7,12 @@ import pytest
 
 from bethe_dvf.algebra import UnsupportedShape, parse_spec
 from bethe_dvf.dvf import BoxContext, build_dvf, column_dvf, row_dvf
-from bethe_dvf.relations import (OddSpinLabel, check_det_vs_tableaux,
-                                 check_duality, check_duality_suite,
-                                 check_hirota, check_t_system,
-                                 check_term_count_conjecture, det_formula,
-                                 term_count_prediction, tsystem_block,
-                                 tsystem_block_by_label, verify_const,
-                                 verify_modi, verify_modi1)
+from bethe_dvf.relations import (check_det_vs_tableaux, check_duality,
+                                 check_duality_suite, check_hirota,
+                                 check_t_system, check_term_count_conjecture,
+                                 det_formula, term_count_prediction,
+                                 tsystem_block, verify_const, verify_modi,
+                                 verify_modi1)
 from bethe_dvf.symbolic import ONE, ZERO, equal_group_sums, sum_to_json
 from bethe_dvf.tableaux import SkewDiagram
 
@@ -184,13 +183,6 @@ TSYSTEM_BLOCK_SHA256 = {
 def test_tsystem_block_is_byte_stable(sam):
     text = json.dumps(sum_to_json(tsystem_block(*sam)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == TSYSTEM_BLOCK_SHA256[sam]
-
-
-def test_tsystem_odd_label_rejected():
-    with pytest.raises(OddSpinLabel):
-        tsystem_block_by_label(2, 2, 3)
-    x = tsystem_block_by_label(2, 2, 2)
-    assert x == tsystem_block(2, 2, 1)
 
 
 @pytest.mark.parametrize("s", [1, 2])
