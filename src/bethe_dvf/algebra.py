@@ -269,13 +269,11 @@ def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkin
         out = [Fraction(0)] * n
         if m <= s:
             out[m - 1] = Fraction(1)
-        elif r >= 3:
+        else:
             out[s - 1] = Fraction(m - s + 1)
             out[s] = Fraction(m - s)
-        else:  # r == 2
-            out[s - 1] = Fraction(m - s + 1)
-            out[s] = Fraction(m - s)
-            out[s + 1] = Fraction(m - s)
+            if r == 2:
+                out[s + 1] = Fraction(m - s)
         return KacDynkinLabel(tuple(out))
     raise UnsupportedShape(
         f"D-family labels defined only for single rows/columns, got {mu.parts}")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import (AlgebraSpec, IndexLabel, ZERO_LABEL, bar, bilinear_form,
                       root_degree, unb)
-from .dvf import BoxContext, box, box_product
+from .dvf import BoxContext, box, box_product, crossing_shift
 from .reports import IdentityReport
 from .symbolic import (Assignment, GenericityViolation, SymSum, SymTerm,
                        evaluate, residue_breakdown)
@@ -493,14 +493,15 @@ def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
 def _pair_relations(spec: AlgebraSpec):
     """(name, color d, pole shift, [(label, sign), (label, sign)]) tuples.
 
-    One list serves both families.  The D down-shifts sit one below the B
-    ones (offset k).  In B(0|s) the label 0 stands where s+1 and its bar
+    One list serves both families.  Each down-shift is -K minus its up-shift,
+    K = crossing_shift(spec), as the barred boxes are the crossing images of
+    the unbarred ones.  In B(0|s) the label 0 stands where s+1 and its bar
     stand otherwise, and there is no outer block and no tail; only the tail
     differs between the families.
     """
     s, r = spec.s, spec.r
     n = s + r
-    k = 1 if spec.family == "B" else 2
+    k = crossing_shift(spec)
     up, down = (unb(s + 1), bar(s + 1)) if r else (ZERO_LABEL, ZERO_LABEL)
     if spec.family == "D":
         tail = [("fork-a", n, s - r + 1, [(unb(n - 1), 1), (bar(n), 1)]),
@@ -516,10 +517,10 @@ def _pair_relations(spec: AlgebraSpec):
             + [(f"outer-up[{d}]", d, 2 * s - d, [(unb(d), 1), (unb(d + 1), 1)])
                for d in range(s + 1, n)]
             + tail
-            + [(f"outer-down[{d}]", d, d - 2 * r + k,
+            + [(f"outer-down[{d}]", d, d - 2 * s - k,
                 [(bar(d + 1), 1), (bar(d), 1)]) for d in range(s + 1, n)]
-            + [("odd-down", s, s - 2 * r + k, [(down, 1), (bar(s), -1)])]
-            + [(f"inner-down[{d}]", d, -d + 2 * s - 2 * r + k,
+            + [("odd-down", s, -s - k, [(down, 1), (bar(s), -1)])]
+            + [(f"inner-down[{d}]", d, -d - k,
                 [(bar(d + 1), 1), (bar(d), 1)]) for d in range(1, s)])
 
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -274,6 +275,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.jobs > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -313,21 +316,14 @@ def cmd_export(args) -> int:
     return 0
 
 
-class _open_out:
-    def __init__(self, path: str | None):
-        self.path = path
-        self.fh = None
-
-    def __enter__(self):
-        if self.path is None or self.path == "-":
-            return sys.stdout
-        self.fh = open(self.path, "w")
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.fh is not None:
-            self.fh.close()
-        return False
+@contextmanager
+def _open_out(path: str | None):
+    """The file at ``path`` opened for writing; stdout for None or "-"."""
+    if path is None or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def make_parser() -> argparse.ArgumentParser:

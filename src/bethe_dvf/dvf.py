@@ -33,89 +33,47 @@ class BoxContext:
     include_vacuum: bool = True
 
 
-def _q(color: int, shift: int, exp: int):
-    """Q factor entry, silently dropping the color-0 convention Q_0 = 1."""
-    if color == 0:
-        return []
-    return [(color, shift, exp)]
+def crossing_shift(spec: AlgebraSpec) -> int:
+    """K of the crossing u -> -(u + K): 2r - 2s - 1 for B, 2r - 2s - 2 for D."""
+    return 2 * spec.r - 2 * spec.s - (1 if spec.family == "B" else 2)
 
 
-def _vacuum_shifts(spec: AlgebraSpec, label: IndexLabel) -> tuple[int, int]:
+def _crossed(k: int, qs, phis) -> tuple[list, list]:
+    """Q and phi factor lists with every argument shift c mapped to k - c."""
+    return ([(c, k - sh, e) for c, sh, e in qs], [(k - sh, e) for sh, e in phis])
+
+
+def _unbarred_qs(spec: AlgebraSpec, a: int) -> list[tuple[int, int, int]]:
+    """Q factors of the unbarred box [a]_u; a = 0 is the B label 0."""
     s, r = spec.s, spec.r
-    edge = -2 * s + 2 * r - (1 if spec.family == "B" else 2)
-    if label == unb(1):
-        return (-2, edge)
-    if label == bar(1):
-        return (0, edge + 2)
-    return (0, edge)
+    n, x = s + r, r - s
+    if a == 0:                          # the B middle
+        return [(n, x + 1, 1), (n, x - 2, 1), (n, x - 1, -1), (n, x, -1)]
+    if spec.family == "D" and a == n:   # the D middle s+r
+        return [(n - 1, x + 1, 1), (n, x - 3, 1),
+                (n - 1, x - 1, -1), (n, x - 1, -1)]
+    xa, d = (-a, -1) if a <= s else (a - 2 * s, 1)
+    qs = [(a - 1, xa + d, 1), (a, xa - 2 * d, 1),
+          (a - 1, xa - d, -1), (a, xa, -1)]
+    if spec.family == "D" and a == n - 1:
+        # the D middle s+r-1: the general box at xa = x - 1 times the fork color
+        qs += [(n, x - 3, 1), (n, x - 1, -1)]
+    return [f for f in qs if f[0] != 0]     # Q_0 = 1
 
 
 def box(ctx: BoxContext, label: IndexLabel, u_shift: int = 0) -> SymTerm:
-    """The box function [label]_{u + u_shift} as a single canonical term."""
+    """The box function [label]_{u + u_shift} as a single canonical term.
+
+    A barred box is the crossing image of its unbarred box: every Q and phi
+    shift c of [a]_u becomes K - c, K = crossing_shift(spec).
+    """
     spec = ctx.spec
     validate_label(spec, label)
-    s, r = spec.s, spec.r
-    n = s + r
-    qs: list[tuple[int, int, int]] = []
-
-    if spec.family == "B":
-        if label.kind == "unbarred" and label.value <= s:
-            a = label.value
-            qs += _q(a - 1, -a - 1, 1) + _q(a, -a + 2, 1)
-            qs += _q(a - 1, -a + 1, -1) + _q(a, -a, -1)
-        elif label.kind == "unbarred":
-            a = label.value
-            qs += _q(a - 1, -2 * s + a + 1, 1) + _q(a, -2 * s + a - 2, 1)
-            qs += _q(a - 1, -2 * s + a - 1, -1) + _q(a, -2 * s + a, -1)
-        elif label.kind == "zero":
-            qs += _q(n, -s + r + 1, 1) + _q(n, -s + r - 2, 1)
-            qs += _q(n, -s + r - 1, -1) + _q(n, -s + r, -1)
-        elif label.value > s:  # barred, outer block
-            a = label.value
-            qs += _q(a - 1, 2 * r - a - 2, 1) + _q(a, 2 * r - a + 1, 1)
-            qs += _q(a - 1, 2 * r - a, -1) + _q(a, 2 * r - a - 1, -1)
-        else:                  # barred, inner block
-            a = label.value
-            c = -2 * s + 2 * r + a
-            qs += _q(a - 1, c, 1) + _q(a, c - 3, 1)
-            qs += _q(a - 1, c - 2, -1) + _q(a, c - 1, -1)
-    else:  # D family
-        if label.kind == "unbarred" and label.value <= s:
-            a = label.value
-            qs += _q(a - 1, -a - 1, 1) + _q(a, -a + 2, 1)
-            qs += _q(a - 1, -a + 1, -1) + _q(a, -a, -1)
-        elif label.kind == "unbarred" and label.value <= n - 2:
-            a = label.value
-            qs += _q(a - 1, -2 * s + a + 1, 1) + _q(a, -2 * s + a - 2, 1)
-            qs += _q(a - 1, -2 * s + a - 1, -1) + _q(a, -2 * s + a, -1)
-        elif label == unb(n - 1):
-            qs += _q(n - 2, -s + r, 1) + _q(n - 1, -s + r - 3, 1)
-            qs += _q(n - 2, -s + r - 2, -1) + _q(n - 1, -s + r - 1, -1)
-            qs += _q(n, -s + r - 3, 1) + _q(n, -s + r - 1, -1)
-        elif label == unb(n):
-            qs += _q(n - 1, -s + r + 1, 1) + _q(n, -s + r - 3, 1)
-            qs += _q(n - 1, -s + r - 1, -1) + _q(n, -s + r - 1, -1)
-        elif label == bar(n):
-            qs += _q(n - 1, -s + r - 3, 1) + _q(n, -s + r + 1, 1)
-            qs += _q(n - 1, -s + r - 1, -1) + _q(n, -s + r - 1, -1)
-        elif label == bar(n - 1):
-            qs += _q(n - 2, -s + r - 2, 1) + _q(n - 1, -s + r + 1, 1)
-            qs += _q(n - 2, -s + r, -1) + _q(n - 1, -s + r - 1, -1)
-            qs += _q(n, -s + r + 1, 1) + _q(n, -s + r - 1, -1)
-        elif label.value > s:  # barred, outer block
-            a = label.value
-            qs += _q(a - 1, 2 * r - a - 3, 1) + _q(a, 2 * r - a, 1)
-            qs += _q(a - 1, 2 * r - a - 1, -1) + _q(a, 2 * r - a - 2, -1)
-        else:                  # barred, inner block
-            a = label.value
-            c = -2 * s + 2 * r + a
-            qs += _q(a - 1, c - 1, 1) + _q(a, c - 4, 1)
-            qs += _q(a - 1, c - 3, -1) + _q(a, c - 2, -1)
-
-    phis: list[tuple[int, int]] = []
-    if ctx.include_vacuum:
-        for c in _vacuum_shifts(spec, label):
-            phis.append((c, 1))
+    k = crossing_shift(spec)
+    qs = _unbarred_qs(spec, label.value)
+    phis = [(-2 if label.value == 1 else 0, 1), (k, 1)] if ctx.include_vacuum else []
+    if label.kind == "barred":
+        qs, phis = _crossed(k, qs, phis)
     return SymTerm.make(1, qs, phis).shifted(u_shift)
 
 
@@ -298,32 +256,17 @@ def top_term(ctx: BoxContext, shape: SkewDiagram) -> SymTerm:
         return ONE_TERM
     if shape.lam.size() != 0:
         raise UnsupportedShape("top term defined for straight shapes only")
-    mu = shape.mu
-    s, r = spec.s, spec.r
-
-    if spec.family == "B":
-        if mu[r + 1] > s:
-            raise UnsupportedShape(f"need mu_{r + 1} <= s for a highest weight")
-        t = ONE_TERM
-        for i, j in shape.cells():
-            lab = unb(j) if j <= s else unb(i + s)
-            t = t * signed_box(ctx, lab, cell_shift(shape, i, j))
-        return t
-
-    if shape.is_column():
-        a = shape.n_cells()
-        t = ONE_TERM
-        for i in range(1, a + 1):
-            t = t * signed_box(ctx, unb(1), cell_shift(shape, i, 1))
-        return t
-    if shape.is_row():
-        m = shape.n_cells()
-        t = ONE_TERM
-        for j in range(1, m + 1):
-            lab = unb(j) if j <= s else unb(s + 1)
-            t = t * signed_box(ctx, lab, cell_shift(shape, 1, j))
-        return t
-    raise UnsupportedShape("D-family top terms exist for (1^a) and (m^1) only")
+    s = spec.s
+    if spec.family == "D" and not (shape.is_column() or shape.is_row()):
+        raise UnsupportedShape("D-family top terms exist for (1^a) and (m^1) only")
+    if spec.family == "B" and shape.mu[spec.r + 1] > s:
+        raise UnsupportedShape(f"need mu_{spec.r + 1} <= s for a highest weight")
+    # a D column or row is the B formula on a line
+    t = ONE_TERM
+    for i, j in shape.cells():
+        lab = unb(j) if j <= s else unb(i + s)
+        t = t * signed_box(ctx, lab, cell_shift(shape, i, j))
+    return t
 
 
 def isolated_column_term(spec: AlgebraSpec, a: int) -> SymTerm:
@@ -347,25 +290,23 @@ def isolated_column_term(spec: AlgebraSpec, a: int) -> SymTerm:
 
 
 def crossing_transform(spec: AlgebraSpec, x: SymSum) -> SymSum:
-    """Image under u -> -(u + 2r - 2s - 1) (B) or -(u + 2r - 2s - 2) (D),
-    with all Bethe roots and inhomogeneities negated.
+    """Image under u -> -(u + K), K = crossing_shift(spec), with all Bethe
+    roots and inhomogeneities negated.
 
     Rewritten back in the original variables this maps every factor argument
-    shift c to K - c with K the constant above.  The sign picked up from
-    (-z) = -(z) cancels only when every color's net exponent and the net phi
-    exponent are even, which holds for any product of boxes; other inputs
+    shift c to K - c, as ``box`` does for a barred label.  The sign picked up
+    from (-z) = -(z) cancels only when every color's net exponent and the net
+    phi exponent are even, which holds for any product of boxes; other inputs
     are rejected.
     """
-    k = 2 * spec.r - 2 * spec.s - (1 if spec.family == "B" else 2)
+    k = crossing_shift(spec)
     out = []
     for t in x.terms:
         per_color, phi_net = t.net_exponents()
         if phi_net % 2 or any(e % 2 for e in per_color.values()):
             raise ValueError("crossing image is root-count dependent for "
                              "terms with odd net exponents")
-        out.append(SymTerm.make(t.coeff,
-                                [(c, k - s_, e) for c, s_, e in t.qs],
-                                [(k - s_, e) for s_, e in t.phis]))
+        out.append(SymTerm.make(t.coeff, *_crossed(k, t.qs, t.phis)))
     return SymSum.make(out)
 
 

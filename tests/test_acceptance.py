@@ -16,12 +16,10 @@ import numpy as np
 from bethe_dvf.algebra import KacDynkinLabel, dimension_b0s, parse_spec
 from bethe_dvf.bae import BetheRootSet, BetheSystem, check_pole_free
 from bethe_dvf.cli import FIXTURE_W, SUITES
-from bethe_dvf.dvf import (BoxContext, build_dvf, column_dvf,
-                           crossing_transform)
+from bethe_dvf.dvf import BoxContext, build_dvf, column_dvf
 from bethe_dvf.relations import (check_det_vs_tableaux, check_duality,
                                  det_formula, verify_const, verify_modi,
                                  verify_modi1)
-from bethe_dvf.symbolic import equal_as_rational_functions
 from bethe_dvf.tableaux import SkewDiagram, count_tableaux
 
 from conftest import partitions_up_to
@@ -155,16 +153,10 @@ def test_criterion_10_generating_series():
 
 def test_criterion_11_crossing_symmetry():
     t0 = time.time()
-    ok = True
-    for name in ("B(2|1)", "B(0|2)", "D(2|1)"):
-        spec = parse_spec(name)
-        ctx = BoxContext(spec)
-        for mu in [(1,), (1, 1), (2,)]:
-            t = build_dvf(ctx, SkewDiagram.straight(mu))
-            image = crossing_transform(spec, t)
-            ok &= image == t
-            rep = equal_as_rational_functions(image, t, trials=4, seed=11)
-            ok &= rep.passed
+    reports = run_suites("crossing")
+    ok = all_passed(reports, 9)
+    # exact-symbolic: each image equals its sum in canonical form
+    ok &= all(rep.mode == "exact-symbolic" for rep in reports)
     report(11, "crossing transform fixes the sums", ok, t0, 30.0)
 
 

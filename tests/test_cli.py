@@ -97,6 +97,29 @@ def test_solve_zero_starts_exit_2():
     assert "n_starts" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_verify_jobs_below_one_exit_2(jobs):
+    # a pool without workers is bad input, as a search without starts is
+    code, out, err = run_cli("verify", "counts", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "B(2|1)", "--shape", "1^2", "--format", "latex"],
+    ["solve", "B(0|1)", "--N", "2", "--w", "2,-1", "--Na", "1", "--seed", "5"],
+])
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    path = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == want.encode()
+    assert main([*argv, "--out", "-"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_verify_golden_deterministic():
     code1, out1, _ = run_cli("verify", "golden", "--seed", "42")
     code2, out2, _ = run_cli("verify", "golden", "--seed", "42")

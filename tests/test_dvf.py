@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from bethe_dvf.algebra import (AlgebraSpec, UnsupportedShape, ZERO_LABEL, bar,
-                               parse_spec, unb)
+                               index_set, parse_spec, unb)
 from bethe_dvf.dvf import (BoxContext, TruncationTooSmall, box, build_dvf,
                            cell_shift, column_dvf, crossing_transform,
                            dvf_value, generating_series_coeff,
@@ -29,22 +29,51 @@ B21 = parse_spec("B(2|1)")
 D21 = parse_spec("D(2|1)")
 
 
-def test_box_b21_label_one():
-    got = box(BoxContext(B21), unb(1))
-    want = parse_term("+ phi(u-2) phi(u+1) Q1(u+1) / Q1(u-1)")
-    assert got == want
+@pytest.mark.parametrize("name,label,text", [
+    ("B(2|1)", unb(1), "+ phi(u-2) phi(u+1) Q1(u+1) / Q1(u-1)"),
+    ("B(2|1)", ZERO_LABEL,
+     "+ phi(u) phi(u+1) Q3(u+2) Q3(u-1) / Q3(u) Q3(u+1)"),
+    ("D(2|1)", bar(3), "+ phi(u) phi(u) Q2(u-2) Q3(u+2) / Q2(u) Q3(u)"),
+    # inner and outer barred boxes
+    ("D(3|1)", bar(1), "+ phi(u) phi(u+4) Q1(u+1) / Q1(u+3)"),
+    ("D(3|1)", bar(2), "+ phi(u) phi(u+2) Q1(u+1) Q2(u+4) / Q1(u+3) Q2(u+2)"),
+], ids=["B(2|1)-1", "B(2|1)-0", "D(2|1)-3b", "D(3|1)-1b", "D(3|1)-2b"])
+def test_box_expansion(name, label, text):
+    assert box(BoxContext(parse_spec(name)), label) == parse_term(text)
 
 
-def test_box_b21_label_zero():
-    got = box(BoxContext(B21), ZERO_LABEL)
-    want = parse_term("+ phi(u) phi(u+1) Q3(u+2) Q3(u-1) / Q3(u) Q3(u+1)")
-    assert got == want
+# B(r|s) with r <= 4, s <= 4, r + s <= 6 and D(r|s) with 2 <= r <= 5,
+# s <= 4, r + s <= 7: 30 algebras
+PIN_SPECS = ([AlgebraSpec("B", r, s) for r in range(5) for s in range(1, 5)
+              if r + s <= 6]
+             + [AlgebraSpec("D", r, s) for r in range(2, 6) for s in range(1, 5)
+                if r + s <= 7])
+TOP_TERM_SHAPES = [((), mu) for mu in [(), (1,), (2,), (3,), (5,), (1, 1),
+                                       (1, 1, 1), (1,) * 4, (2, 1), (2, 2),
+                                       (3, 2, 1)]] + [((1,), (3, 1))]
 
 
-def test_box_d21_extreme_bar():
-    got = box(BoxContext(D21), bar(3))
-    want = parse_term("+ phi(u) phi(u) Q2(u-2) Q3(u+2) / Q2(u) Q3(u)")
-    assert got == want
+def test_boxes_and_top_terms_are_pinned():
+    # recorded before the barred boxes were written as crossing images of
+    # the unbarred ones: every box at shifts -3, 0 and 2, and the top terms
+    # of TOP_TERM_SHAPES with their refusals, with and without the vacuum
+    h = hashlib.sha256()
+    for spec in PIN_SPECS:
+        for vacuum in (True, False):
+            ctx = BoxContext(spec, vacuum)
+            for label in index_set(spec):
+                for shift in (-3, 0, 2):
+                    h.update(dumps(SymSum.from_term(box(ctx, label, shift)))
+                             .encode())
+            for lam, mu in TOP_TERM_SHAPES:
+                try:
+                    got = dumps(SymSum.from_term(
+                        top_term(ctx, SkewDiagram.make(lam, mu))))
+                except UnsupportedShape as exc:
+                    got = f"UnsupportedShape: {exc}"
+                h.update(got.encode())
+    assert h.hexdigest() == (
+        "eb650f098fa1668a57b16b64eefbffccb23d7c214935d9c2d7f6d2b83a5fb17b")
 
 
 def test_box_dress_mode_strips_phi():
@@ -303,13 +332,19 @@ def test_crossing_empty():
     assert crossing_transform(B21, ZERO).is_zero()
 
 
-@pytest.mark.parametrize("name", ["B(2|1)", "B(0|2)", "D(2|1)"])
+@pytest.mark.parametrize("name", [
+    f"B({r}|{s})" for r in range(4) for s in range(1, 5) if r + s <= 4] + [
+    f"D({r}|{s})" for r in range(2, 5) for s in range(1, 4) if r + s <= 5])
 def test_crossing_invariance(name):
+    # the barred boxes are crossing images of the unbarred ones, so this
+    # checks that the admissible tableaux map onto each other
     spec = parse_spec(name)
-    ctx = BoxContext(spec)
-    for mu in [(1,), (1, 1), (2,)]:
-        t = build_dvf(ctx, SkewDiagram.straight(mu))
-        assert crossing_transform(spec, t) == t
+    for vacuum in (True, False):
+        ctx = BoxContext(spec, vacuum)
+        for k in (1, 2, 3):
+            for mu in [(1,) * k, (k,)]:
+                t = build_dvf(ctx, SkewDiagram.straight(mu))
+                assert crossing_transform(spec, t) == t, (mu, vacuum)
 
 
 def test_crossing_rejects_unbalanced():
