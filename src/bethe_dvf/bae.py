@@ -564,8 +564,12 @@ def _max_term_pole_order(x: SymSum, color: int, shift: int) -> int:
                 if c == color and s == -shift and e < 0), default=0)
 
 
-def _laurent_tail(x: SymSum, pole: complex, asg: Assignment, order: int,
-                  radius: float = 1e-3, n_nodes: int = 16) -> tuple[list[complex], float]:
+LAURENT_RADIUS = 1e-3    # of the circle _laurent_tail samples around a pole
+LAURENT_NODES = 16       # sample points on that circle
+
+
+def _laurent_tail(x: SymSum, pole: complex, asg: Assignment,
+                  order: int) -> tuple[list[complex], float]:
     """Contour estimates of the c_{-1}..c_{-order} Laurent coefficients.
 
     Used where single terms carry the pole to a power >= 2, which the
@@ -578,14 +582,14 @@ def _laurent_tail(x: SymSum, pole: complex, asg: Assignment, order: int,
 
     coeffs = [complex(0)] * order
     scale = 0.0
-    for j in range(n_nodes):
-        z = radius * cmath.exp(2j * cmath.pi * j / n_nodes)
+    for j in range(LAURENT_NODES):
+        z = LAURENT_RADIUS * cmath.exp(2j * cmath.pi * j / LAURENT_NODES)
         asg_j = Assignment(pole + z, asg.roots, asg.inhoms, exact=False)
         val = evaluate(x, asg_j)
         scale = max(scale, abs(val))
         for m in range(1, order + 1):
             coeffs[m - 1] += val * z ** m
-    return [c / n_nodes for c in coeffs], scale
+    return [c / LAURENT_NODES for c in coeffs], scale
 
 
 def check_pole_free(dvf_sum: SymSum, sys: BetheSystem, roots: BetheRootSet,
@@ -609,7 +613,6 @@ def check_pole_free(dvf_sum: SymSum, sys: BetheSystem, roots: BetheRootSet,
     per_color: dict[int, float] = {}
     rows = []
     worst = 0.0
-    radius = 1e-3
     for color, k, shift, pole in locations:
         order = _max_term_pole_order(dvf_sum, color, shift)
         if order <= 1:
@@ -618,9 +621,9 @@ def check_pole_free(dvf_sum: SymSum, sys: BetheSystem, roots: BetheRootSet,
         else:
             # individual terms see the pole to a higher power; probe the
             # actual singularity of the total on a small circle instead
-            coeffs, scale = _laurent_tail(dvf_sum, pole, asg, order, radius)
+            coeffs, scale = _laurent_tail(dvf_sum, pole, asg, order)
             rel = 0.0 if scale == 0 else max(
-                abs(c) / (radius ** m * scale)
+                abs(c) / (LAURENT_RADIUS ** m * scale)
                 for m, c in enumerate(coeffs, start=1))
             how = f"laurent[{order}]"
         worst = max(worst, rel)

@@ -3,7 +3,7 @@
 Subcommands: build | count | solve | verify | export.  All structured output
 is JSON with a "schema": 1 field; reports embed the sampling seed so any run
 can be reproduced bit for bit.  Exit codes: 0 success, 1 verification
-failure, 2 bad input or unsupported shape, 3 no Bethe solution found.
+failure, 2 bad input or unwritable output, 3 no Bethe solution found.
 
 Shape grammar: "m^a" for an a-row rectangle of width m, a comma list
 "3,2,1" for a general partition, and "3,1/1" for the skew shape mu/lambda.
@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
-from .algebra import UnsupportedShape, WrongAlgebra, parse_spec
+from .algebra import parse_spec
 from .bae import (BetheSystem, NoSolutionFound,
                   check_lemma_products, check_pole_free, check_residue_pairs,
                   max_residual, solve_bae)
@@ -378,7 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedShape, WrongAlgebra, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # UnsupportedShape and WrongAlgebra are ValueErrors; an --out path
+        # that cannot be written raises OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoSolutionFound as exc:

@@ -218,16 +218,13 @@ def normalize_b0s(spec: AlgebraSpec, x: SymSum, shape: SkewDiagram) -> SymSum:
     return x * _normalizer(spec, shape, len(shape.mu.parts)).inverse()
 
 
-def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int,
-                        include_vacuum: bool = True) -> SymSum:
+def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int) -> SymSum:
     """Normalized T_m^a for B(0|s); handles the m = 0 boundary products."""
     if spec.family != "B" or spec.r != 0:
         raise WrongAlgebra("normalization is defined for B(0|s) only")
     if m < 0 or a < 0:
         return ZERO
-    raw = rect_dvf(BoxContext(spec, include_vacuum), m, a)
-    if not include_vacuum:
-        return raw
+    raw = rect_dvf(BoxContext(spec), m, a)
     return raw * _normalizer(spec, SkewDiagram.straight((m,) * a), a).inverse()
 
 
@@ -318,48 +315,28 @@ def crossing_transform(spec: AlgebraSpec, x: SymSum) -> SymSum:
 
 
 def _series_mul(a: list[SymSum], b: list[SymSum]) -> list[SymSum]:
-    order = len(a) - 1
-    out = [ZERO] * (order + 1)
+    out = [ZERO] * len(a)
     for i, ai in enumerate(a):
         if ai.is_zero():
             continue
-        for j in range(0, order + 1 - i):
-            bj = b[j]
+        for j, bj in enumerate(b[:len(a) - i]):
             if bj.is_zero():
                 continue
             out[i + j] = out[i + j] + ai * shift_u(bj, 2 * i)
     return out
 
 
-def _series_linear(t: SymTerm, sign: int, order: int) -> list[SymSum]:
-    """(1 + sign * [t] X) as a series."""
-    out = [ZERO] * (order + 1)
-    out[0] = ONE
-    if order >= 1:
-        out[1] = SymSum.from_term(SymTerm(t.coeff * sign, t.qs, t.phis))
-    return out
-
-
-def _series_geometric(t: SymTerm, sign: int, order: int,
-                      step: int = 1) -> list[SymSum]:
-    """(1 - sign * [t] X^step)^(-1) expanded; sound because X carries
-    degree 1."""
-    out = [ZERO] * (order + 1)
-    out[0] = ONE
+def _series_run(t: SymTerm, longest: int, order: int,
+                step: int = 1) -> list[SymSum]:
+    """sum_k [t]_u [t]_{u+2 step} ... [t]_{u+2 step (k-1)} X^(step k) over
+    k = 0..longest: the runs of up to ``longest`` boxes t along a line,
+    truncated at X^order.  With ``longest`` >= order it is (1 - [t] X^step)^(-1),
+    sound because X carries degree 1; with ``longest`` = 1 it is 1 + [t] X."""
+    out = [ONE] + [ZERO] * order
     power = ONE_TERM
-    for k in range(1, order // step + 1):
+    for k in range(1, min(longest, order // step) + 1):
         power = power * t.shifted(2 * step * (k - 1))
-        out[step * k] = SymSum.from_term(SymTerm(power.coeff * (sign ** k),
-                                                 power.qs, power.phis))
-    return out
-
-
-def _series_d_row_bracket(t1: SymTerm, t2: SymTerm, order: int) -> list[SymSum]:
-    """(1 - [t1] X)^(-1) + (1 - [t2] X)^(-1) - 1."""
-    g1 = _series_geometric(t1, +1, order)
-    g2 = _series_geometric(t2, +1, order)
-    out = [g1[k] + g2[k] for k in range(order + 1)]
-    out[0] = out[0] - ONE
+        out[step * k] = SymSum.from_term(power)
     return out
 
 
@@ -368,56 +345,39 @@ def generating_series_coeff(ctx: BoxContext, kind: str, n: int,
     """Coefficient of X^n of the ordered box generating series.
 
     ``kind`` is "column" (produces T^n(u + n - 1)) or "row" (produces
-    T_n(u + n - 1)).  Factors are composed left to right with the shift rule
-    X f(u) = f(u + 2) X; inverse factors are truncated geometric series,
-    exact for coefficients up to the truncation order.
+    T_n(u + n - 1)).  The series is an ordered product over the labels,
+    ``index_set`` order for a row and reversed for a column, of one factor
+    per label a, [a] its signed box: (1 - [a] X)^(-1) where the label may
+    repeat along the line, 1 + [a] X where it may not.  Factors compose left
+    to right by the shift rule X f(u) = f(u + 2) X.
     """
     if max_order is None:
         max_order = n
     if n < 0 or n > max_order:
         raise TruncationTooSmall(f"coefficient {n} beyond order {max_order}")
-    spec = ctx.spec
-    s, n_rank = spec.s, spec.rank
-    b = lambda lab: box(ctx, lab, 0)
-
-    factors: list[list[SymSum]] = []
-    if kind == "column":
-        for v in range(1, s + 1):                       # (1 + [vb] X)^(-1), v = 1..s
-            factors.append(_series_geometric(b(bar(v)), -1, max_order))
-        for v in range(s + 1, n_rank + 1):
-            factors.append(_series_linear(b(bar(v)), +1, max_order))
-        if spec.family == "B":
-            factors.append(_series_geometric(b(ZERO_LABEL), +1, max_order))
-        else:
-            # (1 - [n] X [nbar] X)^(-1), stepping by X^2
-            factors.append(_series_geometric(
-                b(unb(n_rank)) * b(bar(n_rank)).shifted(2), +1, max_order,
-                step=2))
-        for v in range(n_rank, s, -1):
-            factors.append(_series_linear(b(unb(v)), +1, max_order))
-        for v in range(s, 0, -1):
-            factors.append(_series_geometric(b(unb(v)), -1, max_order))
-    elif kind == "row":
-        for v in range(1, s + 1):
-            factors.append(_series_linear(b(unb(v)), -1, max_order))
-        top = n_rank if spec.family == "B" else n_rank - 1
-        for v in range(s + 1, top + 1):
-            factors.append(_series_geometric(b(unb(v)), +1, max_order))
-        if spec.family == "B":
-            factors.append(_series_linear(b(ZERO_LABEL), +1, max_order))
-            for v in range(n_rank, s, -1):
-                factors.append(_series_geometric(b(bar(v)), +1, max_order))
-        else:
-            factors.append(_series_d_row_bracket(b(unb(n_rank)), b(bar(n_rank)),
-                                                 max_order))
-            for v in range(n_rank - 1, s, -1):
-                factors.append(_series_geometric(b(bar(v)), +1, max_order))
-        for v in range(s, 0, -1):
-            factors.append(_series_linear(b(bar(v)), -1, max_order))
-    else:
+    if kind not in ("column", "row"):
         raise ValueError(f"kind must be column or row, got {kind!r}")
-
-    series = factors[0]
-    for f in factors[1:]:
-        series = _series_mul(series, f)
+    spec = ctx.spec
+    top, top_bar = unb(spec.rank), bar(spec.rank)
+    # the D labels s+r and bar(s+r) are incomparable: neither follows the other
+    d_pair = spec.family == "D"
+    series = [ONE] + [ZERO] * max_order
+    for lab in index_set(spec) if kind == "row" else index_set(spec)[::-1]:
+        if d_pair and kind == "row" and lab == top_bar:
+            continue                            # in the factor of s+r below
+        # odd labels and 0 repeat down a column, the other labels along a row
+        down = grading(spec, lab) == 1 or lab == ZERO_LABEL
+        longest = max_order if down == (kind == "column") else 1
+        t = signed_box(ctx, lab)
+        run = _series_run(t, longest, max_order)
+        if d_pair and lab == top and kind == "column":
+            # (1 - [s+r] X [bar(s+r)] X)^(-1), stepping by X^2, between the pair
+            series = _series_mul(series, _series_run(
+                t * signed_box(ctx, top_bar, 2), max_order, max_order, step=2))
+        elif d_pair and lab == top:
+            # a row holds a run of s+r or of bar(s+r), never both: the two
+            # geometric factors summed, minus 1, not multiplied
+            other = _series_run(signed_box(ctx, top_bar), max_order, max_order)
+            run = [ONE] + [x + y for x, y in zip(run[1:], other[1:])]
+        series = _series_mul(series, run)
     return series[n]

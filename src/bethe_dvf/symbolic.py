@@ -495,10 +495,10 @@ def exact_det(matrix: list[list[Fraction]]) -> Fraction:
 
 
 def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
-                  asg: Assignment, tol: float = 1e-9) -> complex:
-    roots = asg.roots.get(color, ())
+                  at: Assignment, cache: dict, tol: float = 1e-9) -> complex:
+    """Simple-pole residue of one term at the pole ``at``, with its cache."""
+    roots = at.roots.get(color, ())
     u_k = roots[root_index]
-    pole = u_k + complex(shift)
 
     match_exp = 0
     for c, s, e in t.qs:
@@ -523,25 +523,16 @@ def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
         deriv *= d
 
     rest = complex(t.coeff)
-    for c, s, e in t.qs:
+    # phi as color None, as in _power and PoleHit
+    for c, s, e in (*t.qs, *((None, *f) for f in t.phis)):
         if c == color and s == -shift:
-            if e != -1:
-                rest *= poly_at(asg.roots.get(c, ()), pole + complex(s),
-                                complex(1)) ** (e + 1)
-            continue
-        base = poly_at(asg.roots.get(c, ()), pole + complex(s), complex(1))
+            continue                    # the simple pole, divided out by deriv
+        base = _factor_value(at, c, s, cache)
         if base == 0 or (e < 0 and abs(base) < tol):
             if e < 0:
+                what = "phi" if c is None else f"Q_{c}"
                 raise GenericityViolation(
-                    f"pole of Q_{c}(u + {s}) coincides with the residue point")
-            return 0j
-        rest *= base ** e
-    for s, e in t.phis:
-        base = poly_at(asg.inhoms, pole + complex(s), complex(1))
-        if base == 0 or (e < 0 and abs(base) < tol):
-            if e < 0:
-                raise GenericityViolation(
-                    f"pole of phi(u + {s}) coincides with the residue point")
+                    f"pole of {what}(u + {s}) coincides with the residue point")
             return 0j
         rest *= base ** e
     return rest / deriv
@@ -551,7 +542,10 @@ def residue_breakdown(x: SymSum, color: int, root_index: int, shift: int,
                       asg: Assignment) -> list[complex]:
     """Per-term simple-pole residues of x at u = u_{root_index}^(color) + shift."""
     s = _shift(shift)
-    return [_term_residue(t, color, root_index, s, asg) for t in x.terms]
+    pole = asg.roots.get(color, ())[root_index] + complex(s)
+    at = Assignment(pole, asg.roots, asg.inhoms, exact=False)
+    cache: dict = {}
+    return [_term_residue(t, color, root_index, s, at, cache) for t in x.terms]
 
 
 def residue_at(x: SymSum, color: int, root_index: int, shift: int,

@@ -42,6 +42,8 @@ class Partition:
     @staticmethod
     def make(parts) -> Partition:
         seq = tuple(int(p) for p in parts)
+        if any(p != q for p, q in zip(parts, seq)):
+            raise ValueError(f"{parts} has a part that is not an integer")
         if any(p < 0 for p in seq):
             raise ValueError("negative part")
         if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):

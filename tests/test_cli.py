@@ -147,6 +147,20 @@ def test_export_writes_expansions(tmp_path):
     assert payload["schema"] == 1 and payload["terms"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "B(2|1)", "--shape", "1^1", "--out", "{missing}/x.json"],
+    ["solve", "B(1|1)", "--N", "2", "--w", "0.5,-0.5", "--Na", "0,0",
+     "--out", "{missing}/x.json"],
+    ["export", "--out", "{file}"],
+], ids=["build", "solve", "export"])
+def test_unwritable_out_exit_2(argv, tmp_path, capsys):
+    # a directory that does not exist, or a file where export wants one
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_main_callable_directly():
     assert main(["count", "B(0|2)", "--shape", "1^4"]) == 0
 

@@ -368,15 +368,20 @@ def test_series_truncation_guard():
         generating_series_coeff(ctx, "row", -1, 3)
 
 
-@pytest.mark.parametrize("name", ["B(1|1)", "B(0|2)", "D(2|1)"])
+# r = 0, r + s = 4 and s = 3 in B; r = 4 and s = 3 in D
+SERIES_SPECS = ["B(0|1)", "B(0|3)", "B(3|1)", "B(1|3)", "D(4|1)", "D(2|3)"]
+
+
+@pytest.mark.parametrize("name", ["B(1|1)", "B(0|2)", "D(2|1)"] + SERIES_SPECS)
 def test_series_matches_direct(name):
     spec = parse_spec(name)
-    ctx = BoxContext(spec)
-    for n in range(0, 4):
-        col = generating_series_coeff(ctx, "column", n, 4)
-        assert col == shift_u(column_dvf(ctx, n), n - 1)
-        row = generating_series_coeff(ctx, "row", n, 4)
-        assert row == shift_u(row_dvf(ctx, n), n - 1)
+    for vacuum in (True, False):
+        ctx = BoxContext(spec, include_vacuum=vacuum)
+        for n in range(0, 4):
+            col = generating_series_coeff(ctx, "column", n, 4)
+            assert col == shift_u(column_dvf(ctx, n), n - 1), (n, vacuum)
+            row = generating_series_coeff(ctx, "row", n, 4)
+            assert row == shift_u(row_dvf(ctx, n), n - 1), (n, vacuum)
 
 
 def test_series_coefficients_are_pinned():
@@ -394,6 +399,22 @@ def test_series_coefficients_are_pinned():
                     h.update(dumps(generating_series_coeff(ctx, kind, n)).encode())
     assert h.hexdigest() == (
         "7bfa92c4538f989faff8ce4b716a214007382291be48fb1fdb49149f43c27ebe")
+
+
+def test_series_beyond_the_small_ranks_is_pinned():
+    # recorded before the series was written as one ordered product over
+    # the labels: larger r and s than the pin above, column and row,
+    # n = 0..4 truncated at n + 1, with and without the vacuum
+    h = hashlib.sha256()
+    for name in SERIES_SPECS:
+        for vacuum in (True, False):
+            ctx = BoxContext(parse_spec(name), include_vacuum=vacuum)
+            for kind in ("column", "row"):
+                for n in range(5):
+                    h.update(dumps(generating_series_coeff(ctx, kind, n, n + 1))
+                             .encode())
+    assert h.hexdigest() == (
+        "06bb46af5828a476a2c36cda3d30a465021c60edb8e4ed7e04d879ae65d43f69")
 
 
 def test_isolated_term_d31():

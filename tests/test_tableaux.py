@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 from itertools import islice, product
 from math import prod
 from random import Random
@@ -32,6 +33,16 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition.make((2, -1))
     assert Partition.make((3, 2, 0, 0)).parts == (3, 2)
+
+
+def test_partition_rejects_non_integral_parts():
+    for part in (2.7, Fraction(5, 2)):
+        with pytest.raises(ValueError):
+            Partition.make((part, 1))
+    # an integral part of another type keeps its value, as int parts do
+    assert Partition.make((2.0, Fraction(1))).parts == (2, 1)
+    with pytest.raises(ValueError):
+        kac_dynkin_from_diagram(parse_spec("B(2|1)"), (1.9,))
 
 
 def test_partition_iterates_its_parts():
