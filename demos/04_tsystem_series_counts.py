@@ -10,7 +10,7 @@ module dimensions.
 """
 
 from bethe_dvf import BoxContext, parse_spec, shift_u
-from bethe_dvf.dvf import column_dvf, generating_series_coeff, row_dvf
+from bethe_dvf.dvf import column_dvf, generating_series, row_dvf
 from bethe_dvf.relations import (check_t_system, check_term_count_conjecture,
                                  term_count_prediction, tsystem_block)
 
@@ -26,11 +26,11 @@ print(f"\nblock a=2, m=2 has {len(block)} terms")
 
 # the generating series reproduces every column and row sum
 ctx = BoxContext(parse_spec("D(2|1)"))
+cols = generating_series(ctx, "column", 3)
+rows = generating_series(ctx, "row", 3)
 for n in range(3):
-    col_ok = generating_series_coeff(ctx, "column", n, 3) \
-        == shift_u(column_dvf(ctx, n), n - 1)
-    row_ok = generating_series_coeff(ctx, "row", n, 3) \
-        == shift_u(row_dvf(ctx, n), n - 1)
+    col_ok = cols[n] == shift_u(column_dvf(ctx, n), n - 1)
+    row_ok = rows[n] == shift_u(row_dvf(ctx, n), n - 1)
     print(f"series coefficient {n}: column {col_ok}, row {row_ok}")
 
 # term counts decompose into module dimensions (conjectural, verified here)

@@ -8,9 +8,9 @@ from .algebra import (AlgebraSpec, IndexLabel, KacDynkinLabel,
                       kac_dynkin_from_diagram, order_relation, parse_label,
                       parse_spec, unb)
 from .dvf import (BoxContext, TruncationTooSmall, box, build_dvf, column_dvf,
-                  crossing_transform, generating_series_coeff,
-                  isolated_column_term, normalize_b0s, normalized_rect_dvf,
-                  rect_dvf, row_dvf, signed_box, top_term)
+                  crossing_transform, generating_series,
+                  generating_series_coeff, isolated_column_term, normalize_b0s,
+                  normalized_rect_dvf, rect_dvf, row_dvf, signed_box, top_term)
 from .reports import IdentityReport
 from .symbolic import (Assignment, GenericityViolation, HigherOrderPole,
                        PoleHit, SamplingExhausted, SymSum, SymTerm, ZERO, ONE,

@@ -5,17 +5,19 @@ only for a = 1, where the inhomogeneity polynomial phi enters) with a
 product of Q-ratios over the colors coupled to a.  For B(0|s) the color-s
 equations take a special form that is NOT the specialization of the generic
 root-system expression; the equation table below hard-codes that exception.
-Each system is compiled once into that table.  One evaluator values it at
-many root vectors at once, in numpy arrays, with the floats that Python's
-complex arithmetic gives on one vector; the solver, bae_parts and
-max_residual all use it.
+Each system is compiled once into one flat plan: its factor points sorted
+by zero count and one index table of the factors of every product.  One
+evaluator runs the plan at many root vectors at once, in a fixed number of
+numpy operations, with the floats that Python's complex arithmetic gives on
+one vector; the solver, bae_parts and max_residual all use it.
 
 The multi-start Newton solver advances every live start together: one
 evaluation covers all starts, all bumped Jacobian columns or all trials of
-a line-search round.  Each start still takes exactly the iterates it takes
-alone.  Products are written in real arithmetic, bump sizes use np.hypot
-and every accept or reject takes the start's own np.linalg.norm, since
-numpy's complex products, np.abs and batched norms round differently.
+a line-search round, or of every round left once they fit in one batch.
+Each start still takes exactly the iterates it takes alone.  Products are
+written in real arithmetic, bump sizes use np.hypot and every accept or
+reject takes the start's own norm, the two dots and sqrt of np.linalg.norm,
+since numpy's complex products, np.abs and batched norms round differently.
 
 Solved root sets feed the analytic checks: adjacent box functions share
 simple poles whose residues cancel pairwise under the equations, and whole
@@ -86,22 +88,23 @@ class BetheRootSet:
 
 @lru_cache(maxsize=64)
 def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
-    """The equations compiled once, as (groups, blocks).
+    """The equations compiled once into one flat evaluation plan.
 
-    Each factor is a product over a zero set Z: phi(u + c) over the
-    inhomogeneities (Z = "phi") or Q_b(u + c) over the roots of color b
-    (Z = (zlo, zhi): the entries x[zlo], ..., x[zhi - 1] of the flat root
-    vector x).  ``groups`` maps Z to (cols, re, im): the factors over Z are
-    evaluated together at the points x[cols] + (re, im).
+    Every factor is a point: phi(u + c) over the inhomogeneities, or
+    Q_b(u + c) over the roots of color b, at u = x[j] for the flat root
+    vector x.  The phi points come first, then the Q points by zero count,
+    most first, so that step t of the products over the zeros covers one
+    slice of them.  Factor rows P and P + 1 are (1, 0) and (-1, 0).  rn and
+    rd are products of factors, left-padded with (1, 0): (1, 0) * (1, 0) is
+    the (1, 0) a product starts from.  An equation's sign is the last factor
+    of its rn.  ln and ld are one factor each, ln times -1 for "-phi": "phi"
+    is phi(u-1)/phi(u+1), "-phi" its negative, "-1" is -1/1, "1" is 1/1.
 
-    ``blocks`` has one block (lo, hi, boundary, sign, ln, ld, num, den) per
-    color with roots, for the equations of the roots u = x[lo], ...,
-    x[hi - 1].  ``boundary`` names the left side: "phi" is
-    phi(u-1)/phi(u+1), "-phi" its negative, "-1" is -1/1 and "1" is 1/1.
-    ``sign`` multiplies the numerator product; it is None in the B(0|s)
-    rows, which have none.  ``ln`` and ``ld`` (for the phi boundaries) and
-    the entries of ``num`` and ``den`` are references (Z, rows): the factor
-    values of the block are those rows of group Z.
+    Returns (cols, shifts, n_phi, zq, ends, gidx, lidx, lsign): point i is
+    x[cols[i]] + shifts[:, i]; zq[t] is each Q point's zero at step t and
+    ends[t] the number of Q points with more than t zeros; gidx[t] is the
+    t-th factor of rn, then of rd, of each equation; lidx picks ln, then
+    ld, and lsign multiplies ln.
     """
     s = spec.s
 
@@ -124,46 +127,66 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
                 cs, [(b, -c) for b, c in cs])
 
     ends = list(accumulate(root_counts))
-    points: dict = {}
+    one, minus = -1, -2         # the constant factors (1, 0) and (-1, 0)
+    points: list = []           # (zeros, j, re, im); zeros None for phi
 
-    def ref(zeros, lo: int, hi: int, re: float, im: float) -> tuple:
-        pts = points.setdefault(zeros, [])
-        pts += [(j, re, im) for j in range(lo, hi)]
-        return zeros, slice(len(pts) - (hi - lo), len(pts))
+    def ref(zeros, j: int, re: float, im: float = 0.0) -> int:
+        points.append((zeros, j, float(re), im))
+        return len(points) - 1
 
-    def q_refs(pairs, lo: int, hi: int) -> tuple:
-        return tuple(ref((ends[b - 1] - root_counts[b - 1], ends[b - 1]),
-                         lo, hi, float(c), 0.0) for b, c in pairs)
+    def q_refs(pairs, j: int) -> list:
+        return [ref(range(ends[b - 1] - root_counts[b - 1], ends[b - 1]), j, c)
+                for b, c in pairs]
 
-    blocks = []
+    eqs = []
     for a, n_a in enumerate(root_counts, start=1):
-        if n_a == 0:
-            continue
-        lo, hi = ends[a - 1] - n_a, ends[a - 1]
         boundary, sign, num, den = color_row(a)
-        ln = ld = None
-        if boundary in ("phi", "-phi"):
-            # u - 1 is (re - 1, im - 0) in Python, the same as adding -0.0
-            ln = ref("phi", lo, hi, -1.0, -0.0)
-            ld = ref("phi", lo, hi, 1.0, 0.0)
-        blocks.append((lo, hi, boundary, sign, ln, ld, q_refs(num, lo, hi),
-                       q_refs(den, lo, hi)))
-    groups = {z: (np.array([j for j, _, _ in pts]),
-                  np.array([[re] for _, re, _ in pts]),
-                  np.array([[im] for _, _, im in pts]))
-              for z, pts in points.items()}
-    return groups, tuple(blocks)
+        last = [] if sign is None else [one if sign == 1 else minus]
+        for j in range(ends[a - 1] - n_a, ends[a - 1]):
+            if boundary in ("phi", "-phi"):
+                # u - 1 is (re - 1, im - 0) in Python, the same as adding -0.0
+                ln, ld = ref(None, j, -1.0, -0.0), ref(None, j, 1.0)
+            else:
+                ln, ld = minus if boundary == "-1" else one, one
+            eqs.append((ln, ld, q_refs(num, j) + last, q_refs(den, j),
+                        -1.0 if boundary == "-phi" else 1.0))
+
+    order = sorted(range(len(points)), key=lambda i: (
+        points[i][0] is not None, -len(points[i][0] or ())))
+    pos = {i: k for k, i in enumerate(order)}
+    pos.update({one: len(order), minus: len(order) + 1})
+    points = [points[i] for i in order]
+    n_phi = sum(z is None for z, _, _, _ in points)
+    zeros = [z for z, _, _, _ in points[n_phi:]]
+    steps = len(zeros[0]) if zeros else 0
+    factors = [e[2] for e in eqs] + [e[3] for e in eqs]
+    width = max(map(len, factors), default=0)
+    gidx = [[pos[one]] * (width - len(f)) + [pos[i] for i in f] for f in factors]
+    return (np.array([j for _, j, _, _ in points], dtype=int),
+            np.array([[p[2] for p in points], [p[3] for p in points]])[..., None],
+            n_phi, np.array([[z[t] if t < len(z) else 0 for z in zeros]
+                             for t in range(steps)], dtype=int
+                            ).reshape(steps, len(zeros)),
+            [sum(len(z) > t for z in zeros) for t in range(steps)],
+            np.array(gidx, dtype=int).reshape(2, len(eqs), width).transpose(2, 0, 1),
+            np.array([[pos[e[0]] for e in eqs], [pos[e[1]] for e in eqs]], dtype=int),
+            np.array([e[4] for e in eqs]).reshape(-1, 1))
 
 
-def _cmul(ar, ai, br, bi):
-    """Python's complex product in split real form.  numpy's complex
-    multiply may fuse a multiply-add and round differently."""
-    return ar * br - ai * bi, ar * bi + ai * br
+def _cmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Python's complex product of a and b, each split as (real, imaginary)
+    along the first axis, into ``out``.  numpy's complex multiply may fuse
+    a multiply-add and round differently."""
+    p = a[:, None] * b[None]
+    out = np.empty(p.shape[1:]) if out is None else out
+    np.subtract(p[0, 0], p[1, 1], out=out[0])
+    np.add(p[0, 1], p[1, 0], out=out[1])
+    return out
 
 
-def _parts(table: tuple, w: list[complex], x: np.ndarray) -> np.ndarray:
-    """(ln, ld, rn, rd) of every equation at every root vector, one per row
-    of ``x``, as an array of shape (4, 2, n, rows): part, real or imaginary,
+def _evaluate(table: tuple, w: list[complex], x: np.ndarray) -> np.ndarray:
+    """(ln, rn, rd, ld) of every equation at every root vector, one per row
+    of ``x``, as an array of shape (2, 4, n, rows): real or imaginary, part,
     equation, vector.
 
     Each float comes out of the operations that Python's complex arithmetic
@@ -172,42 +195,40 @@ def _parts(table: tuple, w: list[complex], x: np.ndarray) -> np.ndarray:
     (re + c, im + 0).  So the values do not depend on how many vectors are
     evaluated together.
     """
-    groups, blocks = table
+    cols, shifts, n_phi, zq, ends, gidx, lidx, lsign = table
     m, n = x.shape
+    n_w, steps = len(w), len(ends)
     # equation-major, so that every operation runs along the vectors
-    xr, xi = np.ascontiguousarray(x.real.T), np.ascontiguousarray(x.imag.T)
-    vals = {}
-    for zeros, (cols, re, im) in groups.items():
-        vr, vi = xr[cols] + re, xi[cols] + im
-        pr, pi = 1.0, 0.0
-        for zr, zi in ([(z.real, z.imag) for z in w] if zeros == "phi" else
-                       [(xr[j], xi[j]) for j in range(*zeros)]):
-            pr, pi = _cmul(pr, pi, vr - zr, vi - zi)
-        vals[zeros] = np.broadcast_to(pr, vr.shape), np.broadcast_to(pi, vr.shape)
+    xs = np.array((x.real.T, x.imag.T))
+    v = xs.take(cols, axis=1) + shifts
+    w = np.array([[z.real for z in w], [z.imag for z in w]])
+    # d[:, t, i]: point i minus its t-th zero, where it has one
+    d = np.empty((2, max(n_w, steps), len(cols), m))
+    np.subtract(v[:, None, :n_phi], w[..., None, None], out=d[:, :n_w, :n_phi])
+    np.subtract(v[:, None, n_phi:], xs.take(zq, axis=1),
+                out=d[:, :steps, n_phi:])
+    # the factor values: the products over the zeros, then (1, 0), (-1, 0)
+    f = np.zeros((2, len(cols) + 2, m))
+    f[0, :-1], f[0, -1] = 1.0, -1.0
+    for t in range(d.shape[1]):
+        sl = slice(0 if t < n_w else n_phi,
+                   n_phi + (ends[t] if t < steps else 0))
+        _cmul(f[:, sl], d[:, t, sl], f[:, sl])
+    y = np.empty((2, 4, n, m))
+    np.multiply(f.take(lidx[0], axis=1), lsign, out=y[:, 0])
+    y[:, 3] = f.take(lidx[1], axis=1)
+    # rn and rd: products of their factors, left-padded with (1, 0)
+    g, r = f.take(gidx, axis=1), y[:, 1:3]
+    r[0], r[1] = 1.0, 0.0
+    for t in range(len(gidx)):
+        _cmul(r, g[:, t], r)
+    return y
 
-    def factor(ref: tuple) -> tuple:
-        (pr, pi), rows = vals[ref[0]], ref[1]
-        return pr[rows], pi[rows]
 
-    out = np.empty((4, 2, n, m))
-    for lo, hi, boundary, sign, ln, ld, num, den in blocks:
-        if ln is not None:
-            ln, ld = factor(ln), factor(ld)
-            if boundary == "-phi":
-                ln = (-ln[0], -ln[1])
-        else:
-            ln, ld = (-1.0 if boundary == "-1" else 1.0, 0.0), (1.0, 0.0)
-        rn, rd = (1.0, 0.0), (1.0, 0.0)
-        for ref in num:
-            rn = _cmul(*rn, *factor(ref))
-        for ref in den:
-            rd = _cmul(*rd, *factor(ref))
-        if sign is not None:
-            rn = _cmul(float(sign), 0.0, *rn)
-        for p, (re, im) in enumerate((ln, ld, rn, rd)):
-            out[p, 0, lo:hi] = re
-            out[p, 1, lo:hi] = im
-    return out
+def _parts(table: tuple, w: list[complex], x: np.ndarray) -> np.ndarray:
+    """(ln, ld, rn, rd) of every equation at every row of ``x``, shape
+    (4, 2, n, rows): part, real or imaginary, equation, vector."""
+    return _evaluate(table, w, x)[:, [0, 3, 1, 2]].transpose(1, 0, 2, 3)
 
 
 _ROWS = 256  # root vectors per evaluation: bounds the working set
@@ -222,11 +243,11 @@ def _residuals(table: tuple, w: list[complex], x: np.ndarray) -> np.ndarray:
     """
     f = np.empty(x.shape, dtype=complex)
     for lo in range(0, len(x), _ROWS):
-        (lnr, lni), (ldr, ldi), (rnr, rni), (rdr, rdi) = _parts(
-            table, w, x[lo:lo + _ROWS])
-        ar, ai = _cmul(lnr, lni, rdr, rdi)
-        br, bi = _cmul(rnr, rni, ldr, ldi)
-        f.real[lo:lo + _ROWS], f.imag[lo:lo + _ROWS] = (ar - br).T, (ai - bi).T
+        y = _evaluate(table, w, x[lo:lo + _ROWS])
+        # (ln, rn) times (rd, ld)
+        p = _cmul(y[:, :2], y[:, 2:])
+        f.real[lo:lo + _ROWS], f.imag[lo:lo + _ROWS] = (p[:, 0] - p[:, 1]
+                                                        ).transpose(0, 2, 1)
     return f
 
 
@@ -341,9 +362,14 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndar
         return steps, regular
 
 
+def _norm(v: np.ndarray) -> float:
+    """The two dots and sqrt of np.linalg.norm(v) for a 1-D complex v."""
+    return float(np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
+
+
 def _first_descent(f: np.ndarray, norm0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each start i, the first trial j with np.linalg.norm(f[i, j]) <
-    norm0[i] (-1 if there is none) and that norm.
+    """For each start i, the first trial j with _norm(f[i, j]) < norm0[i]
+    (-1 if there is none) and that norm.
 
     Every decision takes the exact norm of one row, as a single start's
     search does: no batched norm reproduces its floats.  A vectorised
@@ -356,7 +382,7 @@ def _first_descent(f: np.ndarray, norm0: np.ndarray) -> tuple[np.ndarray, np.nda
     norms = np.zeros(len(f))
     for i, j in zip(*np.nonzero(maybe)):
         if first[i] < 0:
-            norm = float(np.linalg.norm(f[i, j]))
+            norm = _norm(f[i, j])
             if norm < norm0[i]:
                 first[i], norms[i] = j, norm
     return first, norms
@@ -366,12 +392,17 @@ def _line_search(residuals, x: np.ndarray, f: np.ndarray, norm: np.ndarray,
                  step: np.ndarray) -> np.ndarray:
     """Move each start i to the first trial x[i] + lam * step[i] whose
     residual norm is below norm[i], updating x, f and norm in place; return
-    which starts moved.  At most _ROWS trials are evaluated at once."""
+    which starts moved.  At most _ROWS trials are evaluated at once, and all
+    the rounds left in one call once they fit: the first descending trial of
+    a start does not depend on how its trials are batched."""
     n = x.shape[1]
     moved = np.zeros(len(x), dtype=bool)
     for lams in _ROUNDS:
-        lam = _LAMBDAS[lams, None]
         todo = np.flatnonzero(~moved)
+        last = len(todo) * (len(_LAMBDAS) - lams.start) <= _ROWS
+        if last:
+            lams = slice(lams.start, len(_LAMBDAS))
+        lam = _LAMBDAS[lams, None]
         per = max(1, _ROWS // len(lam))
         for part in (todo[k:k + per] for k in range(0, len(todo), per)):
             trial = x[part, None, :] + lam * step[part, None, :]
@@ -381,6 +412,8 @@ def _line_search(residuals, x: np.ndarray, f: np.ndarray, norm: np.ndarray,
             i, j = part[hit], first[hit]
             x[i], f[i], norm[i] = trial[hit, j], ft[hit, j], norms[hit]
             moved[i] = True
+        if last:
+            break
     return moved
 
 
@@ -397,7 +430,7 @@ def _newton(residuals, x: np.ndarray, max_iter: int) -> dict[int, np.ndarray]:
     n = x.shape[1]
     live = np.arange(len(x))
     f = residuals(x)
-    norm = np.array([float(np.linalg.norm(r)) for r in f])
+    norm = np.array([_norm(r) for r in f])
     converged: dict[int, np.ndarray] = {}
     eye = np.arange(n)
     with np.errstate(all="ignore"):

@@ -24,7 +24,7 @@ from .bae import (BetheSystem, NoSolutionFound,
                   check_lemma_products, check_pole_free, check_residue_pairs,
                   max_residual, solve_bae)
 from .dvf import (BoxContext, build_dvf, column_dvf, crossing_transform,
-                  generating_series_coeff, row_dvf)
+                  generating_series, row_dvf)
 from .goldens import GOLDENS
 from .relations import (check_det_vs_tableaux, check_duality_suite,
                         check_hirota, check_t_system,
@@ -242,10 +242,9 @@ def _suite_genseries(seed: int) -> list[IdentityReport]:
         spec = parse_spec(name)
         ctx = BoxContext(spec)
         for kind, direct in (("column", column_dvf), ("row", row_dvf)):
+            series = generating_series(ctx, kind, 5)
             for n in range(0, 5):
-                coeff = generating_series_coeff(ctx, kind, n, 5)
-                want = shift_u(direct(ctx, n), n - 1)
-                ok = coeff == want
+                ok = series[n] == shift_u(direct(ctx, n), n - 1)
                 out.append(IdentityReport(
                     name=f"series {name} {kind} n={n}", mode="exact-symbolic",
                     samples=1, max_deviation=Fraction(0), passed=ok,

@@ -340,21 +340,17 @@ def _series_run(t: SymTerm, longest: int, order: int,
     return out
 
 
-def generating_series_coeff(ctx: BoxContext, kind: str, n: int,
-                            max_order: int | None = None) -> SymSum:
-    """Coefficient of X^n of the ordered box generating series.
+def generating_series(ctx: BoxContext, kind: str,
+                      max_order: int) -> list[SymSum]:
+    """Coefficients of X^0..X^max_order of the ordered box generating series.
 
-    ``kind`` is "column" (produces T^n(u + n - 1)) or "row" (produces
-    T_n(u + n - 1)).  The series is an ordered product over the labels,
+    ``kind`` is "column" (coefficient n is T^n(u + n - 1)) or "row"
+    (T_n(u + n - 1)).  The series is an ordered product over the labels,
     ``index_set`` order for a row and reversed for a column, of one factor
     per label a, [a] its signed box: (1 - [a] X)^(-1) where the label may
     repeat along the line, 1 + [a] X where it may not.  Factors compose left
     to right by the shift rule X f(u) = f(u + 2) X.
     """
-    if max_order is None:
-        max_order = n
-    if n < 0 or n > max_order:
-        raise TruncationTooSmall(f"coefficient {n} beyond order {max_order}")
     if kind not in ("column", "row"):
         raise ValueError(f"kind must be column or row, got {kind!r}")
     spec = ctx.spec
@@ -380,4 +376,15 @@ def generating_series_coeff(ctx: BoxContext, kind: str, n: int,
             other = _series_run(signed_box(ctx, top_bar), max_order, max_order)
             run = [ONE] + [x + y for x, y in zip(run[1:], other[1:])]
         series = _series_mul(series, run)
-    return series[n]
+    return series
+
+
+def generating_series_coeff(ctx: BoxContext, kind: str, n: int,
+                            max_order: int | None = None) -> SymSum:
+    """Coefficient of X^n of ``generating_series(ctx, kind, max_order)``;
+    ``max_order`` defaults to n."""
+    if max_order is None:
+        max_order = n
+    if n < 0 or n > max_order:
+        raise TruncationTooSmall(f"coefficient {n} beyond order {max_order}")
+    return generating_series(ctx, kind, max_order)[n]

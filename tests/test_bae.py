@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from bethe_dvf import bae
 from bethe_dvf.algebra import AlgebraSpec, parse_spec
 from bethe_dvf.bae import (BetheRootSet, BetheSystem, NoSolutionFound,
-                           _pair_relations, assert_generic, bae_parts,
+                           _equation_table, _pair_relations, _parts,
+                           assert_generic, bae_parts,
                            check_lemma_products, check_pole_free,
                            check_residue_pairs, max_residual, solve_bae)
 from bethe_dvf.cli import FIXTURE_COUNTS, FIXTURE_W, solved_fixture
@@ -335,3 +338,106 @@ def test_singular_starts_stop_alone(monkeypatch):
     assert (4, 1, 1) in refused  # the stacked solve refused the batch
     assert sols == alone[0]
     assert stats == dict(alone[1], starts=4)
+
+
+# every B(r|s) with r + s <= 4 and every D(r|s) with r + s <= 5
+PARTS_SPECS = ([AlgebraSpec("B", r, s) for s in range(1, 5) for r in range(5 - s)]
+               + [AlgebraSpec("D", r, s) for s in range(1, 4)
+                  for r in range(2, 6 - s)])
+
+
+def _parts_rows(n: int) -> np.ndarray:
+    # two generic root vectors, and one on a small integer grid whose factor
+    # values hit exact zeros, so that the signs of zeros are pinned too
+    j = np.arange(1, n + 1)
+    return np.array([0.37 * j - 0.61 + 0.29j * j + 0.11j * (j % 3),
+                     -0.53 * j + 0.41 + 1j * (0.23 - 0.17 * j),
+                     (j % 3) - 1.0 + 0j])
+
+
+def test_parts_over_small_ranks_are_pinned():
+    # recorded before the equation table became one flat plan: every float
+    # (and the sign of every zero) of _parts, with root counts that leave a
+    # color without roots and with N = 0, 1 and 3 sites, which reach the
+    # empty products and the phi boundaries that no fixture reaches
+    w = [complex(1.7, 0.0), complex(-0.4, 0.25), complex(0.3, -0.5)]
+    h = hashlib.sha256()
+    for spec in PARTS_SPECS:
+        for counts in (tuple(1 + a % 2 for a in range(1, spec.rank + 1)),
+                       tuple(a % 3 for a in range(1, spec.rank + 1))):
+            x = _parts_rows(sum(counts))
+            for n_sites in (0, 1, 3):
+                out = _parts(_equation_table(spec, counts), w[:n_sites], x)
+                h.update(repr((str(spec), counts, n_sites, out.shape)).encode())
+                h.update(out.tobytes())
+    assert h.hexdigest() == (
+        "ddafe68236a72e865da0486b38b6d0f4a5983fcfb12b58c5286f246a9d3f2ff4")
+
+
+_FIXTURE_SOLVER = dict(tol=1e-10, seed=21, max_iter=150, start_radius=5.0)
+
+
+@lru_cache(maxsize=None)
+def _fixture_searches(n_starts: int) -> tuple[dict, int]:
+    """The fixture searches at ``n_starts`` starts, name -> (sols, stats),
+    and how many times they called bae._residuals."""
+    calls = 0
+    residuals = bae._residuals
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return residuals(*args)
+
+    bae._residuals = counted
+    try:
+        out = {name: _search(BetheSystem(parse_spec(name), len(FIXTURE_W),
+                                         FIXTURE_W, counts),
+                             n_starts=n_starts, **_FIXTURE_SOLVER)
+               for name, counts in FIXTURE_COUNTS.items()}
+    finally:
+        bae._residuals = residuals
+    return out, calls
+
+
+# sha256 of repr(sols) + repr(stats) of the fixture searches, recorded
+# before the equation table became one flat plan and before line-search
+# rounds were merged: 200 starts as the fixtures and the bethe benchmark
+# solve them, and 8 starts, where few enough starts are live that the
+# merged rounds apply from the first iteration
+FIXTURE_SEARCH_SHA = {
+    ("B(0|1)", 200): "cf175a989695b4e688ac529d1b42f332b677b7d72a145303405e3b3e545cc197",
+    ("B(0|2)", 200): "89c2fc544a8c5064e5a9eb546e676f84ca58b4990a547bb719ba195c145a8651",
+    ("B(1|1)", 200): "b31da73e4a6857c1f2d9805ef1f8d8b4406a22184a5a07999b00b6d495b84d99",
+    ("D(2|1)", 200): "93651941861b60f68a443fc3d0b792283ec7164d580f5dfb5bde1725d9fa01f4",
+    ("B(0|1)", 8): "1aa81b0fcf95a72707264d89b8da1f86e99f7b3a3792d4fb3c2f022d55c34574",
+    ("B(0|2)", 8): "626cb23846ff6c38a322f29b5209f051a1b06a7e405c684b5a01cfa3cb1493a7",
+    ("B(1|1)", 8): "382e0540dfaae262598da2b721d151ff243cc786b4cc19530bcc26a2e9daaa65",
+    ("D(2|1)", 8): "367de07c9c687ada6d21eb04b04c4faa103d974f5ac238fec36cb76681408966",
+}
+
+
+@pytest.mark.parametrize("name,n_starts", sorted(FIXTURE_SEARCH_SHA))
+def test_fixture_searches_are_pinned(name, n_starts):
+    sols, stats = _fixture_searches(n_starts)[0][name]
+    assert (hashlib.sha256((repr(sols) + repr(stats)).encode()).hexdigest()
+            == FIXTURE_SEARCH_SHA[name, n_starts])
+
+
+def test_fixture_search_residual_calls():
+    # a deterministic work count: the four 200-start fixture searches made
+    # 1,924 calls of _residuals before the line search evaluated the rounds
+    # left in one call whenever they fit in one batch
+    assert _fixture_searches(200)[1] == 1391
+
+
+def test_norm_is_numpys():
+    # every accept or reject of the search takes _norm of one row of a
+    # batch, in place of np.linalg.norm: the floats must be the same
+    rng = np.random.default_rng(5)
+    scale = 10.0 ** rng.integers(-12, 12, size=(6, 7, 1))
+    f = scale * (rng.normal(size=(6, 7, 5)) + 1j * rng.normal(size=(6, 7, 5)))
+    f[0, 0] = 0
+    for i in range(6):
+        for j in range(7):
+            assert bae._norm(f[i, j]) == float(np.linalg.norm(f[i, j]))
