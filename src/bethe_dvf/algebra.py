@@ -79,10 +79,8 @@ def _simple_root(spec: AlgebraSpec, a: int) -> tuple[dict[int, int], dict[int, i
     if a < s:
         de = {a: 1, a + 1: -1}
     elif a == s:
-        if spec.family == "B" and r == 0:
-            de = {s: 1}
-        else:
-            de = {s: 1}
+        de = {s: 1}
+        if spec.family == "D" or r > 0:
             ep = {1: -1}
     elif spec.family == "B":
         j = a - s

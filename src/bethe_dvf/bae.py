@@ -592,11 +592,6 @@ def candidate_poles(x: SymSum) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _max_term_pole_order(x: SymSum, color: int, shift: int) -> int:
-    return max((-e for t in x.terms for c, s, e in t.qs
-                if c == color and s == -shift and e < 0), default=0)
-
-
 LAURENT_RADIUS = 1e-3    # of the circle _laurent_tail samples around a pole
 LAURENT_NODES = 16       # sample points on that circle
 
@@ -647,7 +642,9 @@ def check_pole_free(dvf_sum: SymSum, sys: BetheSystem, roots: BetheRootSet,
     rows = []
     worst = 0.0
     for color, k, shift, pole in locations:
-        order = _max_term_pole_order(dvf_sum, color, shift)
+        # the highest power of the pole's factor in a single term
+        order = max((-e for t in dvf_sum.terms for c, s, e in t.qs
+                     if c == color and s == -shift and e < 0), default=0)
         if order <= 1:
             rel = _relative_residue(dvf_sum, color, k, shift, asg)
             how = "residue"
@@ -674,10 +671,6 @@ def check_pole_free(dvf_sum: SymSum, sys: BetheSystem, roots: BetheRootSet,
 # exact lemma-level checks (no roots involved)
 
 
-def _dress(spec: AlgebraSpec) -> BoxContext:
-    return BoxContext(spec, include_vacuum=False)
-
-
 def _contains_color(x: SymSum | SymTerm, color: int) -> bool:
     terms = x.terms if isinstance(x, SymSum) else (x,)
     return any(c == color for t in terms for c, _, _ in t.qs)
@@ -685,11 +678,9 @@ def _contains_color(x: SymSum | SymTerm, color: int) -> bool:
 
 def _ratio_sum(entries) -> SymSum:
     """Sum of plain Q-ratio terms given as (num, den) lists of (color, shift)."""
-    terms = []
-    for num, den in entries:
-        qs = [(c, sh, 1) for c, sh in num] + [(c, sh, -1) for c, sh in den]
-        terms.append(SymTerm.make(1, qs))
-    return SymSum.make(terms)
+    return SymSum.make(SymTerm.make(1, [(c, sh, 1) for c, sh in num]
+                                    + [(c, sh, -1) for c, sh in den])
+                       for num, den in entries)
 
 
 def _b_tail_group(spec: AlgebraSpec, z: int, d: int) -> SymSum:
@@ -725,11 +716,9 @@ def _d_tail_groups(spec: AlgebraSpec, n_alt: int) -> dict[str, SymSum]:
 
 
 def _column_sum(ctx: BoxContext, patterns: list[list[IndexLabel]]) -> SymSum:
-    terms = []
-    for labs in patterns:
-        shifts = [-2 * i for i in range(len(labs))]
-        terms.append(box_product(ctx, labs, shifts))
-    return SymSum.make(terms)
+    """Sum of the box products down a column, one per label pattern."""
+    return SymSum.make(box_product(ctx, labs, range(0, -2 * len(labs), -2))
+                       for labs in patterns)
 
 
 def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
@@ -740,7 +729,7 @@ def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
     sums over 0-runs / extreme-label alternations factor into the two-term
     groups A..H, which avoid the excluded color.
     """
-    ctx = _dress(spec)
+    ctx = BoxContext(spec, include_vacuum=False)
     s, r, n = spec.s, spec.r, spec.rank
     checks: list[tuple[str, bool]] = []
 

@@ -19,7 +19,7 @@ from typing import Sequence
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
                       ZERO_LABEL, bar, grading, index_set, unb, validate_label)
 from .symbolic import (ONE, ONE_TERM, Assignment, SymSum, SymTerm, ZERO,
-                       evaluate_term, shift_u)
+                       _exact_pair, evaluate_term, shift_u)
 from .tableaux import SkewDiagram, fold_fillings, transfer_sum
 
 
@@ -101,12 +101,24 @@ def cell_shift(shape: SkewDiagram, i: int, j: int) -> int:
     return -shape.mu[1] + len(shape.mu) - 2 * i + 2 * j
 
 
+@lru_cache(maxsize=None)
+def _cell_shifts(shape: SkewDiagram) -> tuple[int, ...]:
+    """``cell_shift`` of every cell of ``shape.cells()``, in that order."""
+    return tuple(cell_shift(shape, i, j) for i, j in shape.cells())
+
+
+@lru_cache(maxsize=None)
+def _rect(m: int, a: int) -> SkewDiagram:
+    """The rectangle with a rows of length m."""
+    return SkewDiagram.straight((m,) * a)
+
+
 def build_dvf(ctx: BoxContext, shape: SkewDiagram) -> SymSum:
     """Signed sum over admissible tableaux of shifted box products."""
     if shape.n_cells() == 0:
         return ONE
-    boxes = [[signed_box(ctx, lab, cell_shift(shape, i, j))
-              for lab in index_set(ctx.spec)] for i, j in shape.cells()]
+    boxes = [[signed_box(ctx, lab, at) for lab in index_set(ctx.spec)]
+             for at in _cell_shifts(shape)]
     # one box product per node of the walk: tableaux share their prefixes
     return SymSum.make(fold_fillings(ctx.spec, shape, ONE_TERM,
                                      lambda t, k, v: t * boxes[k][v]))
@@ -129,7 +141,7 @@ def rect_dvf(ctx: BoxContext, m: int, a: int) -> SymSum:
     is 0, 0 when one is negative)."""
     if m < 0 or a < 0:
         return ZERO
-    return build_dvf(ctx, SkewDiagram.straight((m,) * a))
+    return build_dvf(ctx, _rect(m, a))
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +156,15 @@ def _box_row(ctx: BoxContext, at: int, asg: Assignment,
              cache: dict) -> tuple[list[int], int]:
     """The signed boxes of every label at u + at, evaluated at ``asg`` over
     one common denominator: (numerators in ``index_set`` order, denominator).
+    Each box comes from the exact kernel as an integer pair, not reduced.
     Memoized in ``cache``, the per-point factor cache of ``evaluate``."""
     key = (ctx, at)
     row = cache.get(key)
     if row is None:
-        vals = [evaluate_term(_signed_box_once(ctx, lab, at), asg, cache)
-                for lab in index_set(ctx.spec)]
-        den = lcm(*(v.denominator for v in vals))
-        row = cache[key] = ([v.numerator * (den // v.denominator)
-                             for v in vals], den)
+        pairs = [_exact_pair((_signed_box_once(ctx, lab, at),), asg, cache)
+                 for lab in index_set(ctx.spec)]
+        den = lcm(*(d for _, d in pairs))
+        row = cache[key] = ([n * (den // d) for n, d in pairs], den)
     return row
 
 
@@ -162,14 +174,14 @@ def dvf_value(ctx: BoxContext, shape: SkewDiagram, asg: Assignment,
     ``asg``, by ``transfer_sum`` over the signed box values, without building
     the sum.
 
-    Each cell's box values come over a common denominator, so the transfer
-    matrix runs on integers and divides once at the end.  They are evaluated
-    once per point and shift and kept in ``cache``, so cells on one diagonal
-    and shifted copies of a block share them.  Raises PoleHit when any box
-    denominator vanishes, also one that would cancel in the expanded sum.
+    The cell shifts are cached per shape.  Each cell's box values come over
+    a common denominator, so the transfer matrix runs on integers and
+    divides once at the end.  They are evaluated once per point and shift
+    and kept in ``cache``, so cells on one diagonal and shifted copies of a
+    block share them.  Raises PoleHit when any box denominator vanishes,
+    also one that would cancel in the expanded sum.
     """
-    rows = [_box_row(ctx, cell_shift(shape, i, j) + shift, asg, cache)
-            for i, j in shape.cells()]
+    rows = [_box_row(ctx, at + shift, asg, cache) for at in _cell_shifts(shape)]
     total = transfer_sum(ctx.spec, shape, [nums for nums, _ in rows])
     return Fraction(total, prod(den for _, den in rows))
 
@@ -180,7 +192,7 @@ def rect_value(ctx: BoxContext, m: int, a: int, asg: Assignment, cache: dict,
     ``dvf_value`` gives it; 0 for a negative side, 1 for a zero side."""
     if m < 0 or a < 0:
         return Fraction(0)
-    return dvf_value(ctx, SkewDiagram.straight((m,) * a), asg, cache, shift)
+    return dvf_value(ctx, _rect(m, a), asg, cache, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +212,12 @@ def _f_term(s: int, m: int, off: int) -> SymTerm:
     return SymTerm.make(1, (), phis)
 
 
-def _normalizer(spec: AlgebraSpec, shape: SkewDiagram, nrows: int) -> SymTerm:
-    """The product of the row normalizers F over rows 1..nrows of ``shape``;
-    ``nrows`` exceeds its row count for the zero-length rows of m = 0."""
+@lru_cache(maxsize=None)
+def _inverse_normalizer(spec: AlgebraSpec, shape: SkewDiagram,
+                        nrows: int) -> SymTerm:
+    """1 over the product of the row normalizers F over rows 1..nrows of
+    ``shape``, built once; ``nrows`` exceeds its row count for the
+    zero-length rows of m = 0."""
     if spec.family != "B" or spec.r != 0:
         raise WrongAlgebra("normalization is defined for B(0|s) only")
     mu, lam = shape.mu, shape.lam
@@ -210,12 +225,12 @@ def _normalizer(spec: AlgebraSpec, shape: SkewDiagram, nrows: int) -> SymTerm:
     for j in range(1, nrows + 1):
         off = -mu[1] + nrows + mu[j] + lam[j] - 2 * j + 1
         div = div * _f_term(spec.s, mu[j] - lam[j], off)
-    return div
+    return div.inverse()
 
 
 def normalize_b0s(spec: AlgebraSpec, x: SymSum, shape: SkewDiagram) -> SymSum:
     """Divide a B(0|s) DVF by its product of row normalizers F."""
-    return x * _normalizer(spec, shape, len(shape.mu.parts)).inverse()
+    return x * _inverse_normalizer(spec, shape, len(shape.mu.parts))
 
 
 def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int) -> SymSum:
@@ -224,8 +239,8 @@ def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int) -> SymSum:
         raise WrongAlgebra("normalization is defined for B(0|s) only")
     if m < 0 or a < 0:
         return ZERO
-    raw = rect_dvf(BoxContext(spec), m, a)
-    return raw * _normalizer(spec, SkewDiagram.straight((m,) * a), a).inverse()
+    return rect_dvf(BoxContext(spec), m, a) * _inverse_normalizer(
+        spec, _rect(m, a), a)
 
 
 def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
@@ -236,8 +251,8 @@ def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
         raise WrongAlgebra("normalization is defined for B(0|s) only")
     if m < 0 or a < 0:
         return Fraction(0)
-    shape = SkewDiagram.straight((m,) * a)
-    div = _normalizer(spec, shape, a).inverse().shifted(shift)
+    shape = _rect(m, a)
+    div = _inverse_normalizer(spec, shape, a).shifted(shift)
     return (dvf_value(BoxContext(spec), shape, asg, cache, shift)
             * evaluate_term(div, asg, cache))
 
@@ -271,14 +286,12 @@ def isolated_column_term(spec: AlgebraSpec, a: int) -> SymTerm:
     if spec.family != "D":
         raise WrongAlgebra("isolated terms are a D-family feature")
     ctx = BoxContext(spec, include_vacuum=True)
+    psi1, psi1b = (SymTerm(Fraction(1), (), box(ctx, lab).phis)
+                   for lab in (unb(1), bar(1)))
     t = ONE_TERM
     for j in range(1, a + 1 - spec.r + spec.s + 1):
-        psi1 = box(ctx, unb(1), 0)
-        psi1b = box(ctx, bar(1), 0)
         up = a - 2 * j + 1
-        dn = -a + 2 * j - 1
-        t = t * SymTerm.make(1, (), [(sh + up, e) for sh, e in psi1.phis])
-        t = t * SymTerm.make(1, (), [(sh + dn, e) for sh, e in psi1b.phis])
+        t = t * psi1.shifted(up) * psi1b.shifted(-up)
     return t
 
 

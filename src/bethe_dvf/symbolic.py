@@ -242,8 +242,9 @@ class Assignment:
 def poly_at(zeros: Iterable, v, start):
     """Q_a(v) or phi(v): prod_z (v - z), multiplied left to right onto start.
 
-    Pass ``Fraction(1)`` for exact values and ``complex(1)`` for floats; the
-    fixed order keeps float results bit-identical between callers.
+    ``complex(1)`` gives the float values, and the fixed order keeps them
+    bit-identical between callers; ``Fraction(1)`` gives the plain reference
+    for the exact values of ``_factor_value``.
     """
     prod = start
     for z in zeros:
@@ -254,29 +255,28 @@ def poly_at(zeros: Iterable, v, start):
 def _factor_value(asg: Assignment, color: int | None, shift: int, cache: dict):
     """Base value of Q_color(u + shift) or phi(u + shift), memoized per point.
 
-    In exact mode the cached value is the integer pair (numerator,
-    denominator); ``_exact_value`` raises it to each exponent once per point
-    and keeps the powered pairs in a memo of its own.
+    In exact mode the cached value is the reduced integer pair (numerator,
+    denominator), from u + shift = p/q and the zeros z = a/b on integers:
+    prod (p b - a q) over prod q b, reduced by one gcd.  ``_exact_pair``
+    raises it to each exponent once per point and keeps the powered pairs in
+    a memo of its own.
     """
     key = (color, shift)
     val = cache.get(key)
     if val is None:
         zeros = asg.inhoms if color is None else asg.roots.get(color, ())
         if asg.exact:
-            frac = poly_at(zeros, asg.u + shift, Fraction(1))
-            val = (frac.numerator, frac.denominator)
+            q = asg.u.denominator
+            p, num, den = asg.u.numerator + shift * q, 1, 1
+            for z in zeros:
+                num *= p * z.denominator - z.numerator * q
+                den *= q * z.denominator
+            g = gcd(num, den)
+            val = (num // g, den // g)
         else:
             val = poly_at(zeros, asg.u + complex(shift), complex(1))
         cache[key] = val
     return val
-
-
-def _powered(base: complex, exp: int) -> complex:
-    if exp == 1:
-        return base
-    if exp == -1:
-        return 1 / base
-    return base ** exp
 
 
 _POWERED = object()   # cache key of the exact evaluator's memo
@@ -295,11 +295,12 @@ def _power(asg: Assignment, f: tuple, cache: dict,
     return memo[f]
 
 
-def _exact_value(terms: Iterable[SymTerm], asg: Assignment,
-                 cache: dict) -> Fraction:
-    """Exact sum of the terms on integers, reduced once at the end.  A factor
-    costs one lookup in the per-point memo of powered pairs and two products;
-    the first vanishing denominator factor, in canonical order, raises."""
+def _exact_pair(terms: Iterable[SymTerm], asg: Assignment,
+                cache: dict) -> tuple[int, int]:
+    """Exact sum of the terms as an integer pair (numerator, nonzero
+    denominator), not reduced.  A factor costs one lookup in the per-point
+    memo of powered pairs and two products; the first vanishing denominator
+    factor, in canonical order, raises."""
     memo = cache.get(_POWERED)
     if memo is None:
         memo = cache[_POWERED] = {}
@@ -315,7 +316,7 @@ def _exact_value(terms: Iterable[SymTerm], asg: Assignment,
         g = gcd(td, den)
         tn = tn * (den // g) + num * (td // g)
         td *= den // g
-    return Fraction(tn, td)
+    return tn, td
 
 
 def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
@@ -328,18 +329,14 @@ def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
     cache = {} if _cache is None else _cache
     if not asg.exact:
         val = complex(t.coeff)
-        for color, shift, exp in t.qs:
+        # phi as color None, as in _power and PoleHit
+        for color, shift, exp in (*t.qs, *((None, *f) for f in t.phis)):
             base = _factor_value(asg, color, shift, cache)
             if exp < 0 and base == 0:
                 raise PoleHit(color, shift)
-            val *= _powered(base, exp)
-        for shift, exp in t.phis:
-            base = _factor_value(asg, None, shift, cache)
-            if exp < 0 and base == 0:
-                raise PoleHit(None, shift)
-            val *= _powered(base, exp)
+            val *= base if exp == 1 else 1 / base if exp == -1 else base ** exp
         return val
-    return _exact_value((t,), asg, cache)
+    return Fraction(*_exact_pair((t,), asg, cache))
 
 
 def evaluate(x: SymSum, asg: Assignment, _cache: dict | None = None):
@@ -352,7 +349,7 @@ def evaluate(x: SymSum, asg: Assignment, _cache: dict | None = None):
     cache = {} if _cache is None else _cache
     if not asg.exact:
         return sum((evaluate_term(t, asg, cache) for t in x.terms), complex(0))
-    return _exact_value(x.terms, asg, cache)
+    return Fraction(*_exact_pair(x.terms, asg, cache))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ holding both holds them side by side, which the local rule refuses.
 ``is_admissible`` still checks it; the enumeration needs only the local
 rules.  General skew shapes for D are refused rather than guessed.
 
-All fillings come from one backtracking walker, ``fold_fillings``, which
-takes its candidates from per-spec successor tables built from the same
-rule predicates as ``is_admissible``.  ``transfer_sum`` follows the same
-plan to sum weights over the fillings without walking them one by one.
+Every walk over the fillings runs one transfer plan per (spec, shape),
+``_transfer_plan``, compiled once from per-spec successor tables built from
+the same rule predicates as ``is_admissible``: ``fold_fillings`` walks it
+depth first, one tableau at a time, and ``transfer_sum`` sums weights over
+the fillings with it without visiting them one by one.
 """
 
 from __future__ import annotations
@@ -237,84 +238,34 @@ def _successors(spec: AlgebraSpec) -> tuple[tuple[tuple[int, ...], ...],
                   for a in labels))
 
 
-def _walk_plan(spec: AlgebraSpec, shape: SkewDiagram):
-    """What every walk over the fillings of ``shape`` follows: for each cell
-    of ``shape.cells()``, the index of its left and of its top neighbour
-    (None at an edge), and ``cands(lv, tv)``, the label positions allowed in
-    a cell whose left and top neighbours hold lv and tv (None where absent),
-    ascending.  Neighbours precede a cell in row-major order, so they are
-    filled first.  D-family shapes other than (1^a) and (m^1) raise
-    UnsupportedShape."""
+@lru_cache(maxsize=None)
+def _transfer_plan(spec: AlgebraSpec, shape: SkewDiagram) -> tuple:
+    """The transfer matrix of ``shape``, built once per (spec, shape): for
+    each cell in row-major order, the number of states after it, every
+    transition (state before, label position, state after) grouped by state
+    before, states and labels ascending, and where each group starts.
+
+    A state is the labels of the filled cells that a later cell still needs
+    as its left or top neighbour: a frontier of columns on a B shape, the
+    previous label alone on a D line.  State 0 is the empty prefix; every
+    state a partial filling reaches is kept.  D-family shapes other than
+    (1^a) and (m^1) raise UnsupportedShape.
+    """
     if spec.family == "D" and not (shape.is_column() or shape.is_row()):
         raise UnsupportedShape(
             "D-family tableaux are defined only for (1^a) and (m^1)")
     right, below = _successors(spec)
     every = tuple(range(len(right)))
     cells = shape.cells()
+    n = len(cells)
     index = {c: k for k, c in enumerate(cells)}
     left = [index.get((i, j - 1)) for i, j in cells]
     top = [index.get((i - 1, j)) for i, j in cells]
-
-    def cands(lv: int | None, tv: int | None) -> tuple[int, ...]:
-        if lv is None:
-            return every if tv is None else below[tv]
-        if tv is None:
-            return right[lv]
-        # only B cells have both neighbours, and B successor lists are
-        # suffixes of the label order: the shorter one is the intersection
-        return min(right[lv], below[tv], key=len)
-
-    return left, top, cands
-
-
-def fold_fillings(spec: AlgebraSpec, shape: SkewDiagram, start: A,
-                  step: Callable[[A, int, int], A]) -> Iterator[A]:
-    """Fold ``step(acc, k, v)`` along every admissible tableau, from ``start``,
-    and yield the final value of each; k is the cell's index in
-    ``shape.cells()`` and v its label's position in ``index_set(spec)``.
-
-    One backtracking walk over the cells in row-major order, each cell
-    taking its labels in ascending position, so the order of the tableaux is
-    deterministic and a prefix shared by several tableaux is folded once.
-    D-family shapes other than (1^a) and (m^1) raise UnsupportedShape here,
-    before anything is yielded.
-    """
-    left, top, cands = _walk_plan(spec, shape)
-    n = len(left)
-    fill = [0] * n
-
-    def rec(k: int, acc: A) -> Iterator[A]:
-        if k == n:
-            yield acc
-            return
-        lk, tk = left[k], top[k]
-        for v in cands(None if lk is None else fill[lk],
-                       None if tk is None else fill[tk]):
-            fill[k] = v
-            yield from rec(k + 1, step(acc, k, v))
-
-    return rec(0, start)
-
-
-def transfer_sum(spec: AlgebraSpec, shape: SkewDiagram,
-                 weights: Sequence[Sequence[A]]) -> A:
-    """Sum over the admissible tableaux of prod_k ``weights[k][v_k]``, exact,
-    without visiting the tableaux one by one; k and v index cells and labels
-    as in ``fold_fillings``, whose plan it follows.
-
-    A transfer matrix over the cells in row-major order (the lattice-path
-    reading of Jacobi-Trudi, Gessel & Viennot 1985).  Its state is the
-    labels of the filled cells that a later cell still needs as its left or
-    top neighbour: a frontier of columns on a B shape, the previous label
-    alone on a D line.  Each state carries the weight summed over every
-    partial filling that reaches it.  Returns 1 for the empty shape.
-    """
-    left, top, cands = _walk_plan(spec, shape)
-    n = len(left)
     needed = [max((k2 for k2 in range(n) if c in (left[k2], top[k2])),
                   default=-1) for c in range(n)]   # last cell needing c
     live: list[int] = []            # cells whose labels make up the state
-    states = {(): 1}
+    states: dict[tuple, int] = {(): 0}
+    plan = []
     for k in range(n):
         pos = {c: p for p, c in enumerate(live)}
         lp, tp = pos.get(left[k]), pos.get(top[k])
@@ -323,17 +274,68 @@ def transfer_sum(spec: AlgebraSpec, shape: SkewDiagram,
         grow = needed[k] > k
         if grow:
             live.append(k)
-        wk = weights[k]
-        nxt: dict = {}
-        for st, val in states.items():
+        nxt: dict[tuple, int] = {}
+        steps: list[tuple[int, int, int]] = []
+        starts: list[int] = []
+        for st, i in states.items():
+            # only B cells have both neighbours, and B successor lists are
+            # suffixes of the label order: the shorter one is the intersection
+            cands = min(every if lp is None else right[st[lp]],
+                        every if tp is None else below[st[tp]], key=len)
+            starts.append(len(steps))
             base = tuple([st[p] for p in keep])
-            for v in cands(None if lp is None else st[lp],
-                           None if tp is None else st[tp]):
-                if wk[v]:
-                    key = base + (v,) if grow else base
-                    nxt[key] = nxt.get(key, 0) + val * wk[v]
+            for v in cands:
+                key = base + (v,) if grow else base
+                steps.append((i, v, nxt.setdefault(key, len(nxt))))
+        plan.append((len(nxt), tuple(steps), tuple(starts + [len(steps)])))
         states = nxt
-    return sum(states.values())
+    return tuple(plan)
+
+
+def fold_fillings(spec: AlgebraSpec, shape: SkewDiagram, start: A,
+                  step: Callable[[A, int, int], A]) -> Iterator[A]:
+    """Fold ``step(acc, k, v)`` along every admissible tableau, from ``start``,
+    and yield the final value of each; k is the cell's index in
+    ``shape.cells()`` and v its label's position in ``index_set(spec)``.
+
+    One depth-first walk of ``_transfer_plan``, each cell taking its labels
+    in ascending position, so the order of the tableaux is deterministic and
+    a prefix shared by several tableaux is folded once.  D-family shapes
+    other than (1^a) and (m^1) raise UnsupportedShape here, before anything
+    is yielded.
+    """
+    plan = _transfer_plan(spec, shape)
+
+    def rec(k: int, i: int, acc: A) -> Iterator[A]:
+        if k == len(plan):
+            yield acc
+            return
+        _, steps, starts = plan[k]
+        for _, v, j in steps[starts[i]:starts[i + 1]]:
+            yield from rec(k + 1, j, step(acc, k, v))
+
+    return rec(0, 0, start)
+
+
+def transfer_sum(spec: AlgebraSpec, shape: SkewDiagram,
+                 weights: Sequence[Sequence[A]]) -> A:
+    """Sum over the admissible tableaux of prod_k ``weights[k][v_k]``, exact,
+    without visiting the tableaux one by one; k and v index cells and labels
+    as in ``fold_fillings``.
+
+    A call runs only the multiply-adds of ``_transfer_plan``, the transfer
+    matrix (the lattice-path reading of Jacobi-Trudi, Gessel & Viennot
+    1985): each state carries the weight summed over every partial filling
+    that reaches it.  Returns 1 for the empty shape.
+    """
+    vals: list = [1]
+    for (size, steps, _), wk in zip(_transfer_plan(spec, shape), weights,
+                                    strict=True):
+        nxt: list = [0] * size
+        for i, v, j in steps:
+            nxt[j] += vals[i] * wk[v]
+        vals = nxt
+    return sum(vals)
 
 
 def iter_fillings(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[tuple[int, ...]]:
@@ -353,5 +355,6 @@ def enumerate_tableaux(spec: AlgebraSpec, shape: SkewDiagram) -> Iterator[Tablea
 
 
 def count_tableaux(spec: AlgebraSpec, shape: SkewDiagram) -> int:
-    """Number of admissible tableaux, without materializing Tableau objects."""
-    return sum(1 for _ in iter_fillings(spec, shape))
+    """Number of admissible tableaux: ``transfer_sum`` with unit weights."""
+    return transfer_sum(spec, shape,
+                        [(1,) * len(index_set(spec))] * shape.n_cells())

@@ -14,7 +14,7 @@ from bethe_dvf.relations import (check_det_vs_tableaux, check_duality,
                                  tsystem_block, verify_const, verify_modi,
                                  verify_modi1)
 from bethe_dvf.symbolic import ONE, ZERO, equal_group_sums, sum_to_json
-from bethe_dvf.tableaux import SkewDiagram
+from bethe_dvf.tableaux import SkewDiagram, _transfer_plan
 
 
 def test_det_1x1_is_direct():
@@ -42,6 +42,18 @@ def test_det_skew_shapes():
         for variant in ("column", "row"):
             rep = check_det_vs_tableaux(spec, sd, variant, trials=8, seed=3)
             assert rep.passed, (lam, mu, variant)
+
+
+def test_det_check_compiles_each_shape_once():
+    # a deterministic work count: the 20 sample points of the check value
+    # 7 shapes, (3,2,1) and the columns of heights 0..5 that its entries
+    # T^n hold, and each transfer matrix is compiled once, not per point
+    _transfer_plan.cache_clear()
+    rep = check_det_vs_tableaux(parse_spec("B(2|1)"),
+                                SkewDiagram.straight((3, 2, 1)), "column",
+                                trials=20, seed=0)
+    assert rep.passed
+    assert _transfer_plan.cache_info().misses == 7
 
 
 def test_det_constrained_rectangle_vanishes_exactly():

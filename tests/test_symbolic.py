@@ -8,16 +8,18 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from bethe_dvf.algebra import parse_spec
-from bethe_dvf.dvf import (BoxContext, build_dvf, column_dvf, dvf_value,
-                           generating_series_coeff, normalized_rect_value)
+from bethe_dvf.algebra import index_set, parse_spec
+from bethe_dvf.dvf import (BoxContext, build_dvf, cell_shift, column_dvf,
+                           dvf_value, generating_series_coeff,
+                           normalized_rect_value, signed_box)
 from bethe_dvf.relations import det_formula, tsystem_block, tsystem_g
 from bethe_dvf.symbolic import (Assignment, PoleHit, SymSum, SymTerm, ZERO,
-                                colors_of, equal_as_rational_functions,
-                                evaluate, evaluate_term, exact_det, loads,
-                                dumps, random_assignment, residue_at, shift_u,
-                                sum_from_json, sum_to_json, sum_to_latex,
-                                sum_to_text, term_from_json)
+                                _factor_value, colors_of,
+                                equal_as_rational_functions, evaluate,
+                                evaluate_term, exact_det, loads, dumps,
+                                poly_at, random_assignment, residue_at,
+                                shift_u, sum_from_json, sum_to_json,
+                                sum_to_latex, sum_to_text, term_from_json)
 from bethe_dvf.tableaux import SkewDiagram
 
 
@@ -425,6 +427,82 @@ def test_exact_evaluation_matches_reference():
         values += pole is None
     # both outcomes are well represented
     assert poles > 100 and values > 100
+
+
+def _wide_rational(rng) -> Fraction:
+    # either sign, numerators up to 10^30
+    return Fraction(rng.choice([-1, 1]) * rng.randint(0, 10 ** rng.randint(1, 30)),
+                    rng.randint(1, 10 ** rng.randint(0, 6)))
+
+
+def test_integer_factor_values_match_poly_at():
+    # the exact Q_a(u + s) and phi(u + s) on integers against prod (v - z)
+    # on Fractions, for N_a and N = 0..4, shifts of both signs, and points
+    # with u + s on a root, where the value is 0
+    shifts = (-40, -7, -1, 0, 1, 2, 9, 40)
+    rng = Random(17)
+    zeros_seen = 0
+    for _ in range(300):
+        roots = {c: tuple(_wide_rational(rng) for _ in range(rng.randint(0, 4)))
+                 for c in (1, 2)}
+        inhoms = tuple(_wide_rational(rng) for _ in range(rng.randint(0, 4)))
+        u = _wide_rational(rng)
+        on = [z for zs in (*roots.values(), inhoms) for z in zs]
+        if on and rng.random() < 0.3:
+            u = rng.choice(on) - rng.choice(shifts)
+        asg = Assignment.exact_point(u, roots, inhoms)
+        cache: dict = {}
+        for color in (1, 2, 3, None):
+            zeros = inhoms if color is None else roots.get(color, ())
+            for shift in shifts:
+                want = poly_at(zeros, asg.u + shift, Fraction(1))
+                got = _factor_value(asg, color, shift, cache)
+                assert got == (want.numerator, want.denominator)
+                zeros_seen += want == 0
+    assert zeros_seen > 20
+
+
+@pytest.mark.parametrize("name,mu", [("B(1|1)", (2, 1)), ("B(0|2)", (2, 2)),
+                                     ("D(2|1)", (1, 1, 1)), ("D(2|1)", (3,))])
+def test_pole_hits_on_the_integer_path_name_the_first_factor(name, mu):
+    # points where a box denominator vanishes: evaluate and evaluate_term
+    # name the first vanishing denominator factor in term and factor order,
+    # and dvf_value the first in cell, label and factor order, as the
+    # Fraction reference finds them
+    ctx, shape = BoxContext(parse_spec(name)), SkewDiagram.straight(mu)
+    boxes = [signed_box(ctx, lab, cell_shift(shape, i, j))
+             for i, j in shape.cells() for lab in index_set(ctx.spec)]
+    x = build_dvf(ctx, shape)
+    dens = sorted({(c, sh) for t in boxes for c, sh, e in _ref_factors(t)
+                   if e < 0})
+    rng = Random(name)
+    poles = 0
+    for _ in range(40):
+        roots = {c: tuple(_wide_rational(rng) for _ in range(rng.randint(1, 4)))
+                 for c in range(1, ctx.spec.rank + 1)}
+        inhoms = tuple(_wide_rational(rng) for _ in range(rng.randint(1, 4)))
+        color, shift = rng.choice(dens)
+        u = rng.choice(inhoms if color is None else roots[color]) - shift
+        asg = Assignment.exact_point(u, roots, inhoms)
+        pole = _ref_first_pole(boxes, asg)
+        poles += pole is not None
+        if pole is None:
+            assert dvf_value(ctx, shape, asg, {}) == _ref_value(x.terms, asg)
+        else:
+            with pytest.raises(PoleHit) as hit:
+                dvf_value(ctx, shape, asg, {})
+            assert (hit.value.color, hit.value.shift) == pole
+        for terms, value in ((x.terms, lambda c: evaluate(x, asg, c)),
+                             (x.terms[:1],
+                              lambda c: evaluate_term(x.terms[0], asg, c))):
+            pole = _ref_first_pole(terms, asg)
+            if pole is None:
+                assert value({}) == _ref_value(terms, asg)
+            else:
+                with pytest.raises(PoleHit) as hit:
+                    value({})
+                assert (hit.value.color, hit.value.shift) == pole
+    assert poles > 20
 
 
 def test_one_cache_serves_every_exact_evaluator():

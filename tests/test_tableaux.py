@@ -12,8 +12,9 @@ from hypothesis import given, strategies as st
 from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar, index_set,
                                kac_dynkin_from_diagram, parse_spec, unb)
 from bethe_dvf.tableaux import (Partition, SkewDiagram, Tableau, _d_row_ok,
-                                conjugate, count_tableaux, enumerate_tableaux,
-                                is_admissible, iter_fillings, transfer_sum)
+                                _transfer_plan, conjugate, count_tableaux,
+                                enumerate_tableaux, is_admissible,
+                                iter_fillings, transfer_sum)
 
 
 def test_conjugate_examples():
@@ -213,6 +214,17 @@ def test_enumeration_order_is_pinned(name):
     assert hashlib.sha256(repr(fills).encode()).hexdigest() == ORDER_SHA[name]
 
 
+@pytest.mark.parametrize("name", list(ORDER_SHA))
+def test_count_is_the_number_of_fillings(name):
+    # count_tableaux sums unit weights by transfer matrix; the pinned
+    # enumeration visits every filling
+    spec = parse_spec(name)
+    for lam, mu in B_SHAPES if spec.family == "B" else D_SHAPES:
+        shape = SkewDiagram.make(lam, mu)
+        assert count_tableaux(spec, shape) == sum(
+            1 for _ in iter_fillings(spec, shape))
+
+
 @pytest.mark.parametrize("name", ["D(2|1)", "D(3|1)", "D(2|2)"])
 def test_d_row_local_rule_implies_non_local(name):
     # rows whose neighbours all pass _d_row_ok never hold s+r and bar(s+r)
@@ -242,7 +254,42 @@ def test_transfer_sum_is_the_sum_over_fillings(name, lam, mu):
     assert transfer_sum(spec, shape, weights) == want
 
 
+@pytest.mark.parametrize("kind", ["sparse", "fraction"])
+@pytest.mark.parametrize("name,lam,mu", [
+    ("B(1|1)", (), (3, 2, 1)), ("B(2|1)", (), (2, 2, 2)),
+    ("B(2|1)", (2, 1), (3, 3, 1)), ("B(0|2)", (1,), (3, 2)),
+    ("D(2|1)", (), (1,) * 5), ("D(3|1)", (), (4,)),
+])
+def test_transfer_sum_weight_kinds(kind, name, lam, mu):
+    # mostly-zero weights: the plan keeps the states that zero weights would
+    # prune, at value 0; Fraction weights give the exact Fraction sum
+    spec = parse_spec(name)
+    shape = SkewDiagram.make(lam, mu)
+    rng = Random(f"{kind} {name}")
+    if kind == "sparse":
+        draw = lambda: rng.randint(-9, 9) if rng.random() < 0.2 else 0
+    else:
+        draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    for _ in range(4):
+        weights = [[draw() for _ in index_set(spec)] for _ in shape.cells()]
+        want = sum(prod(weights[k][v] for k, v in enumerate(fill))
+                   for fill in iter_fillings(spec, shape))
+        assert transfer_sum(spec, shape, weights) == want
+    zeros = [[0] * len(index_set(spec)) for _ in shape.cells()]
+    assert transfer_sum(spec, shape, zeros) == 0
+
+
+def test_transfer_sum_of_the_empty_shape_is_one():
+    for name in ("B(1|1)", "D(2|1)"):
+        empty = SkewDiagram.straight(())
+        assert transfer_sum(parse_spec(name), empty, []) == 1
+        assert count_tableaux(parse_spec(name), empty) == 1
+
+
 def test_transfer_sum_refuses_d_skew_shapes():
     spec, shape = parse_spec("D(2|1)"), SkewDiagram.straight((2, 1))
+    before = _transfer_plan.cache_info().currsize
     with pytest.raises(UnsupportedShape):
         transfer_sum(spec, shape, [[1] * len(index_set(spec))] * 3)
+    # the refusal leaves no plan behind
+    assert _transfer_plan.cache_info().currsize == before
