@@ -30,20 +30,15 @@ from .relations import (check_det_vs_tableaux, check_duality_suite,
                         check_hirota, check_t_system,
                         check_term_count_conjecture)
 from .reports import IdentityReport
-from .symbolic import (SymSum, equal_as_rational_functions, shift_u,
+from .symbolic import (equal_as_rational_functions, shift_u,
                        sum_to_json, sum_to_latex, sum_to_text)
 from .tableaux import SkewDiagram, count_tableaux
 
 
 def parse_shape(text: str) -> SkewDiagram:
     """Parse the documented shape grammar into a skew diagram."""
-    text = text.strip()
-    lam: tuple[int, ...] = ()
-    if "/" in text:
-        mu_part, lam_part = text.split("/", 1)
-        lam = tuple(int(p) for p in lam_part.split(",") if p)
-    else:
-        mu_part = text
+    mu_part, _, lam_part = text.strip().partition("/")
+    lam = tuple(int(p) for p in lam_part.split(",") if p)
     if "^" in mu_part:
         m_str, a_str = mu_part.split("^", 1)
         mu = (int(m_str),) * int(a_str)
@@ -52,13 +47,8 @@ def parse_shape(text: str) -> SkewDiagram:
     return SkewDiagram.make(lam, mu)
 
 
-def _emit(x: SymSum, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(sum_to_json(x), sort_keys=True, indent=1) + "\n")
-    elif fmt == "latex":
-        out.write(sum_to_latex(x) + "\n")
-    else:
-        out.write(sum_to_text(x) + "\n")
+_FORMATS = {"json": lambda x: json.dumps(sum_to_json(x), sort_keys=True, indent=1),
+            "latex": sum_to_latex, "text": sum_to_text}
 
 
 def cmd_build(args) -> int:
@@ -67,7 +57,7 @@ def cmd_build(args) -> int:
     ctx = BoxContext(spec, include_vacuum=not args.no_vacuum)
     x = build_dvf(ctx, shape)
     with _open_out(args.out) as out:
-        _emit(x, args.format, out)
+        out.write(_FORMATS[args.format](x) + "\n")
     return 0
 
 

@@ -230,13 +230,14 @@ def check_duality_suite(s: int, trials: int = 8, seed: int = 0) -> IdentityRepor
 # the closed B(0|s) T-system
 
 
-def _block_matrix(s: int, a: int, m: int) -> list[list[tuple[int, int]]]:
-    """``det_matrix`` of T_m^(a), m >= 0: the rectangle (a^m) over the
-    normalized single rows (empty, so of determinant 1, when a or m is 0)."""
+@lru_cache(maxsize=None)
+def _block_matrix(s: int, a: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``det_matrix`` of T_m^(a), m >= 0, as tuples, built once: the rectangle
+    (a^m) over the normalized rows (empty, of determinant 1, when a or m is 0)."""
     if a and m and not 1 <= a <= s:
         raise ValueError(f"node index {a} out of range 1..{s}")
-    return det_matrix(AlgebraSpec("B", 0, s), SkewDiagram.straight((a,) * m),
-                      "row")
+    return tuple(map(tuple, det_matrix(AlgebraSpec("B", 0, s),
+                                       SkewDiagram.straight((a,) * m), "row")))
 
 
 def tsystem_block(s: int, a: int, m: int) -> SymSum:

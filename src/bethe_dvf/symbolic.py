@@ -15,8 +15,11 @@ The building block (u - z) is hard-wired; other additive choices would need
 a different evaluator.
 
 A ``SymTerm`` is one monomial in canonical form: factors keyed by
-(color, shift) resp. shift, merged exponents, no zero exponents.  Every
-stored shift is an ``int`` (``_shift`` checks each one on the way in).  A
+(color, shift) resp. shift, sorted, merged exponents, no zero exponents.
+Colors, shifts and exponents are stored as ``int``s; ``SymTerm.make``, the
+one entry for raw factors, checks each on the way in.  A product of two
+terms merges their canonical factor tuples directly (``_merge``), so its
+result is canonical without a second pass through ``make``.  A
 ``SymSum`` is a sum of terms in a deterministic canonical order, so two
 equal sums serialize identically.  All values are immutable; every
 operation is a pure function.
@@ -25,6 +28,7 @@ operation is a pure function.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -70,33 +74,51 @@ def _rat(x: RatLike) -> Fraction:
 
 def _shift(x: int | Fraction | str) -> int:
     """An argument shift as the int it must be: an int passes unchanged, an
-    integral Fraction or numeric string becomes an int, anything else raises
-    ValueError."""
+    integral Fraction or numeric string becomes an int, anything else (a
+    bool too) raises ValueError."""
     if type(x) is int:
         return x
-    if isinstance(x, (int, Fraction, str)):
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
         v = Fraction(x)
         if v.denominator == 1:
             return int(v)
     raise ValueError(f"argument shifts are integers, got {x!r}")
 
 
-def _canon_q(qs: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
-    merged: dict[tuple[int, int], int] = {}
-    for color, shift, exp in qs:
-        if color < 1:
-            raise ValueError(f"Q color must be >= 1, got {color}")
-        key = (color, shift if type(shift) is int else _shift(shift))
+def _canon(factors: Iterable[Sequence], width: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical tuple of raw factors (color, shift, exp) or (shift, exp), as
+    ``width`` says: equal keys (all but exp) merged, zero exponents dropped,
+    sorted.  Colors >= 1 and exponents are plain ints, shifts pass ``_shift``."""
+    merged: dict[tuple, int] = {}
+    for f in factors:
+        *color, shift, exp = f
+        if len(color) != width - 2 or any(type(v) is not int for v in (*color, exp)):
+            raise ValueError(f"bad factor {f!r}: {width} entries, int color and exp")
+        if color and color[0] < 1:
+            raise ValueError(f"Q color must be >= 1, got {color[0]}")
+        key = (*color, _shift(shift))
         merged[key] = merged.get(key, 0) + exp
-    return tuple(sorted((c, s, e) for (c, s), e in merged.items() if e != 0))
+    return tuple(sorted((*k, e) for k, e in merged.items() if e != 0))
 
 
-def _canon_phi(phis: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    merged: dict[int, int] = {}
-    for shift, exp in phis:
-        key = shift if type(shift) is int else _shift(shift)
-        merged[key] = merged.get(key, 0) + exp
-    return tuple(sorted((s, e) for s, e in merged.items() if e != 0))
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Canonical product of two canonical factor tuples: each factor of the
+    shorter is bisected into the longer by its key (all entries but the
+    exponent); equal keys add exponents, and a factor summing to 0 goes."""
+    if len(a) < len(b):
+        a, b = b, a
+    out, i = list(a), 0
+    for f in b:
+        key = f[:-1]
+        i = bisect_left(out, key, i)     # a key sorts just before its factor
+        g = out[i] if i < len(out) else ()
+        if g[:-1] != key:
+            out.insert(i, f)
+        elif g[-1] + f[-1]:
+            out[i] = (*key, g[-1] + f[-1])
+        else:
+            del out[i]
+    return tuple(out) if b else a
 
 
 @dataclass(frozen=True)
@@ -111,7 +133,7 @@ class SymTerm:
     def make(coeff: RatLike,
              qs: Iterable[tuple[int, int, int]] = (),
              phis: Iterable[tuple[int, int]] = ()) -> SymTerm:
-        return SymTerm(_rat(coeff), _canon_q(qs), _canon_phi(phis))
+        return SymTerm(_rat(coeff), _canon(qs, 3), _canon(phis, 2))
 
     @property
     def key(self) -> tuple:
@@ -119,8 +141,13 @@ class SymTerm:
         return (self.qs, self.phis)
 
     def __mul__(self, other: SymTerm) -> SymTerm:
-        return SymTerm.make(self.coeff * other.coeff,
-                            self.qs + other.qs, self.phis + other.phis)
+        """Canonical product: ``_merge`` of the factor tuples, no second
+        canonicalisation; a coefficient ±1 (a box's) multiplies without gcd."""
+        a, b = self.coeff, other.coeff
+        coeff = (b if a == 1 else a if b == 1 else -b if a == -1
+                 else -a if b == -1 else a * b)
+        return SymTerm(coeff, _merge(self.qs, other.qs),
+                       _merge(self.phis, other.phis))
 
     def inverse(self) -> SymTerm:
         """Reciprocal term; coefficient must be nonzero."""
@@ -157,14 +184,12 @@ class SymSum:
     def make(terms: Iterable[SymTerm]) -> SymSum:
         merged: dict[tuple, SymTerm] = {}
         for t in terms:
-            prev = merged.get(t.key)
-            if prev is None:
-                merged[t.key] = t
-            else:
-                merged[t.key] = SymTerm(prev.coeff + t.coeff, t.qs, t.phis)
-        kept = sorted((t for t in merged.values() if t.coeff != 0),
-                      key=lambda t: (t.qs, t.phis, t.coeff))
-        return SymSum(tuple(kept))
+            key = (t.qs, t.phis)
+            prev = merged.get(key)
+            merged[key] = t if prev is None else SymTerm(prev.coeff + t.coeff,
+                                                         t.qs, t.phis)
+        # the keys are unique, so sorting the items never compares two terms
+        return SymSum(tuple(t for _, t in sorted(merged.items()) if t.coeff != 0))
 
     @staticmethod
     def from_term(t: SymTerm) -> SymSum:
@@ -497,10 +522,7 @@ def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
     roots = at.roots.get(color, ())
     u_k = roots[root_index]
 
-    match_exp = 0
-    for c, s, e in t.qs:
-        if c == color and s == -shift:
-            match_exp = e
+    match_exp = next((e for c, s, e in t.qs if c == color and s == -shift), 0)
     if match_exp >= 0:
         # no matching simple-pole factor: term is regular here (numerator
         # zeros of other factors only push the value to 0)
@@ -613,29 +635,25 @@ def _split_factors(t: SymTerm, phi_fmt: str,
 
 def term_to_latex(t: SymTerm) -> str:
     num, den = _split_factors(t, r"\phi({})", "Q_{{{}}}({})")
-    if t.coeff == 1:
-        coeff = ""
-    elif t.coeff == -1:
-        coeff = "-"
-    else:
-        coeff = str(t.coeff) + " "
+    coeff = "" if t.coeff == 1 else "-" if t.coeff == -1 else f"{t.coeff} "
     if den:
         return rf"{coeff}\frac{{{''.join(num) or '1'}}}{{{''.join(den)}}}"
     return coeff + ("".join(num) or "1")
 
 
+def _sum_lines(x: SymSum, term_str: Callable[[SymTerm], str],
+               first: str) -> str:
+    """One line per term, its sign split off as "- " or "+ ", a leading
+    "+ " replaced by ``first``; "0" for the zero sum."""
+    lines = ["- " + s[1:] if s.startswith("-") else "+ " + s
+             for s in map(term_str, x.terms)] or ["0"]
+    if lines[0].startswith("+ "):
+        lines[0] = first + lines[0][2:]
+    return "\n".join(lines)
+
+
 def sum_to_latex(x: SymSum) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for i, t in enumerate(x.terms):
-        s = term_to_latex(t)
-        if i and not s.startswith("-"):
-            s = "+ " + s
-        elif s.startswith("-"):
-            s = "- " + s[1:]
-        parts.append(s)
-    return "\n".join(parts)
+    return _sum_lines(x, term_to_latex, "")
 
 
 def term_to_text(t: SymTerm) -> str:
@@ -648,10 +666,4 @@ def term_to_text(t: SymTerm) -> str:
 
 
 def sum_to_text(x: SymSum) -> str:
-    if x.is_zero():
-        return "0"
-    lines = []
-    for t in x.terms:
-        s = term_to_text(t)
-        lines.append("- " + s[1:] if s.startswith("-") else "+ " + s)
-    return "\n".join(lines)
+    return _sum_lines(x, term_to_text, "+ ")

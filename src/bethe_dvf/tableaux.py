@@ -99,11 +99,8 @@ class SkewDiagram:
 
     def cells(self) -> list[tuple[int, int]]:
         """Skew cells in row-major order, 1-indexed."""
-        out = []
-        for i in range(1, len(self.mu) + 1):
-            for j in range(self.lam[i] + 1, self.mu[i] + 1):
-                out.append((i, j))
-        return out
+        return [(i, j) for i in range(1, len(self.mu) + 1)
+                for j in range(self.lam[i] + 1, self.mu[i] + 1)]
 
     def n_cells(self) -> int:
         return self.mu.size() - self.lam.size()

@@ -7,7 +7,8 @@ import pytest
 
 from bethe_dvf.algebra import UnsupportedShape, parse_spec
 from bethe_dvf.dvf import BoxContext, build_dvf, column_dvf, row_dvf
-from bethe_dvf.relations import (check_det_vs_tableaux, check_duality,
+from bethe_dvf import relations, symbolic
+from bethe_dvf.relations import (_block_matrix, check_det_vs_tableaux, check_duality,
                                  check_duality_suite, check_hirota,
                                  check_t_system, check_term_count_conjecture,
                                  det_formula, term_count_prediction,
@@ -54,6 +55,42 @@ def test_det_check_compiles_each_shape_once():
                                 trials=20, seed=0)
     assert rep.passed
     assert _transfer_plan.cache_info().misses == 7
+
+
+def test_canonicalisations_scale_with_the_boxes(monkeypatch):
+    # a deterministic work count: from cold block caches, building B(2|1)
+    # (3,2,1) canonicalises each box a cell can hold once (6 cells x 7
+    # labels, a Q and a phi tuple each), and its column det_formula adds the
+    # boxes of the columns T^1..T^5 (15 cells x 7 labels); every product
+    # merges canonical tuples and canonicalises nothing, so the count does
+    # not grow with the 2352 tableaux or the cofactor products
+    calls = []
+    canon = symbolic._canon
+    monkeypatch.setattr(symbolic, "_canon",
+                        lambda *args: calls.append(args[1]) or canon(*args))
+    column_dvf.cache_clear()
+    row_dvf.cache_clear()
+    spec, sd = parse_spec("B(2|1)"), SkewDiagram.straight((3, 2, 1))
+    direct = build_dvf(BoxContext(spec), sd)
+    assert len(direct) == 2352
+    assert len(calls) == 2 * 42
+    assert det_formula(spec, sd, "column") == direct
+    assert len(calls) == 2 * 147
+    assert calls.count(3) == calls.count(2) == 147
+
+
+def test_t_system_builds_each_block_matrix_once(monkeypatch):
+    # 8 blocks (a, m): (1, 0..4) and (0, 1..3) over 3 levels and 8 points
+    built = []
+    det = relations.det_matrix
+    monkeypatch.setattr(relations, "det_matrix",
+                        lambda *args: built.append(args) or det(*args))
+    _block_matrix.cache_clear()
+    assert check_t_system(1, 3, trials=8, seed=0).passed
+    assert len(built) == _block_matrix.cache_info().misses == 8
+    matrix = _block_matrix(1, 1, 2)
+    assert matrix == (((1, 1), (0, 0)), ((2, 0), (1, -1)))
+    assert isinstance(matrix, tuple) and all(type(r) is tuple for r in matrix)
 
 
 def test_det_constrained_rectangle_vanishes_exactly():

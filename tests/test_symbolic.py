@@ -6,7 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bethe_dvf.algebra import index_set, parse_spec
 from bethe_dvf.dvf import (BoxContext, build_dvf, cell_shift, column_dvf,
@@ -288,6 +288,94 @@ def test_built_sums_carry_int_shifts():
     for x in sums:
         assert not x.is_zero()
         assert _shift_types(x) == {int}
+
+
+# ---------------------------------------------------------------------------
+# colors and exponents are plain ints
+
+
+NON_INT_EXPONENTS = [Fraction(1, 2), 2.0, 2.5, True]
+
+
+@pytest.mark.parametrize("bad", NON_INT_EXPONENTS, ids=repr)
+def test_make_refuses_non_int_exponent(bad):
+    with pytest.raises(ValueError):
+        SymTerm.make(1, [(1, 0, bad)])
+    with pytest.raises(ValueError):
+        SymTerm.make(1, (), [(0, bad)])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), "1"], ids=repr)
+def test_make_refuses_non_int_color(bad):
+    with pytest.raises(ValueError):
+        SymTerm.make(1, [(bad, 0, 1)])
+
+
+@pytest.mark.parametrize("term", [{"Q": [[1, "0", 2.5]]}, {"Q": [[1, "0", 2.0]]},
+                                  {"Q": [[True, "0", 2]]}, {"phi": [["0", 0.5]]}],
+                         ids=str)
+def test_json_refuses_non_int_exponent_and_color(term):
+    text = json.dumps({"schema": 1, "terms": [dict(term, coeff="1")]})
+    with pytest.raises(ValueError):
+        loads(text)
+
+
+def test_bool_shift_is_refused():
+    x = SymSum.from_term(q1_ratio(1, -1))
+    for target in (x, x.terms[0], ZERO):
+        with pytest.raises(ValueError):
+            shift_u(target, True)
+    with pytest.raises(ValueError):
+        SymTerm.make(1, [(1, True, 1)])
+    with pytest.raises(ValueError):
+        SymTerm.make(1, (), [(False, 1)])
+
+
+# ---------------------------------------------------------------------------
+# a product merges the canonical factor tuples of its operands
+
+
+def _is_canonical(t: SymTerm) -> bool:
+    """Factors sorted with unique keys, no zero exponent, int entries."""
+    for factors in (t.qs, t.phis):
+        keys = [f[:-1] for f in factors]
+        if keys != sorted(set(keys)):
+            return False
+        if any(f[-1] == 0 or {type(v) for v in f} != {int} for f in factors):
+            return False
+    return type(t.coeff) is Fraction
+
+
+# a small grid of keys, so that factors collide and exponents cancel
+canonical_terms = st.builds(
+    SymTerm.make,
+    st.sampled_from([0, 1, -1, Fraction(2, 3), Fraction(-5, 7), 4]),
+    st.lists(st.tuples(st.integers(1, 2), st.integers(-2, 2),
+                       st.integers(-2, 2)), max_size=6),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=4))
+
+_A = SymTerm.make(1, [(1, 0, 1), (1, 2, -1), (2, -1, 2)], [(0, 1), (3, -1)])
+
+
+@given(canonical_terms, canonical_terms)
+@example(_A, _A.inverse())                                  # cancels to ()
+@example(_A, SymTerm.make(-1, [(1, 2, 1), (2, -1, -2)], [(3, 1)]))  # to phi-only
+@example(SymTerm.make(1), _A)                               # one side empty
+@example(_A, SymTerm.make(-1))
+@example(SymTerm.make(Fraction(2, 3), (), [(1, 2)]),        # phi-only, Q-only
+         SymTerm.make(-1, [(2, 0, -1)]))
+@example(SymTerm.make(0, [(1, 0, 1)]), _A)                  # coefficient 0
+@example(SymTerm.make(Fraction(-3, 4), [(2, 1, 1)]), SymTerm.make(Fraction(2, 3)))
+def test_product_equals_canonicalising_the_joined_factors(a, b):
+    prod = a * b
+    assert prod == SymTerm.make(a.coeff * b.coeff, a.qs + b.qs, a.phis + b.phis)
+    assert prod == b * a
+    assert _is_canonical(prod)
+
+
+def test_product_cancels_to_the_empty_term():
+    prod = _A * _A.inverse()
+    assert (prod.qs, prod.phis, prod.coeff) == ((), (), 1)
 
 
 # sha256 of the JSON (sorted keys), LaTeX and text renderings; recorded
