@@ -180,16 +180,11 @@ def validate_label(spec: AlgebraSpec, label: IndexLabel) -> None:
 
 def _level(spec: AlgebraSpec, x: IndexLabel) -> int:
     """Position along the order chain; D maps s+r and bar(s+r) to one level."""
-    n = spec.rank
-    if spec.family == "B":
-        if x.kind == "unbarred":
-            return x.value
-        if x.kind == "zero":
-            return n + 1
-        return 2 * n + 2 - x.value
     if x.kind == "unbarred":
         return x.value
-    return 2 * n - x.value
+    if x.kind == "zero":                # B only
+        return spec.rank + 1
+    return 2 * spec.rank + (2 if spec.family == "B" else 0) - x.value
 
 
 def order_relation(spec: AlgebraSpec, x: IndexLabel, y: IndexLabel) -> str:
@@ -240,15 +235,12 @@ def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkin
         if mu[r + 1] > s:
             raise UnsupportedShape(
                 f"diagram {mu.parts} has mu_{r + 1} > s; no finite-dimensional label")
-        out = [Fraction(0)] * n
+        out = [Fraction(mup[i] - mup[i + 1]) for i in range(1, s)]
+        out += [Fraction(0)] * (r + 1)
         if r == 0:
-            for i in range(1, s):
-                out[i - 1] = Fraction(mup[i] - mup[i + 1])
             out[s - 1] = Fraction(2 * mup[s])
             return KacDynkinLabel(tuple(out))
         eta = [max(mu[i] - s, 0) for i in range(1, r + 2)]
-        for i in range(1, s):
-            out[i - 1] = Fraction(mup[i] - mup[i + 1])
         out[s - 1] = Fraction(mup[s] + eta[0])
         for j in range(1, r):
             out[s + j - 1] = Fraction(eta[j - 1] - eta[j])

@@ -28,16 +28,15 @@ at solved instances rather than proved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from .algebra import (AlgebraSpec, IndexLabel, ZERO_LABEL, bar, bilinear_form,
                       root_degree, unb)
 from .dvf import BoxContext, box, box_product, crossing_shift
-from .reports import IdentityReport
+from .reports import IdentityReport, exact_report
 from .symbolic import (Assignment, GenericityViolation, SymSum, SymTerm,
                        evaluate, residue_breakdown)
 
@@ -69,9 +68,6 @@ class BetheSystem:
 @dataclass(frozen=True)
 class BetheRootSet:
     roots: tuple[tuple[complex, ...], ...]  # per color, length = rank
-
-    def for_color(self, a: int) -> tuple[complex, ...]:
-        return self.roots[a - 1]
 
     def as_mapping(self) -> dict[int, tuple[complex, ...]]:
         return {a + 1: vs for a, vs in enumerate(self.roots)}
@@ -586,12 +582,6 @@ def check_residue_pairs(spec: AlgebraSpec, sys: BetheSystem, roots: BetheRootSet
                           passed=worst < eps, details={"cases": rows})
 
 
-def candidate_poles(x: SymSum) -> list[tuple[int, int]]:
-    """(color, pole shift) pairs: u = u_k^(color) + shift zeroes a denominator."""
-    out = {(c, -s) for t in x.terms for c, s, e in t.qs if e < 0}
-    return sorted(out)
-
-
 LAURENT_RADIUS = 1e-3    # of the circle _laurent_tail samples around a pole
 LAURENT_NODES = 16       # sample points on that circle
 
@@ -626,18 +616,15 @@ def check_pole_free(dvf_sum: SymSum, sys: BetheSystem, roots: BetheRootSet,
     term-magnitude scale; itemized per color."""
     asg = Assignment.float_point(0, roots.as_mapping(),
                                  [complex(w) for w in sys.inhoms])
-    cands = candidate_poles(dvf_sum)
-    locations = []
-    for color, shift in cands:
-        for k in range(1, sys.root_counts[color - 1] + 1):
-            locations.append((color, k, shift,
-                              roots.for_color(color)[k - 1] + complex(shift)))
-    for i in range(len(locations)):
-        for j in range(i + 1, len(locations)):
-            if locations[i][:2] != locations[j][:2] and \
-               abs(locations[i][3] - locations[j][3]) < 1e-8:
-                raise GenericityViolation(
-                    f"candidate poles coincide: {locations[i]} vs {locations[j]}")
+    # (color, shift) of each candidate pole: u = u_k^(color) + shift zeroes a
+    # denominator
+    cands = sorted({(c, -s) for t in dvf_sum.terms for c, s, e in t.qs if e < 0})
+    locations = [(color, k, shift, roots.roots[color - 1][k - 1] + complex(shift))
+                 for color, shift in cands
+                 for k in range(1, sys.root_counts[color - 1] + 1)]
+    for a, b in combinations(locations, 2):
+        if a[:2] != b[:2] and abs(a[3] - b[3]) < 1e-8:
+            raise GenericityViolation(f"candidate poles coincide: {a} vs {b}")
     per_color: dict[int, float] = {}
     rows = []
     worst = 0.0
@@ -733,18 +720,15 @@ def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
     s, r, n = spec.s, spec.r, spec.rank
     checks: list[tuple[str, bool]] = []
 
-    if spec.family == "B" and r >= 2:
-        for b in range(s + 1, n):
-            up = box_product(ctx, [unb(b), unb(b + 1)], [0, -2])
-            dn = box_product(ctx, [bar(b + 1), bar(b)], [0, -2])
-            checks.append((f"column-pair[{b}]", not _contains_color(up, b)))
-            checks.append((f"column-pair-bar[{b}]", not _contains_color(dn, b)))
+    if spec.family == "B":
+        # column pairs over the outer colors, row pairs when r = 0
+        line, bs, d = ("column", range(s + 1, n), -2) if r else ("row", range(1, s), 2)
+        for b in bs:
+            for tag, labs in (("", [unb(b), unb(b + 1)]),
+                              ("-bar", [bar(b + 1), bar(b)])):
+                checks.append((f"{line}-pair{tag}[{b}]", not _contains_color(
+                    box_product(ctx, labs, [0, d]), b)))
     if spec.family == "B" and r == 0:
-        for b in range(1, s):
-            up = box_product(ctx, [unb(b), unb(b + 1)], [0, 2])
-            dn = box_product(ctx, [bar(b + 1), bar(b)], [0, 2])
-            checks.append((f"row-pair[{b}]", not _contains_color(up, b)))
-            checks.append((f"row-pair-bar[{b}]", not _contains_color(dn, b)))
         run = box_product(ctx, [unb(s), ZERO_LABEL, bar(s)],
                          [0, 2, 4])
         checks.append(("odd-run", not _contains_color(run, s)))
@@ -784,9 +768,6 @@ def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
                 checks.append((f"{name}[n={n_alt}]", _column_sum(ctx, pats)
                                == g[name[-2]] * g[name[-1]]))
 
-    passed = all(ok for _, ok in checks)
-    return IdentityReport(name=f"lemma-products {spec}", mode="exact-symbolic",
-                          samples=len(checks), max_deviation=Fraction(0),
-                          passed=passed,
-                          details={"cases": [{"check": nm, "passed": ok}
-                                             for nm, ok in checks]})
+    return exact_report(f"lemma-products {spec}", all(ok for _, ok in checks),
+                        len(checks), {"cases": [{"check": nm, "passed": ok}
+                                                for nm, ok in checks]})

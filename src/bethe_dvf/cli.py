@@ -29,7 +29,7 @@ from .goldens import GOLDENS
 from .relations import (check_det_vs_tableaux, check_duality_suite,
                         check_hirota, check_t_system,
                         check_term_count_conjecture)
-from .reports import IdentityReport
+from .reports import IdentityReport, exact_report
 from .symbolic import (equal_as_rational_functions, shift_u,
                        sum_to_json, sum_to_latex, sum_to_text)
 from .tableaux import SkewDiagram, count_tableaux
@@ -95,19 +95,15 @@ def cmd_solve(args) -> int:
 
 
 def _suite_golden(seed: int) -> list[IdentityReport]:
-    spec = parse_spec("B(2|1)")
-    ctx = BoxContext(spec)
+    ctx = BoxContext(parse_spec("B(2|1)"))
     shapes = {"B(2|1) column height 1": (1,),
               "B(2|1) column height 2": (1, 1),
               "B(2|1) row length 2": (2,)}
     out = []
     for name, make in GOLDENS.items():
         built = build_dvf(ctx, SkewDiagram.straight(shapes[name]))
-        ok = built == make()
-        out.append(IdentityReport(name=f"golden {name}", mode="exact-symbolic",
-                                  samples=1, max_deviation=Fraction(0),
-                                  passed=ok, details={"terms": len(built)},
-                                  seed=seed))
+        out.append(exact_report(f"golden {name}", built == make(),
+                                details={"terms": len(built)}, seed=seed))
     return out
 
 
@@ -131,29 +127,20 @@ def _suite_counts(seed: int) -> list[IdentityReport]:
 
 
 def _suite_determinant(seed: int) -> list[IdentityReport]:
-    out = []
-    for name in ("B(1|1)", "B(2|1)"):
-        spec = parse_spec(name)
-        for mu in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 2, 1)]:
-            sd = SkewDiagram.straight(mu)
-            for variant in ("column", "row"):
-                out.append(check_det_vs_tableaux(spec, sd, variant,
-                                                 trials=20, seed=seed))
+    out = [check_det_vs_tableaux(parse_spec(name), SkewDiagram.straight(mu),
+                                 variant, trials=20, seed=seed)
+           for name in ("B(1|1)", "B(2|1)")
+           for mu in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 2, 1)]
+           for variant in ("column", "row")]
     rep = check_det_vs_tableaux(parse_spec("D(2|1)"),
                                 SkewDiagram.straight((2,)), "d_row",
                                 trials=20, seed=seed)
-    out.append(replace(rep, name="determinant[d_row] D(2|1) m=2"))
-    return out
+    return out + [replace(rep, name="determinant[d_row] D(2|1) m=2")]
 
 
 def _suite_hirota(seed: int) -> list[IdentityReport]:
-    out = []
-    for name in ("B(1|1)", "B(0|2)"):
-        spec = parse_spec(name)
-        for a in (1, 2, 3):
-            for m in (1, 2, 3):
-                out.append(check_hirota(spec, a, m, trials=8, seed=seed))
-    return out
+    return [check_hirota(parse_spec(name), a, m, trials=8, seed=seed)
+            for name in ("B(1|1)", "B(0|2)") for a in (1, 2, 3) for m in (1, 2, 3)]
 
 
 def _suite_duality(seed: int) -> list[IdentityReport]:
@@ -188,22 +175,14 @@ def solved_fixture(name: str):
 
 
 def _suite_residues(seed: int) -> list[IdentityReport]:
-    out = []
-    for name in FIXTURE_COUNTS:
-        spec, system, sol = solved_fixture(name)
-        out.append(check_residue_pairs(spec, system, sol))
-    return out
+    return [check_residue_pairs(*solved_fixture(name)) for name in FIXTURE_COUNTS]
 
 
 def _suite_polefree(seed: int) -> list[IdentityReport]:
-    out = []
-    for name in FIXTURE_COUNTS:
-        spec, system, sol = solved_fixture(name)
-        ctx = BoxContext(spec)
-        for a in (1, 2, 3, 4):
-            out.append(check_pole_free(column_dvf(ctx, a), system, sol,
-                                       name=f"pole-free {name} T^{a}"))
-    return out
+    return [check_pole_free(column_dvf(BoxContext(spec), a), system, sol,
+                            name=f"pole-free {name} T^{a}")
+            for name in FIXTURE_COUNTS
+            for spec, system, sol in [solved_fixture(name)] for a in (1, 2, 3, 4)]
 
 
 def _suite_lemmas(seed: int) -> list[IdentityReport]:
@@ -216,9 +195,8 @@ def _suite_crossing(seed: int) -> list[IdentityReport]:
     out = []
     for name in ("B(2|1)", "B(0|2)", "D(2|1)"):
         spec = parse_spec(name)
-        ctx = BoxContext(spec)
         for label, mu in [("T^1", (1,)), ("T^2", (1, 1)), ("T_2", (2,))]:
-            t = build_dvf(ctx, SkewDiagram.straight(mu))
+            t = build_dvf(BoxContext(spec), SkewDiagram.straight(mu))
             rep = equal_as_rational_functions(crossing_transform(spec, t), t,
                                               trials=8, seed=seed)
             out.append(replace(rep, name=f"crossing {name} {label}",
@@ -229,16 +207,13 @@ def _suite_crossing(seed: int) -> list[IdentityReport]:
 def _suite_genseries(seed: int) -> list[IdentityReport]:
     out = []
     for name in ("B(1|1)", "B(0|2)", "D(2|1)"):
-        spec = parse_spec(name)
-        ctx = BoxContext(spec)
+        ctx = BoxContext(parse_spec(name))
         for kind, direct in (("column", column_dvf), ("row", row_dvf)):
             series = generating_series(ctx, kind, 5)
             for n in range(0, 5):
-                ok = series[n] == shift_u(direct(ctx, n), n - 1)
-                out.append(IdentityReport(
-                    name=f"series {name} {kind} n={n}", mode="exact-symbolic",
-                    samples=1, max_deviation=Fraction(0), passed=ok,
-                    details={}, seed=seed))
+                out.append(exact_report(
+                    f"series {name} {kind} n={n}",
+                    series[n] == shift_u(direct(ctx, n), n - 1), seed=seed))
     return out
 
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm, prod
 from typing import Sequence
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
                       ZERO_LABEL, bar, grading, index_set, unb, validate_label)
 from .symbolic import (ONE, ONE_TERM, Assignment, SymSum, SymTerm, ZERO,
-                       _exact_pair, evaluate_term, shift_u)
+                       _compile, _term_pairs, evaluate_term, shift_u)
 from .tableaux import SkewDiagram, fold_fillings, transfer_sum
 
 
@@ -148,21 +149,23 @@ def rect_dvf(ctx: BoxContext, m: int, a: int) -> SymSum:
 # tableaux sums at a point
 
 
-# the evaluator's box terms, built once per (ctx, label, shift)
-_signed_box_once = lru_cache(maxsize=None)(signed_box)
+@lru_cache(maxsize=None)
+def _row_plan(ctx: BoxContext, at: int) -> tuple:
+    """The signed boxes of every label at u + at, in ``index_set`` order,
+    compiled once into one evaluation plan: they share their bases."""
+    return _compile([signed_box(ctx, lab, at) for lab in index_set(ctx.spec)])
 
 
 def _box_row(ctx: BoxContext, at: int, asg: Assignment,
              cache: dict) -> tuple[list[int], int]:
     """The signed boxes of every label at u + at, evaluated at ``asg`` over
     one common denominator: (numerators in ``index_set`` order, denominator).
-    Each box comes from the exact kernel as an integer pair, not reduced.
-    Memoized in ``cache``, the per-point factor cache of ``evaluate``."""
+    The boxes come from the exact kernel run on the row's plan.  Memoized
+    in ``cache``, the per-point factor cache of ``evaluate``."""
     key = (ctx, at)
     row = cache.get(key)
     if row is None:
-        pairs = [_exact_pair((_signed_box_once(ctx, lab, at),), asg, cache)
-                 for lab in index_set(ctx.spec)]
+        pairs = list(_term_pairs(_row_plan(ctx, at), asg, cache))
         den = lcm(*(d for _, d in pairs))
         row = cache[key] = ([n * (den // d) for n, d in pairs], den)
     return row
@@ -214,10 +217,10 @@ def _f_term(s: int, m: int, off: int) -> SymTerm:
 
 @lru_cache(maxsize=None)
 def _inverse_normalizer(spec: AlgebraSpec, shape: SkewDiagram,
-                        nrows: int) -> SymTerm:
+                        nrows: int, shift: int = 0) -> SymTerm:
     """1 over the product of the row normalizers F over rows 1..nrows of
-    ``shape``, built once; ``nrows`` exceeds its row count for the
-    zero-length rows of m = 0."""
+    ``shape``, at u + shift, built (and its plan compiled) once per shift;
+    ``nrows`` exceeds its row count for the zero-length rows of m = 0."""
     if spec.family != "B" or spec.r != 0:
         raise WrongAlgebra("normalization is defined for B(0|s) only")
     mu, lam = shape.mu, shape.lam
@@ -225,7 +228,7 @@ def _inverse_normalizer(spec: AlgebraSpec, shape: SkewDiagram,
     for j in range(1, nrows + 1):
         off = -mu[1] + nrows + mu[j] + lam[j] - 2 * j + 1
         div = div * _f_term(spec.s, mu[j] - lam[j], off)
-    return div.inverse()
+    return div.inverse().shifted(shift)
 
 
 def normalize_b0s(spec: AlgebraSpec, x: SymSum, shape: SkewDiagram) -> SymSum:
@@ -252,9 +255,9 @@ def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
     if m < 0 or a < 0:
         return Fraction(0)
     shape = _rect(m, a)
-    div = _inverse_normalizer(spec, shape, a).shifted(shift)
     return (dvf_value(BoxContext(spec), shape, asg, cache, shift)
-            * evaluate_term(div, asg, cache))
+            * evaluate_term(_inverse_normalizer(spec, shape, a, shift), asg,
+                            cache))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +315,10 @@ def crossing_transform(spec: AlgebraSpec, x: SymSum) -> SymSum:
     k = crossing_shift(spec)
     out = []
     for t in x.terms:
-        per_color, phi_net = t.net_exponents()
-        if phi_net % 2 or any(e % 2 for e in per_color.values()):
+        net: dict = {}                  # per color, phi at None
+        for c, _, e in chain(t.qs, ((None, *f) for f in t.phis)):
+            net[c] = net.get(c, 0) + e
+        if any(e % 2 for e in net.values()):
             raise ValueError("crossing image is root-count dependent for "
                              "terms with odd net exponents")
         out.append(SymTerm.make(t.coeff, *_crossed(k, t.qs, t.phis)))

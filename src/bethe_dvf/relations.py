@@ -19,7 +19,7 @@ from .algebra import (AlgebraSpec, KacDynkinLabel, UnsupportedShape,
 from .dvf import (BoxContext, box_product, column_dvf, dvf_value,
                   normalized_rect_dvf, normalized_rect_value, rect_value,
                   row_dvf)
-from .reports import IdentityReport, merge_reports
+from .reports import IdentityReport, exact_report, merge_reports
 from .symbolic import (ONE, ONE_TERM, SymSum, ZERO,
                        equal_as_rational_functions, evaluate, exact_det,
                        sample_max_deviation, shift_u)
@@ -219,10 +219,8 @@ def check_duality_suite(s: int, trials: int = 8, seed: int = 0) -> IdentityRepor
                for a in (1, 2) for m in range(0, 2 * s + 2)]
     helper_ok = all(verify_modi1(s, a) and verify_modi(s, a)
                     for a in range(1, s + 2)) and verify_const(s)
-    reports.append(IdentityReport(
-        name=f"duality-helpers B(0|{s})", mode="exact-symbolic",
-        samples=2 * (s + 1) + 1, max_deviation=Fraction(0), passed=helper_ok,
-        details={}, seed=seed))
+    reports.append(exact_report(f"duality-helpers B(0|{s})", helper_ok,
+                                2 * (s + 1) + 1, seed=seed))
     return merge_reports(f"duality B(0|{s})", reports)
 
 
@@ -281,12 +279,12 @@ def check_t_system(s: int, depth: int, trials: int = 8,
                                                  sh + shift) for n, sh in row]
                           for row in _block_matrix(s, a, m)])
 
-    def relation(asg, cache, a: int, m: int) -> Fraction:
-        """lhs - rhs at node a; the tail node s couples to itself."""
-        t = partial(block, asg, cache)
-        g = evaluate(tsystem_g(s, a, m), asg, cache)
+    def relation(asg, cache, a: int, m: int, g: SymSum) -> Fraction:
+        """lhs - rhs at node a, g = tsystem_g(s, a, m) built once per
+        relation; the tail node s couples to itself."""
+        t, g_val = partial(block, asg, cache), evaluate(g, asg, cache)
         return (t(a, m, -1) * t(a, m, 1) - t(a, m - 1) * t(a, m + 1)
-                - g * t(a - 1, m) * t(min(a + 1, s), m))
+                - g_val * t(a - 1, m) * t(min(a + 1, s), m))
 
     def block_vs_direct(asg, cache, a: int, m: int) -> Fraction:
         return (block(asg, cache, a, m)
@@ -298,15 +296,14 @@ def check_t_system(s: int, depth: int, trials: int = 8,
             node = f"node {a}" if a < s else "tail"
             reports.append(_sampled_report(
                 f"t-system B(0|{s}) {node} m={m}", spec,
-                partial(relation, a=a, m=m), trials, seed + salt))
+                partial(relation, a=a, m=m, g=tsystem_g(s, a, m)), trials,
+                seed + salt))
             salt += 1
 
     g_ok = all(tsystem_g(s, 1, m + 1) * tsystem_g(s, 1, m - 1)
                == shift_u(tsystem_g(s, 1, m), 1) * shift_u(tsystem_g(s, 1, m), -1)
                for m in range(1, depth + 1))
-    reports.append(IdentityReport(
-        name=f"g-bilinear B(0|{s})", mode="exact-symbolic", samples=depth,
-        max_deviation=Fraction(0), passed=g_ok, details={}, seed=seed))
+    reports.append(exact_report(f"g-bilinear B(0|{s})", g_ok, depth, seed=seed))
 
     for a in range(1, s + 1):
         for m in range(1, depth + 1):
@@ -323,13 +320,8 @@ def check_t_system(s: int, depth: int, trials: int = 8,
 
 def _label_vectors(s: int, a: int, m: int):
     """Nonnegative k with k_1+..+k_a <= m and k_j = m delta_{ja} mod 2."""
-    ranges = []
-    for j in range(1, a + 1):
-        par = m % 2 if j == a else 0
-        ranges.append([k for k in range(0, m + 1) if k % 2 == par])
-    for ks in iproduct(*ranges):
-        if sum(ks) <= m:
-            yield ks
+    ranges = [range(m % 2 if j == a else 0, m + 1, 2) for j in range(1, a + 1)]
+    return (ks for ks in iproduct(*ranges) if sum(ks) <= m)
 
 
 def term_count_prediction(s: int, a: int, m: int) -> int:
@@ -338,11 +330,9 @@ def term_count_prediction(s: int, a: int, m: int) -> int:
         raise ValueError(f"node index {a} out of range 1..{s}")
     total = 0
     for ks in _label_vectors(s, a, m):
-        label = [Fraction(0)] * s
-        for j, k in enumerate(ks, start=1):
-            label[j - 1] = Fraction(k)
+        label = [Fraction(k) for k in ks] + [Fraction(0)] * (s - a)
         if a == s:
-            label[s - 1] = Fraction(2 * ks[s - 1])
+            label[s - 1] *= 2
         total += dimension_b0s(s, KacDynkinLabel(tuple(label)))
     return total
 

@@ -39,12 +39,18 @@ class IdentityReport:
         }
 
 
+def exact_report(name: str, passed: bool, samples: int = 1,
+                 details: dict | None = None,
+                 seed: int | None = None) -> IdentityReport:
+    """An exact-symbolic report: its deviation is 0 whether it passed or not."""
+    return IdentityReport(name=name, mode="exact-symbolic", samples=samples,
+                          max_deviation=Fraction(0), passed=passed,
+                          details=details or {}, seed=seed)
+
+
 def merge_reports(name: str, reports: list[IdentityReport]) -> IdentityReport:
-    """Collapse sub-checks into one report; fails if any sub-check fails."""
-    if not reports:
-        return IdentityReport(name=name, mode="exact-symbolic", samples=0,
-                              max_deviation=Fraction(0), passed=True,
-                              details={"checks": []})
+    """Collapse sub-checks, at least one, into one report; fails if any
+    sub-check fails."""
     worst = max((r.max_deviation for r in reports), key=abs)
     mode = "numeric" if any(r.mode == "numeric" for r in reports) else (
         "randomized-exact" if any(r.mode == "randomized-exact" for r in reports)

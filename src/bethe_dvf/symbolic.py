@@ -23,6 +23,15 @@ result is canonical without a second pass through ``make``.  A
 ``SymSum`` is a sum of terms in a deterministic canonical order, so two
 equal sums serialize identically.  All values are immutable; every
 operation is a pure function.
+
+Exact evaluation runs one kernel, ``_term_pairs``, over a plan that
+``_compile`` builds for a sum (or a term valued alone) on its first exact
+evaluation and keeps on the instance.  With u = p/q and each zero a/b, the
+unreduced Q_c(u + s) is n_s / D_c, D_c = q^N_c prod b whatever s is
+(likewise phi), so a term is coeff prod n^e prod_c D_c^-net_c: D_c drops
+out where the net exponent of c is 0, as in every box.  At a point each
+distinct base, D_c and power is computed once, a term is two products over
+runs of indices into them, and the terms add on integers.
 """
 
 from __future__ import annotations
@@ -31,11 +40,13 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from itertools import chain
+from math import gcd, prod
 from random import Random
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .reports import IdentityReport
+from .reports import IdentityReport, exact_report
 
 RatLike = Union[Fraction, int, str]
 
@@ -163,12 +174,10 @@ class SymTerm:
                        tuple((c, s + d, e) for c, s, e in self.qs),
                        tuple((s + d, e) for s, e in self.phis))
 
-    def net_exponents(self) -> tuple[dict[int, int], int]:
-        """Per-color net Q exponent and the net phi exponent."""
-        per_color: dict[int, int] = {}
-        for c, _, e in self.qs:
-            per_color[c] = per_color.get(c, 0) + e
-        return per_color, sum(e for _, e in self.phis)
+    @cached_property
+    def _plan(self) -> tuple:
+        """The term's one-term evaluation plan, compiled on first use."""
+        return _compile((self,))
 
 
 ONE_TERM = SymTerm.make(1)
@@ -212,6 +221,12 @@ class SymSum:
         if isinstance(other, SymTerm):
             other = SymSum.from_term(other)
         return SymSum.make([a * b for a in self.terms for b in other.terms])
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The sum's evaluation plan, compiled on first use and kept in the
+        instance ``__dict__``: ==, hash, repr and ``dumps`` never read it."""
+        return _compile(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -282,9 +297,9 @@ def _factor_value(asg: Assignment, color: int | None, shift: int, cache: dict):
 
     In exact mode the cached value is the reduced integer pair (numerator,
     denominator), from u + shift = p/q and the zeros z = a/b on integers:
-    prod (p b - a q) over prod q b, reduced by one gcd.  ``_exact_pair``
-    raises it to each exponent once per point and keeps the powered pairs in
-    a memo of its own.
+    n = prod (p b - a q) over D = prod q b, reduced by one gcd.  D depends
+    on the color alone, so ``_term_pairs`` recovers n as bn (D // bd) and
+    values a term over the D's its net exponents leave.
     """
     key = (color, shift)
     val = cache.get(key)
@@ -304,49 +319,93 @@ def _factor_value(asg: Assignment, color: int | None, shift: int, cache: dict):
     return val
 
 
-_POWERED = object()   # cache key of the exact evaluator's memo
-
-
-def _power(asg: Assignment, f: tuple, cache: dict,
-           memo: dict) -> tuple[int, int]:
-    """Memo miss: the integer pair of the factor ``f`` of a term, (color,
-    shift, exp) or (shift, exp) for phi, raised to exp; PoleHit when a
-    denominator factor vanishes."""
-    color, shift, exp = f if len(f) == 3 else (None, *f)
-    bn, bd = _factor_value(asg, color, shift, cache)
-    if exp < 0 and bn == 0:
-        raise PoleHit(color, shift)
-    memo[f] = (bn ** exp, bd ** exp) if exp > 0 else (bd ** -exp, bn ** -exp)
-    return memo[f]
-
-
-def _exact_pair(terms: Iterable[SymTerm], asg: Assignment,
-                cache: dict) -> tuple[int, int]:
-    """Exact sum of the terms as an integer pair (numerator, nonzero
-    denominator), not reduced.  A factor costs one lookup in the per-point
-    memo of powered pairs and two products; the first vanishing denominator
-    factor, in canonical order, raises."""
-    memo = cache.get(_POWERED)
-    if memo is None:
-        memo = cache[_POWERED] = {}
-    tn, td = 0, 1
+def _compile(terms: Sequence[SymTerm]) -> tuple:
+    """The plan (bases, poles, others, powers, runs) of the terms, in scan
+    order: term order, Q before phi.  A slot indexes the values that
+    ``_term_pairs`` makes at a point: the n of each base (color, shift),
+    flattened in ``bases``; then ``others``, each D_c as (color,) and each
+    coefficient part other than 1 as an int; then each power (slot, |e|),
+    |e| >= 2.  ``poles`` are the slots of denominator bases; ``runs`` hold
+    per term its numerator and denominator slots, as ``bytes`` while there
+    are at most 256 slots."""
+    bases: dict = {}
+    poles: dict = {}
+    others: dict = {}
+    scanned = []
     for t in terms:
-        num, den = t.coeff.numerator, t.coeff.denominator
-        # not t.qs + t.phis: freed joined tuples stay on the tuple free lists
-        for factors in (t.qs, t.phis):
-            for f in factors:
-                pn, pd = memo.get(f) or _power(asg, f, cache, memo)
-                num *= pn
-                den *= pd
+        fs, net = [], {}
+        # no joined tuple: freed ones would stay on the tuple free lists
+        for c, s, e in chain(t.qs, ((None, *f) for f in t.phis)):
+            i = bases.setdefault((c, s), len(bases))
+            if e < 0:
+                poles.setdefault(i)
+            net[c] = net.get(c, 0) + e
+            fs.append((i, e))
+        extra = [((c,), -e) for c, e in net.items() if e]    # D_c^-net_c
+        extra += [(v, e) for v, e in ((t.coeff.numerator, 1),
+                                      (t.coeff.denominator, -1)) if v != 1]
+        fs += [(~others.setdefault(k, len(others)), e) for k, e in extra]
+        scanned.append(fs)
+    n_slots = len(bases) + len(others)
+    powers: dict = {}
+    runs = []
+    for fs in scanned:
+        num, den = [], []
+        for i, e in fs:
+            i = i if i >= 0 else len(bases) + ~i
+            if abs(e) > 1:
+                i = n_slots + powers.setdefault((i, abs(e)), len(powers))
+            (num if e > 0 else den).append(i)
+        runs += (num, den)
+    pack = bytes if n_slots + len(powers) <= 256 else tuple
+    return (tuple(x for key in bases for x in key), tuple(poles),
+            tuple(others), tuple(powers), tuple(map(pack, runs)))
+
+
+_DENOMS = object()   # cache key of the point's D_c per color, D_phi at None
+
+
+def _sum_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of integer pairs (numerator, denominator), not reduced: one gcd each."""
+    tn, td = 0, 1
+    for num, den in pairs:
         g = gcd(td, den)
         tn = tn * (den // g) + num * (td // g)
         td *= den // g
     return tn, td
 
 
+def _term_pairs(plan: tuple, asg: Assignment,
+                cache: dict) -> Iterator[tuple[int, int]]:
+    """The one exact kernel: each planned term at ``asg`` as an integer pair,
+    not reduced.  D_c is kept in the point's cache; each base n = bn (D_c //
+    bd), from the reduced pair of ``_factor_value``, and each power is made
+    once per call, and a term is two products over its runs.  The first
+    vanishing denominator base, in scan order, raises PoleHit at the call."""
+    bases, poles, others, powers, runs = plan
+    dens = cache.get(_DENOMS)
+    if dens is None:
+        q = asg.u.denominator
+        dens = cache[_DENOMS] = {
+            c: q ** len(zs) * prod(z.denominator for z in zs)
+            for c, zs in (*asg.roots.items(), (None, asg.inhoms))}
+    vals, it = [], iter(bases)
+    for c, s in zip(it, it):
+        bn, bd = cache.get((c, s)) or _factor_value(asg, c, s, cache)
+        vals.append(bn * (dens.get(c, 1) // bd))
+    if not all(map(vals.__getitem__, poles)):
+        i = next(i for i in poles if not vals[i])
+        raise PoleHit(*bases[2 * i:2 * i + 2])
+    vals += [k if type(k) is int else dens.get(k[0], 1) for k in others]
+    vals += [vals[i] ** e for i, e in powers]
+    get, it = vals.__getitem__, iter(runs)
+    return ((prod(map(get, nr)), prod(map(get, dr))) for nr, dr in zip(it, it))
+
+
 def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
-    """Value of one term at the assignment: in exact mode ``evaluate`` of the
-    one-term sum.
+    """Value of one term at the assignment: in exact mode the kernel
+    ``_term_pairs`` run on the term's own one-term plan, compiled on its
+    first exact evaluation and kept on the term.
 
     Raises PoleHit when a denominator factor vanishes, even where a numerator
     factor vanishes too (0/0 is not a value).
@@ -354,27 +413,29 @@ def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
     cache = {} if _cache is None else _cache
     if not asg.exact:
         val = complex(t.coeff)
-        # phi as color None, as in _power and PoleHit
+        # phi as color None, as in _compile and PoleHit
         for color, shift, exp in (*t.qs, *((None, *f) for f in t.phis)):
             base = _factor_value(asg, color, shift, cache)
             if exp < 0 and base == 0:
                 raise PoleHit(color, shift)
             val *= base if exp == 1 else 1 / base if exp == -1 else base ** exp
         return val
-    return Fraction(*_exact_pair((t,), asg, cache))
+    return Fraction(*_sum_pairs(_term_pairs(t._plan, asg, cache)))
 
 
 def evaluate(x: SymSum, asg: Assignment, _cache: dict | None = None):
     """Value of the rational expression at the assignment (0 for the empty sum).
 
-    Exact values are summed on integers and reduced to a Fraction once per
-    sum.  PoleHit names the first denominator factor, in term order and then
-    factor order, that vanishes at the point, also where 0/0 would result.
+    Exact values come from the kernel ``_term_pairs`` over the sum's plan,
+    compiled on its first exact evaluation and kept on the sum: terms are
+    summed on integers and reduced to a Fraction once per sum.  PoleHit
+    names the first denominator factor, in term order and then factor
+    order, that vanishes at the point, also where 0/0 would result.
     """
     cache = {} if _cache is None else _cache
     if not asg.exact:
         return sum((evaluate_term(t, asg, cache) for t in x.terms), complex(0))
-    return Fraction(*_exact_pair(x.terms, asg, cache))
+    return Fraction(*_sum_pairs(_term_pairs(x._plan, asg, cache)))
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +507,8 @@ def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
         raise ValueError("trials must be >= 1")
     diff = a - b
     if diff.is_zero():
-        return IdentityReport(name="equal-as-rational-functions",
-                              mode="exact-symbolic", samples=0,
-                              max_deviation=Fraction(0), passed=True,
-                              details={"note": "canonical forms identical"},
-                              seed=seed)
+        return exact_report("equal-as-rational-functions", True, 0,
+                            {"note": "canonical forms identical"}, seed)
     worst, points = sample_max_deviation(
         lambda asg, cache: evaluate(diff, asg, cache), colors_of(diff),
         trials, seed)
@@ -462,14 +520,13 @@ def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
 
 def _group_sum_at(groups: Sequence[Sequence[SymSum]], asg: Assignment,
                   cache: dict) -> Fraction:
-    """Exact value of a sum of products, each factor evaluated unexpanded."""
-    total = Fraction(0)
-    for group in groups:
-        prod = Fraction(1)
-        for factor in group:
-            prod *= evaluate(factor, asg, cache)
-        total += prod
-    return total
+    """Exact value of a sum of products, each factor valued unexpanded by
+    the kernel: a group's integer pairs multiply, the groups add on
+    integers, and one Fraction is built."""
+    def group_pair(group: Sequence[SymSum]) -> tuple[int, int]:
+        pairs = [_sum_pairs(_term_pairs(f._plan, asg, cache)) for f in group]
+        return prod(n for n, _ in pairs), prod(d for _, d in pairs)
+    return Fraction(*_sum_pairs(map(group_pair, groups)))
 
 
 def equal_group_sums(lhs: Sequence[Sequence[SymSum]],
@@ -542,7 +599,7 @@ def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
         deriv *= d
 
     rest = complex(t.coeff)
-    # phi as color None, as in _power and PoleHit
+    # phi as color None, as in _compile and PoleHit
     for c, s, e in (*t.qs, *((None, *f) for f in t.phis)):
         if c == color and s == -shift:
             continue                    # the simple pole, divided out by deriv

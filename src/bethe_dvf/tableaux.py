@@ -68,9 +68,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def contains(self, other: Partition) -> bool:
-        return all(other[i] <= self[i] for i in range(1, len(other) + 1))
-
 
 def conjugate(p: Partition) -> Partition:
     """Transpose of the diagram."""
@@ -89,7 +86,7 @@ class SkewDiagram:
     def make(lam, mu) -> SkewDiagram:
         lam_p = lam if isinstance(lam, Partition) else Partition.make(lam)
         mu_p = mu if isinstance(mu, Partition) else Partition.make(mu)
-        if not mu_p.contains(lam_p):
+        if any(p > mu_p[i] for i, p in enumerate(lam_p, start=1)):
             raise ValueError(f"lambda {lam_p.parts} not contained in mu {mu_p.parts}")
         return SkewDiagram(lam_p, mu_p)
 
@@ -136,19 +133,15 @@ class Tableau:
 def _b_row_ok(spec: AlgebraSpec, left: IndexLabel, cur: IndexLabel,
               pos: dict[IndexLabel, int]) -> bool:
     # weakly increasing, strict when the left entry is in J_- u {0}
-    if pos[left] > pos[cur]:
-        return False
     strict = grading(spec, left) == 1 or left.kind == "zero"
-    return pos[left] < pos[cur] if strict else True
+    return pos[left] < pos[cur] or (not strict and pos[left] == pos[cur])
 
 
 def _b_col_ok(spec: AlgebraSpec, top: IndexLabel, cur: IndexLabel,
               pos: dict[IndexLabel, int]) -> bool:
     # weakly increasing, strict when the upper entry is in J_+ \ {0}
-    if pos[top] > pos[cur]:
-        return False
     strict = grading(spec, top) == 0 and top.kind != "zero"
-    return pos[top] < pos[cur] if strict else True
+    return pos[top] < pos[cur] or (not strict and pos[top] == pos[cur])
 
 
 def _d_col_ok(spec: AlgebraSpec, top: IndexLabel, cur: IndexLabel) -> bool:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -11,10 +12,11 @@ from hypothesis import example, given, strategies as st
 from bethe_dvf.algebra import index_set, parse_spec
 from bethe_dvf.dvf import (BoxContext, build_dvf, cell_shift, column_dvf,
                            dvf_value, generating_series_coeff,
-                           normalized_rect_value, signed_box)
+                           normalized_rect_value, row_dvf, signed_box)
+from bethe_dvf import symbolic
 from bethe_dvf.relations import det_formula, tsystem_block, tsystem_g
 from bethe_dvf.symbolic import (Assignment, PoleHit, SymSum, SymTerm, ZERO,
-                                _factor_value, colors_of,
+                                _factor_value, _group_sum_at, colors_of,
                                 equal_as_rational_functions, evaluate,
                                 evaluate_term, exact_det, loads, dumps,
                                 poly_at, random_assignment, residue_at,
@@ -487,7 +489,36 @@ def _random_point(rng, x: SymSum) -> Assignment:
     return Assignment.exact_point(u, roots, inhoms)
 
 
+# explicit cases: nonzero net exponents per color, in Q and in phi, a color
+# absent from the point (Q_3 = 1), and zeros that share the denominator 3 of
+# u, so that the unreduced n_s and D_c share factors (D_c // bd > 1)
+NET_CASES = [
+    SymTerm.make(Fraction(3, 2), [(1, 1, 2), (1, -1, -1), (2, 0, 1)],
+                 [(1, -3)]),
+    SymTerm.make(Fraction(-5, 7), [(1, 0, -2)], [(0, 2), (2, 1)]),
+    SymTerm.make(-1, [(1, 1, 1), (1, -1, -1), (2, 2, 1), (2, 0, -1)],
+                 [(0, 1), (-1, 1)]),
+    SymTerm.make(4, [(3, 5, -2), (2, 3, 1)], [(-2, -1)]),
+]
+NET_POINT = Assignment.exact_point(
+    Fraction(1, 3), {1: (Fraction(7, 3), Fraction(-5, 3)),
+                     2: (Fraction(7, 3), Fraction(1, 2), 5)},
+    (Fraction(-4, 3), Fraction(1, 6), Fraction(2, 9)))
+
+
 def test_exact_evaluation_matches_reference():
+    # the explicit cases, alone, summed and as sums of products
+    asg = NET_POINT
+    # (u - 7/3)(u + 5/3) = -4 is an integer, D_1 = 3^2 * 3 * 3
+    assert _factor_value(asg, 1, 0, {}) == (-4, 1)
+    sums = [SymSum.make([t]) for t in NET_CASES] + [SymSum.make(NET_CASES)]
+    for x in sums:
+        assert evaluate(x, asg) == _ref_value(x.terms, asg)
+    for t in NET_CASES:
+        assert evaluate_term(t, asg) == _ref_value((t,), asg)
+    groups = [[sums[0], sums[1]], [sums[4]], [sums[2], sums[3], sums[0]]]
+    assert _group_sum_at(groups, asg, {}) == sum(
+        prod_ref(g, asg) for g in groups)
     rng = Random(2024)
     poles = values = 0
     for _ in range(400):
@@ -515,6 +546,98 @@ def test_exact_evaluation_matches_reference():
         values += pole is None
     # both outcomes are well represented
     assert poles > 100 and values > 100
+
+
+def prod_ref(group, asg: Assignment) -> Fraction:
+    val = Fraction(1)
+    for x in group:
+        val *= _ref_value(x.terms, asg)
+    return val
+
+
+def test_a_wide_plan_falls_back_to_tuple_runs():
+    # 300 distinct bases are more slots than a bytes run can index
+    terms = [SymTerm.make(k - 150, [(1, k, 1), (2, -k, -1)], [(k % 7, 2)])
+             for k in range(300)]
+    x = SymSum.make(terms)
+    runs = x._plan[4]
+    assert len(x._plan[0]) // 2 > 256 and type(runs[0]) is tuple
+    rng = Random(5)
+    for _ in range(3):
+        asg = random_assignment(rng, {1, 2}, 3, 2)
+        assert evaluate(x, asg) == _ref_value(x.terms, asg)
+    # Q_2(u - 200) = 0: the first vanishing denominator in scan order
+    asg = Assignment.exact_point(
+        Fraction(201), {1: (Fraction(1, 2),), 2: (1, Fraction(-3, 2))}, (7,))
+    with pytest.raises(PoleHit) as hit:
+        evaluate(x, asg)
+    assert (hit.value.color, hit.value.shift) == _ref_first_pole(x.terms, asg)
+
+
+def test_plans_leave_equality_hash_dumps_and_pickle_alone():
+    x = build_dvf(BoxContext(parse_spec("B(1|1)")), SkewDiagram.straight((2, 1)))
+    t = x.terms[0]
+    fresh_x, fresh_t = loads(dumps(x)), SymTerm(t.coeff, t.qs, t.phis)
+    asg = random_assignment(Random(3), colors_of(x))
+    want = evaluate(x, asg), evaluate_term(t, asg)
+    assert "_plan" in vars(x) and "_plan" in vars(t)
+    assert "_plan" not in vars(fresh_x) and "_plan" not in vars(fresh_t)
+    for got, fresh in ((x, fresh_x), (t, fresh_t)):
+        assert got == fresh and hash(got) == hash(fresh)
+        assert repr(got) == repr(fresh)
+    assert dumps(x) == dumps(fresh_x)
+    for y in (x, fresh_x):
+        back = pickle.loads(pickle.dumps(y))
+        assert back == x and dumps(back) == dumps(x)
+        assert evaluate(back, asg) == want[0]
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and evaluate_term(back, asg) == want[1]
+
+
+def test_plans_compile_once_and_lazily(monkeypatch):
+    # deterministic work counts: a sum valued at 5 points compiles one plan,
+    # building sums compiles none
+    compiled = []
+    compile_ = symbolic._compile
+    monkeypatch.setattr(symbolic, "_compile",
+                        lambda terms: compiled.append(len(terms))
+                        or compile_(terms))
+    column_dvf.cache_clear()
+    row_dvf.cache_clear()
+    spec, sd = parse_spec("B(2|1)"), SkewDiagram.straight((3, 2, 1))
+    direct = build_dvf(BoxContext(spec), sd)
+    assert det_formula(spec, sd, "column") == direct
+    assert compiled == []
+    x = build_dvf(BoxContext(spec), SkewDiagram.straight((2, 1)))
+    rng = Random(8)
+    for _ in range(5):
+        evaluate(x, random_assignment(rng, colors_of(x)))
+    assert compiled == [len(x)]
+
+
+def test_a_point_values_each_base_once(monkeypatch):
+    calls = []
+    value = symbolic._factor_value
+    monkeypatch.setattr(symbolic, "_factor_value",
+                        lambda asg, c, s, cache: calls.append((c, s))
+                        or value(asg, c, s, cache))
+    x = build_dvf(BoxContext(parse_spec("B(2|1)")), SkewDiagram.straight((2, 1)))
+    bases = {(c, s) for t in x.terms for c, s, _ in _ref_factors(t)}
+    asg = random_assignment(Random(9), colors_of(x))
+    cache: dict = {}
+    evaluate(x, asg, cache)
+    assert len(calls) == len(set(calls)) == len(bases) == 34
+    evaluate(x, asg, cache)
+    assert len(calls) == len(bases)
+    # dvf_value runs one plan per row of boxes: a base shared by two boxes
+    # or two cells is valued once per point too
+    ctx, shape = BoxContext(parse_spec("B(2|1)")), SkewDiagram.straight((2, 1))
+    boxes = {(c, s) for i, j in shape.cells() for lab in index_set(ctx.spec)
+             for c, s, _ in _ref_factors(signed_box(ctx, lab,
+                                                     cell_shift(shape, i, j)))}
+    calls.clear()
+    assert dvf_value(ctx, shape, asg, {}) == evaluate(x, asg, cache)
+    assert len(calls) == len(set(calls)) == len(boxes) == 34
 
 
 def _wide_rational(rng) -> Fraction:
