@@ -12,12 +12,12 @@ numpy operations, with the floats that Python's complex arithmetic gives on
 one vector; the solver, bae_parts and max_residual all use it.
 
 The multi-start Newton solver advances every live start together: one
-evaluation covers all starts, all bumped Jacobian columns or all trials of
-a line-search round, or of every round left once they fit in one batch.
-Each start still takes exactly the iterates it takes alone.  Products are
-written in real arithmetic, bump sizes use np.hypot and every accept or
-reject takes the start's own norm, the two dots and sqrt of np.linalg.norm,
-since numpy's complex products, np.abs and batched norms round differently.
+evaluation covers all starts, all bumped Jacobian columns or the trials of
+a line-search round, where each start tries its own window of step lengths,
+and each start still takes exactly the iterates it takes alone.  Products
+are written in real arithmetic, bump sizes use np.hypot and norms are summed
+left to right in separate numpy operations, since numpy's complex products,
+np.abs and BLAS dots (np.linalg.norm) may fuse a multiply-add and round.
 
 Solved root sets feed the analytic checks: adjacent box functions share
 simple poles whose residues cancel pairwise under the equations, and whole
@@ -333,11 +333,8 @@ def _fingerprint(roots: BetheRootSet) -> tuple:
                  for vs in roots.roots)
 
 
-# line-search step lengths 1, 1/2, ..., 2^-24, tried in rounds: the full step
-# for every start, the next three for the starts that rejected it, then the
-# rest; later rounds take few starts, so the batches stay small
+# line-search step lengths 1, 1/2, ..., 2^-24, tried in order (_line_search)
 _LAMBDAS = np.ldexp(1.0, -np.arange(25))
-_ROUNDS = (slice(0, 1), slice(1, 4), slice(4, 25))
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,59 +355,60 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndar
         return steps, regular
 
 
-def _norm(v: np.ndarray) -> float:
-    """The two dots and sqrt of np.linalg.norm(v) for a 1-D complex v."""
-    return float(np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
-
-
-def _first_descent(f: np.ndarray, norm0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each start i, the first trial j with _norm(f[i, j]) < norm0[i]
-    (-1 if there is none) and that norm.
-
-    Every decision takes the exact norm of one row, as a single start's
-    search does: no batched norm reproduces its floats.  A vectorised
-    estimate only skips trials whose norm is surely not below norm0.
-    """
-    approx = np.sqrt(np.square(f.real).sum(axis=-1)
-                     + np.square(f.imag).sum(axis=-1))
-    maybe = ~(approx > norm0[:, None] * (1 + 1e-12)) | np.isinf(approx)
-    first = np.full(len(f), -1)
-    norms = np.zeros(len(f))
-    for i, j in zip(*np.nonzero(maybe)):
-        if first[i] < 0:
-            norm = _norm(f[i, j])
-            if norm < norm0[i]:
-                first[i], norms[i] = j, norm
-    return first, norms
+def _norms(f: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``f`` (last axis): the squares of the real
+    parts summed left to right, plus those of the imaginary parts, rooted.
+    Separate numpy multiplies and adds never fuse, so a row's norm is the
+    float of a plain Python loop on it, in any batch and with any BLAS."""
+    re, im = f.real * f.real, f.imag * f.imag
+    a, c = re[..., 0], im[..., 0]
+    for k in range(1, f.shape[-1]):
+        a, c = a + re[..., k], c + im[..., k]
+    return np.sqrt(a + c)
 
 
 def _line_search(residuals, x: np.ndarray, f: np.ndarray, norm: np.ndarray,
-                 step: np.ndarray) -> np.ndarray:
-    """Move each start i to the first trial x[i] + lam * step[i] whose
-    residual norm is below norm[i], updating x, f and norm in place; return
-    which starts moved.  At most _ROWS trials are evaluated at once, and all
-    the rounds left in one call once they fit: the first descending trial of
-    a start does not depend on how its trials are batched."""
-    n = x.shape[1]
+                 step: np.ndarray, hint: np.ndarray) -> np.ndarray:
+    """Move each start i to the first trial x[i] + lam * step[i], lam in
+    _LAMBDAS, whose residual norm is below norm[i], updating x, f, norm and
+    hint (the accepted lam's index) in place; return which starts moved.
+    A start tries the indices [0, hint + 2) first, then the next 3, then the
+    rest; after the first round, all rounds left go in one call once they
+    fit in _ROWS trials.  Its trials run from index 0 up and it takes the
+    first descending one, so it moves where it moves alone."""
+    last = len(_LAMBDAS)
     moved = np.zeros(len(x), dtype=bool)
-    for lams in _ROUNDS:
-        todo = np.flatnonzero(~moved)
-        last = len(todo) * (len(_LAMBDAS) - lams.start) <= _ROWS
-        if last:
-            lams = slice(lams.start, len(_LAMBDAS))
-        lam = _LAMBDAS[lams, None]
-        per = max(1, _ROWS // len(lam))
-        for part in (todo[k:k + per] for k in range(0, len(todo), per)):
-            trial = x[part, None, :] + lam * step[part, None, :]
-            ft = residuals(trial.reshape(-1, n)).reshape(trial.shape)
-            first, norms = _first_descent(ft, norm[part])
-            hit = first >= 0
-            i, j = part[hit], first[hit]
-            x[i], f[i], norm[i] = trial[hit, j], ft[hit, j], norms[hit]
-            moved[i] = True
-        if last:
-            break
+    todo, lo = np.arange(len(x)), np.zeros(len(x), dtype=int)
+    hi, grow = np.minimum(hint + 2, last), iter((3, last))
+    while len(todo):
+        # row r tries step length j[r] for start i[r], starts in order
+        width = hi - lo
+        i = np.repeat(todo, width)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(width) - hi, width)
+        trial = x[i] + _LAMBDAS[j, None] * step[i]
+        ft = residuals(trial)
+        norms = _norms(ft)
+        down = np.flatnonzero(norms < norm[i])
+        # the first descending row of each start
+        at = i[down]
+        first = np.ones(len(down), dtype=bool)
+        np.not_equal(at[1:], at[:-1], out=first[1:])
+        first = down[first]
+        k = i[first]
+        x[k], f[k], norm[k], hint[k] = (trial[first], ft[first], norms[first],
+                                        j[first])
+        moved[k] = True
+        left = ~moved[todo] & (hi < last)
+        todo, lo = todo[left], hi[left]
+        hi = np.minimum(lo + next(grow, last), last)
+        if last * len(todo) - lo.sum() <= _ROWS:
+            hi = np.full(len(todo), last)
     return moved
+
+
+def _rows(keep: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """Each array's rows that ``keep`` selects (the arrays if it keeps all)."""
+    return arrays if keep.all() else tuple(v[keep] for v in arrays)
 
 
 def _newton(residuals, x: np.ndarray, max_iter: int) -> dict[int, np.ndarray]:
@@ -419,21 +417,23 @@ def _newton(residuals, x: np.ndarray, max_iter: int) -> dict[int, np.ndarray]:
 
     Each start takes the steps it would take alone: a forward-difference
     Jacobian, then the first step length 1, 1/2, ..., 2^-24 that lowers the
-    residual norm.  A start converges when the norm drops below 1e-13, or
-    when no step length lowers a norm already below 1e-9; it fails on a
-    singular Jacobian or after ``max_iter`` iterations.
+    residual norm (_line_search).  A start converges when the norm drops
+    below 1e-13, or when no step length lowers a norm already below 1e-9; it
+    fails on a singular Jacobian or after ``max_iter`` iterations.
     """
     n = x.shape[1]
     live = np.arange(len(x))
+    x = x.copy()
     f = residuals(x)
-    norm = np.array([_norm(r) for r in f])
+    norm = _norms(f)
+    hint = np.zeros(len(x), dtype=int)
     converged: dict[int, np.ndarray] = {}
     eye = np.arange(n)
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             done = norm < 1e-13
             converged.update(zip(live[done].tolist(), x[done]))
-            x, f, norm, live = x[~done], f[~done], norm[~done], live[~done]
+            x, f, norm, live, hint = _rows(~done, x, f, norm, live, hint)
             if not len(live):
                 break
             size = np.hypot(x.real, x.imag)
@@ -443,12 +443,12 @@ def _newton(residuals, x: np.ndarray, max_iter: int) -> dict[int, np.ndarray]:
             fb = residuals(bumped.reshape(-1, n)).reshape(len(x), n, n)
             jac = ((fb - f[:, None, :]) / h[:, :, None]).transpose(0, 2, 1)
             step, regular = _newton_steps(jac, -f)
-            x, f, norm, live, step = (v[regular] for v in
-                                      (x, f, norm, live, step))
-            moved = _line_search(residuals, x, f, norm, step)
+            x, f, norm, live, hint, step = _rows(regular, x, f, norm, live,
+                                                 hint, step)
+            moved = _line_search(residuals, x, f, norm, step, hint)
             done = ~moved & (norm < 1e-9)
             converged.update(zip(live[done].tolist(), x[done]))
-            x, f, norm, live = x[moved], f[moved], norm[moved], live[moved]
+            x, f, norm, live, hint = _rows(moved, x, f, norm, live, hint)
     return converged
 
 

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from functools import lru_cache
+import math
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -378,16 +379,18 @@ _FIXTURE_SOLVER = dict(tol=1e-10, seed=21, max_iter=150, start_radius=5.0)
 
 
 @lru_cache(maxsize=None)
-def _fixture_searches(n_starts: int) -> tuple[dict, int]:
+def _fixture_searches(n_starts: int) -> tuple[dict, int, int]:
     """The fixture searches at ``n_starts`` starts, name -> (sols, stats),
-    and how many times they called bae._residuals."""
-    calls = 0
+    how many times they called bae._residuals and how many root vectors
+    they passed it."""
+    calls = rows = 0
     residuals = bae._residuals
 
-    def counted(*args):
-        nonlocal calls
+    def counted(table, w, x):
+        nonlocal calls, rows
         calls += 1
-        return residuals(*args)
+        rows += len(x)
+        return residuals(table, w, x)
 
     bae._residuals = counted
     try:
@@ -397,7 +400,7 @@ def _fixture_searches(n_starts: int) -> tuple[dict, int]:
                for name, counts in FIXTURE_COUNTS.items()}
     finally:
         bae._residuals = residuals
-    return out, calls
+    return out, calls, rows
 
 
 # sha256 of repr(sols) + repr(stats) of the fixture searches, recorded
@@ -427,17 +430,104 @@ def test_fixture_searches_are_pinned(name, n_starts):
 def test_fixture_search_residual_calls():
     # a deterministic work count: the four 200-start fixture searches made
     # 1,924 calls of _residuals before the line search evaluated the rounds
-    # left in one call whenever they fit in one batch
-    assert _fixture_searches(200)[1] == 1391
+    # left in one call whenever they fit in one batch, and 1,391 before each
+    # start searched from the window its last step suggests, each round in
+    # one call
+    assert _fixture_searches(200)[1] == 1118
 
 
-def test_norm_is_numpys():
-    # every accept or reject of the search takes _norm of one row of a
-    # batch, in place of np.linalg.norm: the floats must be the same
-    rng = np.random.default_rng(5)
-    scale = 10.0 ** rng.integers(-12, 12, size=(6, 7, 1))
-    f = scale * (rng.normal(size=(6, 7, 5)) + 1j * rng.normal(size=(6, 7, 5)))
-    f[0, 0] = 0
-    for i in range(6):
-        for j in range(7):
-            assert bae._norm(f[i, j]) == float(np.linalg.norm(f[i, j]))
+def test_fixture_search_residual_rows():
+    # the root vectors those calls evaluated: 185,545 before the windows
+    assert _fixture_searches(200)[2] == 163462
+
+
+def _plain_norm(row: np.ndarray) -> float:
+    re = im = 0.0
+    for z in row.tolist():
+        re += z.real * z.real
+    for z in row.tolist():
+        im += z.imag * z.imag
+    return math.sqrt(re + im)
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_norms_are_plain_python_sums():
+    # every accept or reject of the search compares _norms of trial rows:
+    # each norm is the float of a plain left-to-right loop on its row, alone
+    # or in any batch, zeros, infinities and nans included
+    for n in range(1, 8):
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.integers(-12, 13, size=(40, 1))
+        f = scale * (rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n)))
+        f[0] = 0
+        f[1, 0] = complex(np.inf, 1.0)
+        f[2, -1] = complex(0.5, -np.inf)
+        f[3, 0] = complex(np.nan, 0.0)
+        f[4, -1] = complex(1.0, np.nan)
+        f[5, 0] = complex(np.inf, np.nan)
+        expected = _bits([_plain_norm(row) for row in f])
+        assert (_bits(bae._norms(f)) == expected).all()
+        for row, bits in zip(f, expected):
+            assert _bits(bae._norms(row[None]))[0] == bits
+        batch = bae._norms(f[::-1].reshape(4, 10, n))
+        assert (_bits(batch) == expected[::-1].reshape(4, 10)).all()
+
+
+def _plain_line_search(residuals, x, norm, step) -> list:
+    # one start at a time, step lengths in order: the first trial whose
+    # norm is below the start's, as (index, trial, residual, norm)
+    out = []
+    for xi, n0, si in zip(x, norm, step):
+        for j, lam in enumerate(bae._LAMBDAS):
+            trial = xi + lam * si
+            ft = residuals(trial[None])[0]
+            if bae._norms(ft) < n0:
+                out.append((j, trial, ft, bae._norms(ft)))
+                break
+        else:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("n_starts", [1, 7, 30, 150])
+def test_windowed_line_search_matches_plain_search(n_starts):
+    # the search of each start, whatever its hint (too small, exact or too
+    # large) and however its trials are batched (150 starts put more than
+    # _ROWS trials in a round), moves it where the plain search does
+    spec = parse_spec("D(2|1)")
+    counts = FIXTURE_COUNTS["D(2|1)"]
+    residuals = partial(bae._residuals, _equation_table(spec, counts),
+                        [complex(w) for w in FIXTURE_W])
+    n = sum(counts)
+    rng = np.random.default_rng(n_starts)
+    x = 3 * (rng.uniform(-1, 1, (n_starts, n))
+             + 1j * rng.uniform(-1, 1, (n_starts, n)))
+    f = residuals(x)
+    norm = bae._norms(f)
+    # Newton steps stretched up to 1000-fold, so that the first descending
+    # step length varies; one start gets a random direction and one none
+    h = 1e-7
+    jac = np.stack([(residuals(x + h * np.eye(n)[k]) - f) / h
+                    for k in range(n)], axis=-1)
+    step = np.linalg.solve(jac, -f[..., None])[..., 0]
+    step *= 10.0 ** rng.uniform(0, 3, (n_starts, 1))
+    step[n_starts // 2] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    step[-1] = 0
+    ref = _plain_line_search(residuals, x, norm, step)
+    assert ref[-1] is None
+    exact = np.array([25 if r is None else r[0] for r in ref])
+    for hint in (np.zeros(n_starts, dtype=int), exact.clip(0, 24),
+                 (exact + rng.integers(1, 6, n_starts)).clip(0, 24),
+                 rng.integers(0, 25, n_starts)):
+        xs, fs, norms, hints = x.copy(), f.copy(), norm.copy(), hint.copy()
+        moved = bae._line_search(residuals, xs, fs, norms, step, hints)
+        assert moved.tolist() == [r is not None for r in ref]
+        for i, r in enumerate(ref):
+            j, xi, fi, ni = (hint[i], x[i], f[i], norm[i]) if r is None else r
+            assert hints[i] == j
+            assert (_bits(xs[i].view(float)) == _bits(xi.view(float))).all()
+            assert (_bits(fs[i].view(float)) == _bits(fi.view(float))).all()
+            assert _bits(norms[i]) == _bits(ni)
