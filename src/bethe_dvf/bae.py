@@ -17,7 +17,7 @@ a line-search round, where each start tries its own window of step lengths,
 and each start still takes exactly the iterates it takes alone.  Products
 are written in real arithmetic, bump sizes use np.hypot and norms are summed
 left to right in separate numpy operations, since numpy's complex products,
-np.abs and BLAS dots (np.linalg.norm) may fuse a multiply-add and round.
+np.abs and the BLAS dots of np.linalg.norm may round differently.
 
 Solved root sets feed the analytic checks: adjacent box functions share
 simple poles whose residues cancel pairwise under the equations, and whole

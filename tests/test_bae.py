@@ -451,7 +451,8 @@ def _plain_norm(row: np.ndarray) -> float:
 
 
 def _bits(a) -> np.ndarray:
-    return np.asarray(a, dtype=float).view(np.uint64)
+    # float64 and complex128 values as their 64-bit patterns
+    return np.asarray(a).view(np.uint64)
 
 
 def test_norms_are_plain_python_sums():
@@ -528,6 +529,6 @@ def test_windowed_line_search_matches_plain_search(n_starts):
         for i, r in enumerate(ref):
             j, xi, fi, ni = (hint[i], x[i], f[i], norm[i]) if r is None else r
             assert hints[i] == j
-            assert (_bits(xs[i].view(float)) == _bits(xi.view(float))).all()
-            assert (_bits(fs[i].view(float)) == _bits(fi.view(float))).all()
+            assert (_bits(xs[i]) == _bits(xi)).all()
+            assert (_bits(fs[i]) == _bits(fi)).all()
             assert _bits(norms[i]) == _bits(ni)
