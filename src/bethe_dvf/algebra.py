@@ -147,14 +147,6 @@ def parse_label(text: str) -> IndexLabel:
     return unb(int(text))
 
 
-def bar_image(label: IndexLabel) -> IndexLabel:
-    """The bar involution; 0 is self-conjugate."""
-    if label.kind == "zero":
-        return label
-    return IndexLabel("barred" if label.kind == "unbarred" else "unbarred",
-                      label.value)
-
-
 def index_set(spec: AlgebraSpec) -> tuple[IndexLabel, ...]:
     """All labels in the deterministic iteration order used for enumeration.
 
@@ -185,18 +177,6 @@ def _level(spec: AlgebraSpec, x: IndexLabel) -> int:
     if x.kind == "zero":                # B only
         return spec.rank + 1
     return 2 * spec.rank + (2 if spec.family == "B" else 0) - x.value
-
-
-def order_relation(spec: AlgebraSpec, x: IndexLabel, y: IndexLabel) -> str:
-    """Compare two labels: "less", "equal", "greater" or "incomparable"."""
-    validate_label(spec, x)
-    validate_label(spec, y)
-    if x == y:
-        return "equal"
-    lx, ly = _level(spec, x), _level(spec, y)
-    if lx == ly:
-        return "incomparable"  # only {s+r, bar(s+r)} for D
-    return "less" if lx < ly else "greater"
 
 
 def grading(spec: AlgebraSpec, x: IndexLabel) -> int:

@@ -76,11 +76,6 @@ class BetheRootSet:
         return {"schema": 1,
                 "roots": [[[v.real, v.imag] for v in vs] for vs in self.roots]}
 
-    @staticmethod
-    def from_json(d: dict) -> BetheRootSet:
-        return BetheRootSet(tuple(tuple(complex(re, im) for re, im in vs)
-                                  for vs in d["roots"]))
-
 
 @lru_cache(maxsize=64)
 def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
@@ -479,13 +474,13 @@ def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
     w = [complex(x) for x in sys.inhoms]
     rng = np.random.default_rng(seed)
     center = sum(w) / sys.n_sites if sys.n_sites else 0j
-    starts = [center + start_radius * (rng.uniform(-1, 1, n)
-                                       + 1j * rng.uniform(-1, 1, n))
-              for _ in range(n_starts)]
-    stats["starts"] = len(starts)
+    # one draw in the order of a real and an imaginary draw per start
+    draws = rng.uniform(-1, 1, (n_starts, 2, n))
+    starts = center + start_radius * (draws[:, 0] + 1j * draws[:, 1])
+    stats["starts"] = n_starts
     converged = _newton(
         partial(_residuals, _equation_table(sys.spec, sys.root_counts), w),
-        np.array(starts), max_iter)
+        starts, max_iter)
 
     found: dict[tuple, BetheRootSet] = {}
     order = sorted(converged)
@@ -511,7 +506,7 @@ def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
     stats["distinct"] = len(found)
     if not found:
         raise NoSolutionFound(
-            f"no acceptable root set from {len(starts)} starts (tol={tol})")
+            f"no acceptable root set from {n_starts} starts (tol={tol})")
     return [found[key] for key in sorted(found)]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
 from .algebra import (AlgebraSpec, KacDynkinLabel, UnsupportedShape,
                       WrongAlgebra, ZERO_LABEL, bar, dimension_b0s, unb)
@@ -20,7 +20,7 @@ from .dvf import (BoxContext, box_product, column_dvf, dvf_value,
                   normalized_rect_dvf, normalized_rect_value, rect_value,
                   row_dvf)
 from .reports import IdentityReport, exact_report, merge_reports
-from .symbolic import (ONE, ONE_TERM, SymSum, ZERO,
+from .symbolic import (ONE, ONE_TERM, Codec, SymSum, ZERO,
                        equal_as_rational_functions, evaluate, exact_det,
                        sample_max_deviation, shift_u)
 from .tableaux import SkewDiagram, conjugate, count_tableaux
@@ -30,26 +30,29 @@ from .tableaux import SkewDiagram, conjugate, count_tableaux
 # determinants
 
 
-def _det(matrix: list[list[SymSum]]) -> SymSum:
-    """Cofactor expansion with canonical cancellation after each product."""
-    n = len(matrix)
+def _det(matrix: list[list[tuple[SymSum, int]]]) -> SymSum:
+    """Cofactor expansion of a matrix of pairs (x, shift), the entries
+    ``shift_u(x, shift)``, on packed codes (``Codec``), a transient build
+    form: minors are {code: coefficient} dicts, a term product is one add,
+    coefficients stay exact, and one entry term per row bounds the fields."""
+    n, entries = len(matrix), list(chain.from_iterable(matrix))
+    shifts, xs = [sh for _, sh in entries], {id(x): x for x, _ in entries}
+    codec, lo = Codec([(x.terms, shifts) for x in xs.values()], n), min(shifts, default=0)
+    packed = {key: codec.pack(x.terms, lo) for key, x in xs.items()}
 
     @lru_cache(maxsize=None)
-    def minor(row: int, cols: frozenset) -> SymSum:
-        if row == n:
-            return ONE
-        total = ZERO
-        sign = 1
-        for j in sorted(cols):
-            entry = matrix[row][j]
-            if not entry.is_zero():
-                sub = minor(row + 1, cols - {j})
-                piece = entry * sub
-                total = total + (piece if sign > 0 else -piece)
-            sign = -sign
-        return total
+    def minor(row: int, cols: frozenset) -> dict:
+        total: dict = {} if cols else {0: 1}
+        for i, j in enumerate(sorted(cols)):
+            x, sh = matrix[row][j]
+            sub = minor(row + 1, cols - {j}).items() if x.terms else ()
+            for a, ca in packed[id(x)]:
+                a, ca = a << codec.width * (sh - lo), -ca if i % 2 else ca
+                for b, cb in sub:
+                    total[a + b] = total.get(a + b, 0) + ca * cb
+        return {code: c for code, c in total.items() if c}
 
-    return minor(0, frozenset(range(n)))
+    return codec.unpack(minor(0, frozenset(range(n))).items())
 
 
 def det_matrix(spec: AlgebraSpec, shape: SkewDiagram,
@@ -90,7 +93,7 @@ def det_formula(spec: AlgebraSpec, shape: SkewDiagram, variant: str) -> SymSum:
     (variants as in ``det_matrix``), expanded symbolically."""
     ctx = BoxContext(spec)
     block = row_dvf if variant == "row" else column_dvf
-    return _det([[shift_u(block(ctx, n), sh) for n, sh in row]
+    return _det([[(block(ctx, n), sh) for n, sh in row]
                  for row in det_matrix(spec, shape, variant)])
 
 
@@ -244,7 +247,7 @@ def tsystem_block(s: int, a: int, m: int) -> SymSum:
     if m < 0:
         return ZERO
     spec = AlgebraSpec("B", 0, s)
-    return _det([[shift_u(normalized_rect_dvf(spec, n, 1), sh) for n, sh in row]
+    return _det([[(normalized_rect_dvf(spec, n, 1), sh) for n, sh in row]
                  for row in _block_matrix(s, a, m)])
 
 

@@ -32,6 +32,10 @@ unreduced Q_c(u + s) is n_s / D_c, D_c = q^N_c prod b whatever s is
 out where the net exponent of c is 0, as in every box.  At a point each
 distinct base, D_c and power is computed once, a term is two products over
 runs of indices into them, and the terms add on integers.
+
+Tableaux sums and determinant expansions are built on packed codes
+(``Codec``), a transient form like the plan: one int per monomial, so a
+product of monomials is one integer add; each result is decoded once.
 """
 
 from __future__ import annotations
@@ -146,11 +150,6 @@ class SymTerm:
              phis: Iterable[tuple[int, int]] = ()) -> SymTerm:
         return SymTerm(_rat(coeff), _canon(qs, 3), _canon(phis, 2))
 
-    @property
-    def key(self) -> tuple:
-        """Factor signature; terms with equal keys merge under addition."""
-        return (self.qs, self.phis)
-
     def __mul__(self, other: SymTerm) -> SymTerm:
         """Canonical product: ``_merge`` of the factor tuples, no second
         canonicalisation; a coefficient ±1 (a box's) multiplies without gcd."""
@@ -245,6 +244,66 @@ def shift_u(x: SymSum | SymTerm, delta: int):
         return x.shifted(delta)
     d = _shift(delta)
     return SymSum(tuple(t.shifted(d) for t in x.terms))
+
+
+def _factors(terms: Sequence[SymTerm]) -> Iterator[tuple]:
+    """The distinct factors of the terms, phi ones as (None, shift, exp)."""
+    phis = set(chain.from_iterable(t.phis for t in terms))
+    return chain(set(chain.from_iterable(t.qs for t in terms)),
+                 ((None, *f) for f in phis))
+
+
+class Codec:
+    """Monomials packed into ints, a transient form for building sums: a
+    ``width``-bit field per Q (color, shift) and phi shift, a color's shifts
+    one run, above ``low`` bits left to the caller.  Adding codes multiplies
+    monomials; ``code << width * d`` shifts one by d along u.  ``sources``,
+    (terms, shifts) pairs, set the runs and the exponent range [lo, hi] with
+    0 in it, so a sum of at most ``count`` codes plus ``bias`` keeps each
+    field in [0, 2^width): a proven bound, outside which ``pack`` raises."""
+
+    def __init__(self, sources: Iterable[tuple[Sequence[SymTerm], Sequence[int]]],
+                 count: int, low: int = 0):
+        fs = {(c, s + d, e) for terms, shifts in sources for c, s, e in
+              _factors(terms) for d in (min(shifts), max(shifts))}
+        self.lo, self.hi = min(es := [0, *(e for *_, e in fs)]), max(es)
+        w = self.width = max(1, (count * (self.hi - self.lo)).bit_length())
+        self.k, self.low, self.runs, self.chunks = -count * self.lo, low, {}, []
+        for c in sorted({f[0] for f in fs}, key=lambda c: (c is None, c)):
+            ss = [s for d, s, _ in fs if d == c]
+            a, n = min(ss), max(ss) - min(ss) + 1      # first shift, fields
+            self.chunks += [(c, a + j, min(5, n - j), low + w * j) for j in range(0, n, 5)]
+            self.runs[c], low = (a, n, low), low + w * n
+        self.bias = self.k * ((1 << low - self.low) - 1) // ((1 << w) - 1) << self.low
+
+    def pack(self, terms: Sequence[SymTerm], shift: int = 0) -> list[tuple]:
+        """(code, coefficient) of each term at u + shift, integral ones as ints."""
+        place = {}
+        for c, s, e in _factors(terms):
+            a, n, off = self.runs.get(c, (0, 0, 0))
+            if not (0 <= s + shift - a < n and self.lo <= e <= self.hi):
+                raise OverflowError(f"{(c, s + shift, e)} is outside the packing")
+            place[(c, s, e)[c is None:]] = e << off + self.width * (s + shift - a)
+        return [(sum(map(place.__getitem__, chain(t.qs, t.phis))), t.coeff
+                 if t.coeff.denominator > 1 else t.coeff.numerator) for t in terms]
+
+    def unpack(self, items: Iterable[tuple[int, RatLike]]) -> SymSum:
+        """The canonical sum of (code, coefficient) pairs, ``low`` bits
+        ignored.  ``code + bias ^ bias`` is nonzero only in factor fields; each
+        chunk of it is decoded once per value, and equal factors share a tuple."""
+        w, k, field = self.width, self.k, (1 << self.width) - 1
+        memo, seen, terms = [{} for _ in self.chunks], {}, []
+        for code, coeff in items:
+            diff, qs, phis = code + self.bias ^ self.bias, (), ()
+            for (c, a, n, off), m in zip(self.chunks, memo):
+                x = diff >> off & (1 << w * n) - 1
+                if x not in m:
+                    fs = ((c, a + i, (x >> w * i & field ^ k) - k)[c is None:]
+                          for i in range(n) if x >> w * i & field)
+                    m[x] = tuple(seen.setdefault(f, f) for f in fs)
+                qs, phis = (qs, phis + m[x]) if c is None else (qs + m[x], phis)
+            terms.append(SymTerm(seen.setdefault(coeff, Fraction(coeff)), qs, phis))
+        return SymSum.make(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -622,16 +681,6 @@ def residue_breakdown(x: SymSum, color: int, root_index: int, shift: int,
     at = Assignment(pole, asg.roots, asg.inhoms, exact=False)
     cache: dict = {}
     return [_term_residue(t, color, root_index, s, at, cache) for t in x.terms]
-
-
-def residue_at(x: SymSum, color: int, root_index: int, shift: int,
-               asg: Assignment) -> complex:
-    """Total residue of x at u = u_{root_index}^(color) + shift.
-
-    Each term may carry the matching Q factor at most to the first negative
-    power (HigherOrderPole otherwise); terms without the factor contribute 0.
-    """
-    return sum(residue_breakdown(x, color, root_index, shift, asg), 0j)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,11 @@ def test_solutions_permutation_invariant():
 
 
 def test_root_set_json_round_trip():
+    # each root as [re, im] per color reads back exactly
     rs = BetheRootSet(((0.5 + 1j, -0.25j), (1.5 + 0j,)))
-    assert BetheRootSet.from_json(rs.to_json()) == rs
+    d = json.loads(json.dumps(rs.to_json()))
+    assert BetheRootSet(tuple(tuple(complex(re, im) for re, im in vs)
+                              for vs in d["roots"])) == rs
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_COUNTS))
@@ -296,14 +299,15 @@ def test_starts_do_not_affect_each_other():
 
 
 class _Draws:
-    """Stands in for the start draw: returns the given starts' real and
-    imaginary parts, start by start."""
+    """Stands in for the start draw: returns the given one-root starts' real
+    and imaginary parts as the one draw of shape (starts, 2, 1)."""
 
     def __init__(self, starts):
-        self.parts = [[v] for z in starts for v in (z.real, z.imag)]
+        self.parts = [[[z.real], [z.imag]] for z in starts]
 
     def uniform(self, low, high, size):
-        return np.array(self.parts.pop(0))
+        assert size == (len(self.parts), 2, 1)
+        return np.array(self.parts)
 
 
 def test_singular_starts_stop_alone(monkeypatch):

@@ -8,11 +8,9 @@ import pytest
 
 from bethe_dvf.algebra import (AlgebraSpec, UnsupportedShape, ZERO_LABEL, bar,
                                index_set, parse_spec, unb)
-from bethe_dvf.dvf import (BoxContext, TruncationTooSmall, box, build_dvf,
-                           cell_shift, column_dvf, crossing_transform,
-                           dvf_value, generating_series,
-                           generating_series_coeff, isolated_column_term,
-                           normalize_b0s, normalized_rect_dvf,
+from bethe_dvf.dvf import (BoxContext, box, build_dvf, cell_shift, column_dvf,
+                           crossing_transform, dvf_value, generating_series,
+                           isolated_column_term, normalized_rect_dvf,
                            normalized_rect_value,
                            rect_dvf, rect_value, row_dvf, signed_box, top_term)
 from bethe_dvf.goldens import (golden_t1_b21, golden_t2_b21, golden_t21_b21,
@@ -21,7 +19,7 @@ from bethe_dvf.relations import tsystem_g
 from bethe_dvf.symbolic import (ONE, ONE_TERM, Assignment, PoleHit, SymSum,
                                 SymTerm, dumps, evaluate, random_rational,
                                 shift_u)
-from bethe_dvf.tableaux import SkewDiagram, enumerate_tableaux
+from bethe_dvf.tableaux import SkewDiagram, enumerate_tableaux, iter_fillings
 
 from conftest import partitions_up_to
 
@@ -92,8 +90,8 @@ def test_tableau_product_is_golden_member():
     # the [1 over 2bar] column tableau appears verbatim in the printed sum
     ctx = BoxContext(B21)
     term = signed_box(ctx, unb(1), 1) * signed_box(ctx, bar(2), -1)
-    golden_keys = {t.key: t.coeff for t in golden_t2_b21().terms}
-    assert golden_keys.get(term.key) == term.coeff
+    golden_keys = {(t.qs, t.phis): t.coeff for t in golden_t2_b21().terms}
+    assert golden_keys.get((term.qs, term.phis)) == term.coeff
 
 
 GOLDEN_CASES = [
@@ -127,6 +125,58 @@ def test_build_dvf_is_the_sum_of_tableau_products(name, lam, mu, vacuum):
             t = t * signed_box(ctx, lab, cell_shift(shape, i, j))
         terms.append(t)
     assert build_dvf(ctx, shape) == SymSum.make(terms)
+
+
+def _tableau_products(ctx: BoxContext, shape: SkewDiagram) -> SymSum:
+    # the same reference, one SymTerm product of signed boxes per tableau,
+    # with each cell's boxes built once so that large sweeps stay cheap
+    boxes = [[signed_box(ctx, lab, cell_shift(shape, i, j))
+              for lab in index_set(ctx.spec)] for i, j in shape.cells()]
+    terms = []
+    for fill in iter_fillings(ctx.spec, shape):
+        t = ONE_TERM
+        for k, v in enumerate(fill):
+            t = t * boxes[k][v]
+        terms.append(t)
+    return SymSum.make(terms)
+
+
+# every B(r|s) with r + s <= 3
+PACKED_B_SPECS = [AlgebraSpec("B", r, s) for s in (1, 2, 3) for r in range(4 - s)]
+
+
+@pytest.mark.parametrize("spec", PACKED_B_SPECS, ids=str)
+def test_packed_build_matches_tableau_products_b(spec):
+    # straight shapes up to 5 cells and one skew shape, both vacuum modes
+    shapes = [SkewDiagram.straight(mu) for mu in partitions_up_to(5)]
+    shapes.append(SkewDiagram.make((2, 1), (3, 3, 2)))
+    for vacuum in (True, False):
+        ctx = BoxContext(spec, vacuum)
+        for shape in shapes:
+            assert build_dvf(ctx, shape) == _tableau_products(ctx, shape), (
+                shape, vacuum)
+
+
+@pytest.mark.parametrize("name", ["D(2|1)", "D(3|1)", "D(2|2)"])
+def test_packed_build_matches_tableau_products_d(name):
+    # columns and rows up to 4 cells, where equal monomials merge
+    for vacuum in (True, False):
+        ctx = BoxContext(parse_spec(name), vacuum)
+        for n in range(1, 5):
+            for mu in ((1,) * n, (n,)):
+                shape = SkewDiagram.straight(mu)
+                assert build_dvf(ctx, shape) == _tableau_products(ctx, shape), (
+                    mu, vacuum)
+
+
+def test_packed_build_edge_shapes():
+    # the empty shape gives 1 and an inadmissible rectangle gives 0, as the
+    # reference does, in both vacuum modes
+    for vacuum in (True, False):
+        ctx = BoxContext(parse_spec("B(1|1)"), vacuum)
+        for mu, want in (((), ONE), ((4, 4, 4), SymSum())):
+            shape = SkewDiagram.straight(mu)
+            assert build_dvf(ctx, shape) == _tableau_products(ctx, shape) == want
 
 
 def test_empty_shape_is_one():
@@ -212,10 +262,10 @@ def test_transfer_value_edge_cases():
 
 
 def test_normalize_f1_is_identity():
+    # a column's rows have one cell each, and F_1 = 1
     spec = parse_spec("B(0|2)")
-    shape = SkewDiagram.straight((1, 1))
-    x = build_dvf(BoxContext(spec), shape)
-    assert normalize_b0s(spec, x, shape) == x
+    x = build_dvf(BoxContext(spec), SkewDiagram.straight((1, 1)))
+    assert normalized_rect_dvf(spec, 1, 2) == x
 
 
 def test_normalized_empty_row_value():
@@ -230,7 +280,7 @@ def test_normalized_empty_row_value():
 def test_normalize_rejects_wrong_family():
     from bethe_dvf.algebra import WrongAlgebra
     with pytest.raises(WrongAlgebra):
-        normalize_b0s(B21, ONE, SkewDiagram.straight((1,)))
+        normalized_rect_dvf(B21, 1, 1)
 
 
 def test_normalize_f2_explicit():
@@ -317,8 +367,8 @@ def test_top_term_membership(name, shapes):
         except UnsupportedShape:
             continue
         dvf = build_dvf(ctx, shape)
-        members = {term.key: term.coeff for term in dvf.terms}
-        assert members.get(t.key) == t.coeff, (name, mu)
+        members = {(term.qs, term.phis): term.coeff for term in dvf.terms}
+        assert members.get((t.qs, t.phis)) == t.coeff, (name, mu)
 
 
 def test_crossing_box_image():
@@ -357,16 +407,15 @@ def test_crossing_rejects_unbalanced():
 def test_series_order_zero_is_one():
     for name in ("B(1|1)", "D(2|1)"):
         ctx = BoxContext(parse_spec(name))
-        assert generating_series_coeff(ctx, "column", 0, 3) == ONE
-        assert generating_series_coeff(ctx, "row", 0, 3) == ONE
+        assert generating_series(ctx, "column", 3)[0] == ONE
+        assert generating_series(ctx, "row", 3)[0] == ONE
 
 
 def test_series_truncation_guard():
+    # the series holds the coefficients of X^0..X^max_order, no more
     ctx = BoxContext(B21)
-    with pytest.raises(TruncationTooSmall):
-        generating_series_coeff(ctx, "column", 5, 3)
-    with pytest.raises(TruncationTooSmall):
-        generating_series_coeff(ctx, "row", -1, 3)
+    assert len(generating_series(ctx, "column", 3)) == 4
+    assert generating_series(ctx, "row", 0) == [ONE]
 
 
 # r = 0, r + s = 4 and s = 3 in B; r = 4 and s = 3 in D
@@ -397,7 +446,7 @@ def test_series_coefficients_are_pinned():
             ctx = BoxContext(spec, include_vacuum=vacuum)
             for kind in ("column", "row"):
                 for n in range(6):
-                    h.update(dumps(generating_series_coeff(ctx, kind, n)).encode())
+                    h.update(dumps(generating_series(ctx, kind, n)[n]).encode())
     assert h.hexdigest() == (
         "7bfa92c4538f989faff8ce4b716a214007382291be48fb1fdb49149f43c27ebe")
 
@@ -412,7 +461,7 @@ def test_series_beyond_the_small_ranks_is_pinned():
             ctx = BoxContext(parse_spec(name), include_vacuum=vacuum)
             for kind in ("column", "row"):
                 for n in range(5):
-                    h.update(dumps(generating_series_coeff(ctx, kind, n, n + 1))
+                    h.update(dumps(generating_series(ctx, kind, n + 1)[n])
                              .encode())
     assert h.hexdigest() == (
         "06bb46af5828a476a2c36cda3d30a465021c60edb8e4ed7e04d879ae65d43f69")

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
+from random import Random
 
 import pytest
 
-from bethe_dvf.algebra import UnsupportedShape, parse_spec
-from bethe_dvf.dvf import BoxContext, build_dvf, column_dvf, row_dvf
+from bethe_dvf.algebra import AlgebraSpec, UnsupportedShape, parse_spec
+from bethe_dvf.dvf import (BoxContext, build_dvf, column_dvf,
+                           normalized_rect_dvf, row_dvf)
 from bethe_dvf import relations, symbolic
 from bethe_dvf.relations import (_block_matrix, check_det_vs_tableaux, check_duality,
                                  check_duality_suite, check_hirota,
@@ -14,8 +17,11 @@ from bethe_dvf.relations import (_block_matrix, check_det_vs_tableaux, check_dua
                                  det_formula, term_count_prediction,
                                  tsystem_block, verify_const, verify_modi,
                                  verify_modi1)
-from bethe_dvf.symbolic import ONE, ZERO, equal_group_sums, sum_to_json
+from bethe_dvf.symbolic import (ONE, ONE_TERM, ZERO, SymSum, SymTerm,
+                                equal_group_sums, shift_u, sum_to_json)
 from bethe_dvf.tableaux import SkewDiagram, _transfer_plan
+
+from conftest import partitions_up_to
 
 
 def test_det_1x1_is_direct():
@@ -59,11 +65,11 @@ def test_det_check_compiles_each_shape_once():
 
 def test_canonicalisations_scale_with_the_boxes(monkeypatch):
     # a deterministic work count: from cold block caches, building B(2|1)
-    # (3,2,1) canonicalises each box a cell can hold once (6 cells x 7
-    # labels, a Q and a phi tuple each), and its column det_formula adds the
-    # boxes of the columns T^1..T^5 (15 cells x 7 labels); every product
-    # merges canonical tuples and canonicalises nothing, so the count does
-    # not grow with the 2352 tableaux or the cofactor products
+    # (3,2,1) canonicalises each label's box once, at shift 0 (7 labels, a
+    # Q and a phi tuple each), and its column det_formula adds the boxes of
+    # the columns T^1..T^5, 7 per column; products are integer adds on
+    # packed codes and canonicalise nothing, so the count grows neither with
+    # the cells, nor with the 2352 tableaux, nor with the cofactor products
     calls = []
     canon = symbolic._canon
     monkeypatch.setattr(symbolic, "_canon",
@@ -73,10 +79,32 @@ def test_canonicalisations_scale_with_the_boxes(monkeypatch):
     spec, sd = parse_spec("B(2|1)"), SkewDiagram.straight((3, 2, 1))
     direct = build_dvf(BoxContext(spec), sd)
     assert len(direct) == 2352
-    assert len(calls) == 2 * 42
+    assert len(calls) == 2 * 7
     assert det_formula(spec, sd, "column") == direct
-    assert len(calls) == 2 * 147
-    assert calls.count(3) == calls.count(2) == 147
+    assert len(calls) == 2 * 42
+    assert calls.count(3) == calls.count(2) == 42
+
+
+def test_builds_multiply_no_terms(monkeypatch):
+    # a work-count gate: tableaux sums and determinant expansions add packed
+    # codes and never reach the term product or the factor-tuple merge
+    calls = []
+    for owner, name in ((symbolic.SymTerm, "__mul__"), (symbolic, "_merge")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    column_dvf.cache_clear()
+    row_dvf.cache_clear()
+    for name, mu in (("B(2|1)", (3, 2, 1)), ("D(3|1)", (1, 1, 1)),
+                     ("D(2|2)", (3,))):
+        build_dvf(BoxContext(parse_spec(name)), SkewDiagram.straight(mu))
+    spec, sd = parse_spec("B(1|1)"), SkewDiagram.straight((3, 2, 2))
+    for variant in ("column", "row"):
+        det_formula(spec, sd, variant)
+    det_formula(parse_spec("D(2|1)"), SkewDiagram.straight((3,)), "d_row")
+    assert calls == []
+    symbolic.ONE_TERM * symbolic.ONE_TERM     # the spies are live
+    assert calls == ["__mul__", "_merge", "_merge"]
 
 
 def test_t_system_builds_each_block_matrix_once(monkeypatch):
@@ -209,6 +237,115 @@ def test_dress_duality_is_termwise():
         ctx = BoxContext(spec, include_vacuum=False)
         for m in range(0, 2 * s + 2):
             assert row_dvf(ctx, m) == row_dvf(ctx, 2 * s - m + 1)
+
+
+def _plain_det(matrix: list[list[SymSum]]) -> SymSum:
+    # the plain reference: cofactor expansion along the first row on
+    # SymSum products, no memo and no packed codes
+    if not matrix:
+        return ONE
+    total = ZERO
+    for j, entry in enumerate(matrix[0]):
+        if not entry.is_zero():
+            piece = entry * _plain_det([row[:j] + row[j + 1:]
+                                        for row in matrix[1:]])
+            total = total + (-piece if j % 2 else piece)
+    return total
+
+
+def _plain_formula(spec, shape, variant) -> SymSum:
+    ctx = BoxContext(spec)
+    block = row_dvf if variant == "row" else column_dvf
+    return _plain_det([[shift_u(block(ctx, n), sh) for n, sh in row]
+                       for row in relations.det_matrix(spec, shape, variant)])
+
+
+@pytest.mark.parametrize("name", ["B(1|1)", "B(2|1)"])
+def test_packed_det_matches_plain_cofactors(name):
+    # straight shapes up to 4 cells and a skew shape, column and row
+    spec = parse_spec(name)
+    shapes = [SkewDiagram.straight(mu) for mu in partitions_up_to(4)]
+    shapes.append(SkewDiagram.make((2, 1), (3, 3, 1)))
+    for shape in shapes:
+        for variant in ("column", "row"):
+            assert det_formula(spec, shape, variant) == _plain_formula(
+                spec, shape, variant), (shape, variant)
+
+
+@pytest.mark.parametrize("name", ["D(2|1)", "D(3|1)", "D(2|2)"])
+def test_packed_d_row_matches_plain_cofactors(name):
+    spec = parse_spec(name)
+    for m in range(1, 4):
+        shape = SkewDiagram.straight((m,))
+        assert det_formula(spec, shape, "d_row") == _plain_formula(
+            spec, shape, "d_row"), m
+
+
+def test_packed_tsystem_blocks_match_plain_cofactors():
+    spec = AlgebraSpec("B", 0, 2)
+    for a in (1, 2):
+        for m in range(0, 4):
+            plain = _plain_det([[shift_u(normalized_rect_dvf(spec, n, 1), sh)
+                                 for n, sh in row] for row in _block_matrix(2, a, m)])
+            assert tsystem_block(2, a, m) == plain, (a, m)
+
+
+def _ratios(coeffs, shifts):
+    # Q_1(u + s + 1) / Q_1(u + s) phi(u + s) with the given coefficients
+    return SymSum.make(SymTerm.make(c, [(1, s + 1, 1), (1, s, -1)], [(s, 1)])
+                       for c, s in zip(coeffs, shifts))
+
+
+def test_packed_det_keeps_fraction_coefficients():
+    # entries whose coefficients are not integers, with cancellation
+    x = _ratios([Fraction(1, 3), Fraction(-5, 7), 2], [0, 1, 2])
+    y = _ratios([Fraction(3, 4), Fraction(2, 9)], [0, -1])
+    pairs = [[(x, 0), (y, 1), (x, 2)], [(y, -1), (x, 0), (ZERO, 0)],
+             [(x, 1), (x, -2), (y, 0)]]
+    got = relations._det(pairs)
+    assert got == _plain_det([[shift_u(e, sh) for e, sh in row] for row in pairs])
+    assert any(t.coeff.denominator > 1 for t in got.terms)
+    assert all(type(t.coeff) is Fraction for t in got.terms)
+
+
+def test_packed_det_widens_fields_past_8_bits():
+    # exponents up to 200 in a 3 x 3 expansion need fields of 11 bits
+    big = SymSum.make([SymTerm.make(1, [(1, 0, 200), (2, 3, -150)], [(1, -90)]),
+                       SymTerm.make(-2, [(1, 1, -200)], [(0, 170)])])
+    small = _ratios([1, -1], [0, 2])
+    pairs = [[(big, 0), (small, 1), (big, 2)], [(small, -1), (big, 1), (small, 0)],
+             [(big, -2), (small, 3), (big, 0)]]
+    codec = symbolic.Codec([(x.terms, [-2, 3]) for x in (big, small)], 3)
+    assert codec.width == 11    # 3 * (200 - (-200)) = 1200 < 2^11
+    got = relations._det(pairs)
+    assert got == _plain_det([[shift_u(e, sh) for e, sh in row] for row in pairs])
+    assert max(abs(e) for t in got.terms for *_, e in t.qs) > 255
+
+
+def test_codec_refuses_what_its_bound_does_not_cover():
+    # a factor at a shift or with an exponent outside the packing raises;
+    # inside it, every sum of up to count codes decodes to the product
+    terms = [SymTerm.make(1, [(1, 0, 3), (2, 1, -1)], [(0, 1)]),
+             SymTerm.make(-1, [(2, 2, 1)], [(1, -2)])]
+    codec = symbolic.Codec([(terms, [0, 1])], 4)
+    assert codec.width == (4 * (3 + 2)).bit_length()
+    for bad in (SymTerm.make(1, [(1, 0, 4)]), SymTerm.make(1, [(1, 3, 1)]),
+                SymTerm.make(1, [(3, 0, 1)]), SymTerm.make(1, (), [(2, -3)]),
+                SymTerm.make(1, (), [(5, 1)])):
+        with pytest.raises(OverflowError):
+            codec.pack([bad])
+    with pytest.raises(OverflowError):
+        codec.pack(terms, 2)
+    pool = list(zip(codec.pack(terms) + codec.pack(terms, 1),
+                    terms + [t.shifted(1) for t in terms]))
+    rng = Random(5)
+    for _ in range(200):
+        picks = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        want = ONE_TERM
+        for _, t in picks:
+            want = want * t
+        code = sum(code for (code, _), _ in picks)
+        assert codec.unpack([(code, want.coeff)]) == SymSum.from_term(want)
 
 
 def test_tsystem_blocks_boundary():

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from bethe_dvf.algebra import index_set, parse_spec
 from bethe_dvf.dvf import (BoxContext, build_dvf, cell_shift, column_dvf,
-                           dvf_value, generating_series_coeff,
+                           dvf_value, generating_series,
                            normalized_rect_value, row_dvf, signed_box)
 from bethe_dvf import symbolic
 from bethe_dvf.relations import det_formula, tsystem_block, tsystem_g
@@ -19,7 +19,7 @@ from bethe_dvf.symbolic import (Assignment, PoleHit, SymSum, SymTerm, ZERO,
                                 _factor_value, _group_sum_at, colors_of,
                                 equal_as_rational_functions, evaluate,
                                 evaluate_term, exact_det, loads, dumps,
-                                poly_at, random_assignment, residue_at,
+                                poly_at, random_assignment, residue_breakdown,
                                 shift_u, sum_from_json, sum_to_json,
                                 sum_to_latex, sum_to_text, term_from_json)
 from bethe_dvf.tableaux import SkewDiagram
@@ -175,14 +175,14 @@ def test_equal_detects_difference():
 def test_residue_no_pole_is_zero():
     x = SymSum.from_term(SymTerm.make(1, [(1, 1, 1)]))
     asg = Assignment.float_point(0, {1: (0.3,), 2: (1.1,)})
-    assert residue_at(x, 2, 0, 0, asg) == 0
+    assert sum(residue_breakdown(x, 2, 0, 0, asg)) == 0
 
 
 def test_residue_single_factor():
     # Q1(u+1)/Q1(u), one root at 0: residue at u = 0 is Q1(1) = 1
     x = SymSum.from_term(SymTerm.make(1, [(1, 1, 1), (1, 0, -1)]))
     asg = Assignment.float_point(0, {1: (0j,)})
-    assert abs(residue_at(x, 1, 0, 0, asg) - 1) < 1e-12
+    assert abs(sum(residue_breakdown(x, 1, 0, 0, asg)) - 1) < 1e-12
 
 
 def test_residue_matches_numeric_limit():
@@ -192,7 +192,7 @@ def test_residue_matches_numeric_limit():
     inhoms = (0.9, -0.8)
     asg = Assignment.float_point(0, roots, inhoms)
     for k in (0, 1):
-        res = residue_at(x, 1, k, 0, asg)
+        res = sum(residue_breakdown(x, 1, k, 0, asg))
         p = roots[1][k]
         near = Assignment.float_point(p + 1e-6, roots, inhoms)
         limit = evaluate(x, near) * 1e-6
@@ -210,7 +210,7 @@ def test_residue_higher_order_pole_raises():
     x = SymSum.from_term(SymTerm.make(1, [(1, 0, -2)]))
     asg = Assignment.float_point(0, {1: (0.4,)})
     with pytest.raises(HigherOrderPole):
-        residue_at(x, 1, 0, 0, asg)
+        sum(residue_breakdown(x, 1, 0, 0, asg))
 
 
 def test_residue_coincident_roots_raise():
@@ -218,7 +218,7 @@ def test_residue_coincident_roots_raise():
     x = SymSum.from_term(SymTerm.make(1, [(1, 0, -1)]))
     asg = Assignment.float_point(0, {1: (0.4, 0.4)})
     with pytest.raises(GenericityViolation):
-        residue_at(x, 1, 0, 0, asg)
+        sum(residue_breakdown(x, 1, 0, 0, asg))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_residue_refuses_non_integer_shift(bad):
     x = SymSum.from_term(SymTerm.make(1, [(1, 1, 1), (1, 0, -1)]))
     asg = Assignment.float_point(0, {1: (0.3j,)})
     with pytest.raises(ValueError):
-        residue_at(x, 1, 0, bad, asg)
+        sum(residue_breakdown(x, 1, 0, bad, asg))
 
 
 def test_integral_shifts_are_stored_as_ints():
@@ -285,8 +285,8 @@ def test_built_sums_carry_int_shifts():
             det_formula(d21, SkewDiagram.straight((2,)), "d_row"),
             tsystem_block(2, 1, 2),
             tsystem_block(2, 2, 1),
-            generating_series_coeff(BoxContext(b21), "row", 2),
-            generating_series_coeff(BoxContext(d21), "column", 2)]
+            generating_series(BoxContext(b21), "row", 2)[2],
+            generating_series(BoxContext(d21), "column", 2)[2]]
     for x in sums:
         assert not x.is_zero()
         assert _shift_types(x) == {int}
