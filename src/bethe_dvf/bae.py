@@ -76,6 +76,11 @@ class BetheRootSet:
         return {"schema": 1,
                 "roots": [[[v.real, v.imag] for v in vs] for vs in self.roots]}
 
+    @staticmethod
+    def from_json(d: dict) -> BetheRootSet:
+        return BetheRootSet(tuple(tuple(complex(re, im) for re, im in vs)
+                                  for vs in d["roots"]))
+
 
 @lru_cache(maxsize=64)
 def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:

@@ -19,9 +19,13 @@ from typing import Sequence
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
                       ZERO_LABEL, bar, grading, index_set, unb, validate_label)
-from .symbolic import (ONE, ONE_TERM, Assignment, Codec, SymSum, SymTerm,
-                       ZERO, _compile, _term_pairs, evaluate_term, shift_u)
+from .symbolic import (ONE, ONE_TERM, Assignment, SymSum, SymTerm, ZERO,
+                       _compile, _term_pairs, evaluate_term, shift_u)
 from .tableaux import SkewDiagram, fold_fillings, transfer_sum
+
+
+class TruncationTooSmall(ValueError):
+    """Requested series coefficient beyond the expansion order."""
 
 
 @dataclass(frozen=True)
@@ -111,18 +115,15 @@ def _rect(m: int, a: int) -> SkewDiagram:
 
 
 def build_dvf(ctx: BoxContext, shape: SkewDiagram) -> SymSum:
-    """Signed sum over admissible tableaux of shifted box products, on packed
-    codes (``Codec``), a transient build form: each label's box is built once,
-    a cell shifts its code left, a walk node adds, low bits count signs."""
+    """Signed sum over admissible tableaux of shifted box products."""
     if shape.n_cells() == 0:
         return ONE
-    boxes = [signed_box(ctx, lab) for lab in index_set(ctx.spec)]
-    ats, lo = _cell_shifts(shape), min(_cell_shifts(shape))
-    codec = Codec([(boxes, ats)], len(ats), len(ats).bit_length())
-    codes = [[(x << codec.width * (at - lo)) + (c < 0)
-              for x, c in codec.pack(boxes, lo)] for at in ats]
-    walk = fold_fillings(ctx.spec, shape, 0, lambda c, k, v: c + codes[k][v])
-    return codec.unpack((c, 1 - 2 * (c & 1)) for c in walk)
+    # each label's box is built once and moved to each cell's shift
+    signed = [signed_box(ctx, lab) for lab in index_set(ctx.spec)]
+    boxes = [[b.shifted(at) for b in signed] for at in _cell_shifts(shape)]
+    # one box product per node of the walk: tableaux share their prefixes
+    return SymSum.make(fold_fillings(ctx.spec, shape, ONE_TERM,
+                                     lambda t, k, v: t * boxes[k][v]))
 
 
 @lru_cache(maxsize=None)
@@ -229,6 +230,11 @@ def _inverse_normalizer(spec: AlgebraSpec, shape: SkewDiagram,
         off = -mu[1] + nrows + mu[j] + lam[j] - 2 * j + 1
         div = div * _f_term(spec.s, mu[j] - lam[j], off)
     return div.inverse().shifted(shift)
+
+
+def normalize_b0s(spec: AlgebraSpec, x: SymSum, shape: SkewDiagram) -> SymSum:
+    """Divide a B(0|s) DVF by its product of row normalizers F."""
+    return x * _inverse_normalizer(spec, shape, len(shape.mu.parts))
 
 
 def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int) -> SymSum:
@@ -390,3 +396,14 @@ def generating_series(ctx: BoxContext, kind: str,
             run = [ONE] + [x + y for x, y in zip(run[1:], other[1:])]
         series = _series_mul(series, run)
     return series
+
+
+def generating_series_coeff(ctx: BoxContext, kind: str, n: int,
+                            max_order: int | None = None) -> SymSum:
+    """Coefficient of X^n of ``generating_series(ctx, kind, max_order)``;
+    ``max_order`` defaults to n."""
+    if max_order is None:
+        max_order = n
+    if n < 0 or n > max_order:
+        raise TruncationTooSmall(f"coefficient {n} beyond order {max_order}")
+    return generating_series(ctx, kind, max_order)[n]

@@ -35,20 +35,29 @@ def _det(matrix: list[list[tuple[SymSum, int]]]) -> SymSum:
     ``shift_u(x, shift)``, on packed codes (``Codec``), a transient build
     form: minors are {code: coefficient} dicts, a term product is one add,
     coefficients stay exact, and one entry term per row bounds the fields."""
-    n, entries = len(matrix), list(chain.from_iterable(matrix))
-    shifts, xs = [sh for _, sh in entries], {id(x): x for x, _ in entries}
-    codec, lo = Codec([(x.terms, shifts) for x in xs.values()], n), min(shifts, default=0)
-    packed = {key: codec.pack(x.terms, lo) for key, x in xs.items()}
+    n = len(matrix)
+    entries = list(chain.from_iterable(matrix))
+    shifts = [sh for _, sh in entries]
+    lo = min(shifts, default=0)
+    distinct = {id(x): x for x, _ in entries}
+    codec = Codec([(x.terms, shifts) for x in distinct.values()], n)
+    packed = {key: codec.pack(x.terms, lo) for key, x in distinct.items()}
 
     @lru_cache(maxsize=None)
     def minor(row: int, cols: frozenset) -> dict:
-        total: dict = {} if cols else {0: 1}
+        if row == n:
+            return {0: 1}
+        total: dict = {}
         for i, j in enumerate(sorted(cols)):
             x, sh = matrix[row][j]
-            sub = minor(row + 1, cols - {j}).items() if x.terms else ()
+            if not x.terms:
+                continue
+            sign = -1 if i % 2 else 1
+            sub = minor(row + 1, cols - {j})
             for a, ca in packed[id(x)]:
-                a, ca = a << codec.width * (sh - lo), -ca if i % 2 else ca
-                for b, cb in sub:
+                a <<= codec.width * (sh - lo)
+                ca *= sign
+                for b, cb in sub.items():
                     total[a + b] = total.get(a + b, 0) + ca * cb
         return {code: c for code, c in total.items() if c}
 

@@ -33,9 +33,9 @@ out where the net exponent of c is 0, as in every box.  At a point each
 distinct base, D_c and power is computed once, a term is two products over
 runs of indices into them, and the terms add on integers.
 
-Tableaux sums and determinant expansions are built on packed codes
-(``Codec``), a transient form like the plan: one int per monomial, so a
-product of monomials is one integer add; each result is decoded once.
+Determinant expansions are built on packed codes (``Codec``), a transient
+form like the plan: one int per monomial, so a product of monomials is one
+integer add; each result is decoded once.
 """
 
 from __future__ import annotations
@@ -150,6 +150,11 @@ class SymTerm:
              phis: Iterable[tuple[int, int]] = ()) -> SymTerm:
         return SymTerm(_rat(coeff), _canon(qs, 3), _canon(phis, 2))
 
+    @property
+    def key(self) -> tuple:
+        """Factor signature; terms with equal keys merge under addition."""
+        return (self.qs, self.phis)
+
     def __mul__(self, other: SymTerm) -> SymTerm:
         """Canonical product: ``_merge`` of the factor tuples, no second
         canonicalisation; a coefficient ±1 (a box's) multiplies without gcd."""
@@ -248,62 +253,110 @@ def shift_u(x: SymSum | SymTerm, delta: int):
 
 def _factors(terms: Sequence[SymTerm]) -> Iterator[tuple]:
     """The distinct factors of the terms, phi ones as (None, shift, exp)."""
+    qs = set(chain.from_iterable(t.qs for t in terms))
     phis = set(chain.from_iterable(t.phis for t in terms))
-    return chain(set(chain.from_iterable(t.qs for t in terms)),
-                 ((None, *f) for f in phis))
+    return chain(qs, ((None, s, e) for s, e in phis))
 
 
 class Codec:
-    """Monomials packed into ints, a transient form for building sums: a
-    ``width``-bit field per Q (color, shift) and phi shift, a color's shifts
-    one run, above ``low`` bits left to the caller.  Adding codes multiplies
-    monomials; ``code << width * d`` shifts one by d along u.  ``sources``,
-    (terms, shifts) pairs, set the runs and the exponent range [lo, hi] with
-    0 in it, so a sum of at most ``count`` codes plus ``bias`` keeps each
-    field in [0, 2^width): a proven bound, outside which ``pack`` raises."""
+    """Monomials packed into ints, a transient form for building sums.
 
-    def __init__(self, sources: Iterable[tuple[Sequence[SymTerm], Sequence[int]]],
-                 count: int, low: int = 0):
-        fs = {(c, s + d, e) for terms, shifts in sources for c, s, e in
-              _factors(terms) for d in (min(shifts), max(shifts))}
-        self.lo, self.hi = min(es := [0, *(e for *_, e in fs)]), max(es)
-        w = self.width = max(1, (count * (self.hi - self.lo)).bit_length())
-        self.k, self.low, self.runs, self.chunks = -count * self.lo, low, {}, []
-        for c in sorted({f[0] for f in fs}, key=lambda c: (c is None, c)):
-            ss = [s for d, s, _ in fs if d == c]
-            a, n = min(ss), max(ss) - min(ss) + 1      # first shift, fields
-            self.chunks += [(c, a + j, min(5, n - j), low + w * j) for j in range(0, n, 5)]
-            self.runs[c], low = (a, n, low), low + w * n
-        self.bias = self.k * ((1 << low - self.low) - 1) // ((1 << w) - 1) << self.low
+    Each Q (color, shift) and each phi shift has a ``width``-bit field, and
+    a color's shifts form one run of fields (Q colors ascending, phi last).
+    Adding two codes multiplies the monomials; ``code << width * d`` shifts
+    one by d along u.  ``sources``, (terms, shifts) pairs, fix the runs and
+    the exponent range [lo, hi], 0 in it.  A sum of at most ``count`` codes
+    keeps each field in [count * lo, count * hi], so with ``bias`` added
+    each field is in [0, 2^width): a proven bound, outside which ``pack``
+    raises.
+    """
+
+    CHUNK = 5   # fields that ``unpack`` decodes together and memoises
+
+    def __init__(self, sources: Iterable[tuple[Sequence[SymTerm],
+                                               Sequence[int]]], count: int):
+        factors = set()
+        for terms, shifts in sources:
+            for color, shift, exp in _factors(terms):
+                factors.add((color, shift + min(shifts), exp))
+                factors.add((color, shift + max(shifts), exp))
+        exps = [0] + [exp for _, _, exp in factors]
+        self.lo = min(exps)
+        self.hi = max(exps)
+        self.width = max(1, (count * (self.hi - self.lo)).bit_length())
+        self.k = -count * self.lo       # what ``bias`` adds to each field
+        self.runs = {}                  # color -> (first shift, fields, offset)
+        self.chunks = []                # (color, first shift, fields, offset)
+        offset = 0
+        colors = {color for color, _, _ in factors}
+        for color in sorted(colors, key=lambda c: (c is None, c)):
+            shifts = [s for c, s, _ in factors if c == color]
+            first = min(shifts)
+            n = max(shifts) - first + 1
+            self.runs[color] = (first, n, offset)
+            for j in range(0, n, self.CHUNK):
+                self.chunks.append((color, first + j, min(self.CHUNK, n - j),
+                                    offset + self.width * j))
+            offset += self.width * n
+        self.bias = sum(self.k << off for off in range(0, offset, self.width))
 
     def pack(self, terms: Sequence[SymTerm], shift: int = 0) -> list[tuple]:
-        """(code, coefficient) of each term at u + shift, integral ones as ints."""
+        """(code, coefficient) of each term at u + shift, an integral
+        coefficient as an int."""
         place = {}
-        for c, s, e in _factors(terms):
-            a, n, off = self.runs.get(c, (0, 0, 0))
-            if not (0 <= s + shift - a < n and self.lo <= e <= self.hi):
-                raise OverflowError(f"{(c, s + shift, e)} is outside the packing")
-            place[(c, s, e)[c is None:]] = e << off + self.width * (s + shift - a)
-        return [(sum(map(place.__getitem__, chain(t.qs, t.phis))), t.coeff
-                 if t.coeff.denominator > 1 else t.coeff.numerator) for t in terms]
+        for color, s, exp in _factors(terms):
+            first, n, offset = self.runs.get(color, (0, 0, 0))
+            field = s + shift - first
+            if not (0 <= field < n and self.lo <= exp <= self.hi):
+                raise OverflowError(
+                    f"{(color, s + shift, exp)} is outside the packing")
+            factor = (s, exp) if color is None else (color, s, exp)
+            place[factor] = exp << (offset + self.width * field)
+        packed = []
+        for t in terms:
+            code = sum(place[f] for f in chain(t.qs, t.phis))
+            coeff = t.coeff.numerator if t.coeff.denominator == 1 else t.coeff
+            packed.append((code, coeff))
+        return packed
 
     def unpack(self, items: Iterable[tuple[int, RatLike]]) -> SymSum:
-        """The canonical sum of (code, coefficient) pairs, ``low`` bits
-        ignored.  ``code + bias ^ bias`` is nonzero only in factor fields; each
-        chunk of it is decoded once per value, and equal factors share a tuple."""
-        w, k, field = self.width, self.k, (1 << self.width) - 1
-        memo, seen, terms = [{} for _ in self.chunks], {}, []
+        """The canonical sum of (code, coefficient) pairs.  XOR with ``bias`` leaves a field of the biased code nonzero
+        exactly where the monomial has a factor; each chunk of fields is
+        decoded once per value, and equal factors and coefficients share one
+        object."""
+        memo = [{} for _ in self.chunks]
+        seen = {}
+        terms = []
         for code, coeff in items:
-            diff, qs, phis = code + self.bias ^ self.bias, (), ()
-            for (c, a, n, off), m in zip(self.chunks, memo):
-                x = diff >> off & (1 << w * n) - 1
-                if x not in m:
-                    fs = ((c, a + i, (x >> w * i & field ^ k) - k)[c is None:]
-                          for i in range(n) if x >> w * i & field)
-                    m[x] = tuple(seen.setdefault(f, f) for f in fs)
-                qs, phis = (qs, phis + m[x]) if c is None else (qs + m[x], phis)
-            terms.append(SymTerm(seen.setdefault(coeff, Fraction(coeff)), qs, phis))
+            diff = (code + self.bias) ^ self.bias
+            qs = ()
+            phis = ()
+            for chunk, decoded in zip(self.chunks, memo):
+                color, first, n, offset = chunk
+                x = (diff >> offset) & ((1 << (self.width * n)) - 1)
+                if x not in decoded:
+                    decoded[x] = self._decode(x, color, first, n, seen)
+                if color is None:
+                    phis += decoded[x]
+                else:
+                    qs += decoded[x]
+            coeff = seen.setdefault(coeff, Fraction(coeff))
+            terms.append(SymTerm(coeff, qs, phis))
         return SymSum.make(terms)
+
+    def _decode(self, x: int, color: int | None, first: int, n: int,
+                seen: dict) -> tuple:
+        """The factors of n XORed fields x, the first at shift ``first``."""
+        mask = (1 << self.width) - 1
+        factors = []
+        for i in range(n):
+            field = (x >> (self.width * i)) & mask
+            if field:
+                exp = (field ^ self.k) - self.k
+                shift = first + i
+                f = (shift, exp) if color is None else (color, shift, exp)
+                factors.append(seen.setdefault(f, f))
+        return tuple(factors)
 
 
 # ---------------------------------------------------------------------------

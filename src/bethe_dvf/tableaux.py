@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, _level,
-                      bar, grading, index_set, unb, validate_label)
+                      bar, grading, index_set, parse_label, unb, validate_label)
 
 A = TypeVar("A")
 
@@ -118,6 +118,12 @@ class Tableau:
         return {"shape": {"lambda": list(self.shape.lam.parts),
                           "mu": list(self.shape.mu.parts)},
                 "cells": [[i, j, str(lab)] for i, j, lab in self.entries]}
+
+    @staticmethod
+    def from_json(d: dict) -> Tableau:
+        shape = SkewDiagram.make(d["shape"]["lambda"], d["shape"]["mu"])
+        cells = tuple((i, j, parse_label(lab)) for i, j, lab in d["cells"])
+        return Tableau(shape, cells)
 
 
 # ---------------------------------------------------------------------------

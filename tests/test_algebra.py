@@ -19,8 +19,9 @@ def order_relation(spec, x, y):
     lx, ly = _level(spec, x), _level(spec, y)
     if x == y:
         return "equal"
-    return ("incomparable" if lx == ly else "less" if lx < ly
-            else "greater")
+    if lx == ly:
+        return "incomparable"
+    return "less" if lx < ly else "greater"
 
 
 def test_parse_spec_round_trip():
@@ -127,8 +128,12 @@ def test_bar_image():
         spec = parse_spec(name)
         ctx = BoxContext(spec)
         for lab in labels:
-            image = (lab if lab == ZERO_LABEL else bar(lab.value)
-                     if lab.kind == "unbarred" else unb(lab.value))
+            if lab == ZERO_LABEL:
+                image = lab
+            elif lab.kind == "unbarred":
+                image = bar(lab.value)
+            else:
+                image = unb(lab.value)
             crossed = crossing_transform(spec, SymSum.from_term(box(ctx, lab)))
             assert crossed == SymSum.from_term(box(ctx, image))
 

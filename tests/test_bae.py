@@ -90,11 +90,8 @@ def test_solutions_permutation_invariant():
 
 
 def test_root_set_json_round_trip():
-    # each root as [re, im] per color reads back exactly
     rs = BetheRootSet(((0.5 + 1j, -0.25j), (1.5 + 0j,)))
-    d = json.loads(json.dumps(rs.to_json()))
-    assert BetheRootSet(tuple(tuple(complex(re, im) for re, im in vs)
-                              for vs in d["roots"])) == rs
+    assert BetheRootSet.from_json(rs.to_json()) == rs
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_COUNTS))

@@ -8,9 +8,11 @@ import pytest
 
 from bethe_dvf.algebra import (AlgebraSpec, UnsupportedShape, ZERO_LABEL, bar,
                                index_set, parse_spec, unb)
-from bethe_dvf.dvf import (BoxContext, box, build_dvf, cell_shift, column_dvf,
-                           crossing_transform, dvf_value, generating_series,
-                           isolated_column_term, normalized_rect_dvf,
+from bethe_dvf.dvf import (BoxContext, TruncationTooSmall, box, build_dvf,
+                           cell_shift, column_dvf, crossing_transform,
+                           dvf_value, generating_series,
+                           generating_series_coeff, isolated_column_term,
+                           normalize_b0s, normalized_rect_dvf,
                            normalized_rect_value,
                            rect_dvf, rect_value, row_dvf, signed_box, top_term)
 from bethe_dvf.goldens import (golden_t1_b21, golden_t2_b21, golden_t21_b21,
@@ -90,8 +92,8 @@ def test_tableau_product_is_golden_member():
     # the [1 over 2bar] column tableau appears verbatim in the printed sum
     ctx = BoxContext(B21)
     term = signed_box(ctx, unb(1), 1) * signed_box(ctx, bar(2), -1)
-    golden_keys = {(t.qs, t.phis): t.coeff for t in golden_t2_b21().terms}
-    assert golden_keys.get((term.qs, term.phis)) == term.coeff
+    golden_keys = {t.key: t.coeff for t in golden_t2_b21().terms}
+    assert golden_keys.get(term.key) == term.coeff
 
 
 GOLDEN_CASES = [
@@ -142,11 +144,11 @@ def _tableau_products(ctx: BoxContext, shape: SkewDiagram) -> SymSum:
 
 
 # every B(r|s) with r + s <= 3
-PACKED_B_SPECS = [AlgebraSpec("B", r, s) for s in (1, 2, 3) for r in range(4 - s)]
+SMALL_B_SPECS = [AlgebraSpec("B", r, s) for s in (1, 2, 3) for r in range(4 - s)]
 
 
-@pytest.mark.parametrize("spec", PACKED_B_SPECS, ids=str)
-def test_packed_build_matches_tableau_products_b(spec):
+@pytest.mark.parametrize("spec", SMALL_B_SPECS, ids=str)
+def test_build_dvf_matches_tableau_products_b(spec):
     # straight shapes up to 5 cells and one skew shape, both vacuum modes
     shapes = [SkewDiagram.straight(mu) for mu in partitions_up_to(5)]
     shapes.append(SkewDiagram.make((2, 1), (3, 3, 2)))
@@ -158,7 +160,7 @@ def test_packed_build_matches_tableau_products_b(spec):
 
 
 @pytest.mark.parametrize("name", ["D(2|1)", "D(3|1)", "D(2|2)"])
-def test_packed_build_matches_tableau_products_d(name):
+def test_build_dvf_matches_tableau_products_d(name):
     # columns and rows up to 4 cells, where equal monomials merge
     for vacuum in (True, False):
         ctx = BoxContext(parse_spec(name), vacuum)
@@ -169,7 +171,7 @@ def test_packed_build_matches_tableau_products_d(name):
                     mu, vacuum)
 
 
-def test_packed_build_edge_shapes():
+def test_build_dvf_edge_shapes():
     # the empty shape gives 1 and an inadmissible rectangle gives 0, as the
     # reference does, in both vacuum modes
     for vacuum in (True, False):
@@ -262,10 +264,10 @@ def test_transfer_value_edge_cases():
 
 
 def test_normalize_f1_is_identity():
-    # a column's rows have one cell each, and F_1 = 1
     spec = parse_spec("B(0|2)")
-    x = build_dvf(BoxContext(spec), SkewDiagram.straight((1, 1)))
-    assert normalized_rect_dvf(spec, 1, 2) == x
+    shape = SkewDiagram.straight((1, 1))
+    x = build_dvf(BoxContext(spec), shape)
+    assert normalize_b0s(spec, x, shape) == x
 
 
 def test_normalized_empty_row_value():
@@ -280,7 +282,7 @@ def test_normalized_empty_row_value():
 def test_normalize_rejects_wrong_family():
     from bethe_dvf.algebra import WrongAlgebra
     with pytest.raises(WrongAlgebra):
-        normalized_rect_dvf(B21, 1, 1)
+        normalize_b0s(B21, ONE, SkewDiagram.straight((1,)))
 
 
 def test_normalize_f2_explicit():
@@ -367,8 +369,8 @@ def test_top_term_membership(name, shapes):
         except UnsupportedShape:
             continue
         dvf = build_dvf(ctx, shape)
-        members = {(term.qs, term.phis): term.coeff for term in dvf.terms}
-        assert members.get((t.qs, t.phis)) == t.coeff, (name, mu)
+        members = {term.key: term.coeff for term in dvf.terms}
+        assert members.get(t.key) == t.coeff, (name, mu)
 
 
 def test_crossing_box_image():
@@ -407,15 +409,16 @@ def test_crossing_rejects_unbalanced():
 def test_series_order_zero_is_one():
     for name in ("B(1|1)", "D(2|1)"):
         ctx = BoxContext(parse_spec(name))
-        assert generating_series(ctx, "column", 3)[0] == ONE
-        assert generating_series(ctx, "row", 3)[0] == ONE
+        assert generating_series_coeff(ctx, "column", 0, 3) == ONE
+        assert generating_series_coeff(ctx, "row", 0, 3) == ONE
 
 
 def test_series_truncation_guard():
-    # the series holds the coefficients of X^0..X^max_order, no more
     ctx = BoxContext(B21)
-    assert len(generating_series(ctx, "column", 3)) == 4
-    assert generating_series(ctx, "row", 0) == [ONE]
+    with pytest.raises(TruncationTooSmall):
+        generating_series_coeff(ctx, "column", 5, 3)
+    with pytest.raises(TruncationTooSmall):
+        generating_series_coeff(ctx, "row", -1, 3)
 
 
 # r = 0, r + s = 4 and s = 3 in B; r = 4 and s = 3 in D
@@ -446,7 +449,7 @@ def test_series_coefficients_are_pinned():
             ctx = BoxContext(spec, include_vacuum=vacuum)
             for kind in ("column", "row"):
                 for n in range(6):
-                    h.update(dumps(generating_series(ctx, kind, n)[n]).encode())
+                    h.update(dumps(generating_series_coeff(ctx, kind, n)).encode())
     assert h.hexdigest() == (
         "7bfa92c4538f989faff8ce4b716a214007382291be48fb1fdb49149f43c27ebe")
 
@@ -461,7 +464,7 @@ def test_series_beyond_the_small_ranks_is_pinned():
             ctx = BoxContext(parse_spec(name), include_vacuum=vacuum)
             for kind in ("column", "row"):
                 for n in range(5):
-                    h.update(dumps(generating_series(ctx, kind, n + 1)[n])
+                    h.update(dumps(generating_series_coeff(ctx, kind, n, n + 1))
                              .encode())
     assert h.hexdigest() == (
         "06bb46af5828a476a2c36cda3d30a465021c60edb8e4ed7e04d879ae65d43f69")

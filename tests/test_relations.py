@@ -67,8 +67,8 @@ def test_canonicalisations_scale_with_the_boxes(monkeypatch):
     # a deterministic work count: from cold block caches, building B(2|1)
     # (3,2,1) canonicalises each label's box once, at shift 0 (7 labels, a
     # Q and a phi tuple each), and its column det_formula adds the boxes of
-    # the columns T^1..T^5, 7 per column; products are integer adds on
-    # packed codes and canonicalise nothing, so the count grows neither with
+    # the columns T^1..T^5, 7 per column; shifts, term products and packed
+    # cofactor products canonicalise nothing, so the count grows neither with
     # the cells, nor with the 2352 tableaux, nor with the cofactor products
     calls = []
     canon = symbolic._canon
@@ -85,23 +85,21 @@ def test_canonicalisations_scale_with_the_boxes(monkeypatch):
     assert calls.count(3) == calls.count(2) == 42
 
 
-def test_builds_multiply_no_terms(monkeypatch):
-    # a work-count gate: tableaux sums and determinant expansions add packed
-    # codes and never reach the term product or the factor-tuple merge
+def test_determinants_multiply_no_terms(monkeypatch):
+    # a work-count gate: with its blocks built, a determinant expansion adds
+    # packed codes and never reaches the term product or the factor merge
+    cases = [(parse_spec("B(1|1)"), SkewDiagram.straight((3, 2, 2)), variant)
+             for variant in ("column", "row")]
+    cases.append((parse_spec("D(2|1)"), SkewDiagram.straight((3,)), "d_row"))
+    for case in cases:
+        det_formula(*case)          # builds the cached blocks
     calls = []
     for owner, name in ((symbolic.SymTerm, "__mul__"), (symbolic, "_merge")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name:
                             calls.append(_name) or _real(*args))
-    column_dvf.cache_clear()
-    row_dvf.cache_clear()
-    for name, mu in (("B(2|1)", (3, 2, 1)), ("D(3|1)", (1, 1, 1)),
-                     ("D(2|2)", (3,))):
-        build_dvf(BoxContext(parse_spec(name)), SkewDiagram.straight(mu))
-    spec, sd = parse_spec("B(1|1)"), SkewDiagram.straight((3, 2, 2))
-    for variant in ("column", "row"):
-        det_formula(spec, sd, variant)
-    det_formula(parse_spec("D(2|1)"), SkewDiagram.straight((3,)), "d_row")
+    for case in cases:
+        det_formula(*case)
     assert calls == []
     symbolic.ONE_TERM * symbolic.ONE_TERM     # the spies are live
     assert calls == ["__mul__", "_merge", "_merge"]

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from bethe_dvf.algebra import index_set, parse_spec
 from bethe_dvf.dvf import (BoxContext, build_dvf, cell_shift, column_dvf,
-                           dvf_value, generating_series,
+                           dvf_value, generating_series_coeff,
                            normalized_rect_value, row_dvf, signed_box)
 from bethe_dvf import symbolic
 from bethe_dvf.relations import det_formula, tsystem_block, tsystem_g
@@ -285,8 +285,8 @@ def test_built_sums_carry_int_shifts():
             det_formula(d21, SkewDiagram.straight((2,)), "d_row"),
             tsystem_block(2, 1, 2),
             tsystem_block(2, 2, 1),
-            generating_series(BoxContext(b21), "row", 2)[2],
-            generating_series(BoxContext(d21), "column", 2)[2]]
+            generating_series_coeff(BoxContext(b21), "row", 2),
+            generating_series_coeff(BoxContext(d21), "column", 2)]
     for x in sums:
         assert not x.is_zero()
         assert _shift_types(x) == {int}
