@@ -320,10 +320,10 @@ class Codec:
         return packed
 
     def unpack(self, items: Iterable[tuple[int, RatLike]]) -> SymSum:
-        """The canonical sum of (code, coefficient) pairs.  XOR with ``bias`` leaves a field of the biased code nonzero
-        exactly where the monomial has a factor; each chunk of fields is
-        decoded once per value, and equal factors and coefficients share one
-        object."""
+        """The canonical sum of (code, coefficient) pairs.  XOR with
+        ``bias`` leaves a field of the biased code nonzero exactly where the
+        monomial has a factor; each chunk of fields is decoded once per
+        value, and equal factors and coefficients share one object."""
         memo = [{} for _ in self.chunks]
         seen = {}
         terms = []
