@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
                       ZERO_LABEL, bar, grading, index_set, unb, validate_label)
 from .symbolic import (ONE, ONE_TERM, Assignment, SymSum, SymTerm, ZERO,
-                       _compile, _term_pairs, evaluate_term, shift_u)
+                       _compile, _run, evaluate_term, shift_u)
 from .tableaux import SkewDiagram, fold_fillings, transfer_sum
 
 
@@ -153,22 +153,22 @@ def rect_dvf(ctx: BoxContext, m: int, a: int) -> SymSum:
 @lru_cache(maxsize=None)
 def _row_plan(ctx: BoxContext, at: int) -> tuple:
     """The signed boxes of every label at u + at, in ``index_set`` order,
-    compiled once into one evaluation plan: they share their bases."""
-    return _compile([signed_box(ctx, lab, at) for lab in index_set(ctx.spec)])
+    compiled once into one form of rows: they share their bases."""
+    return _compile([signed_box(ctx, lab, at) for lab in index_set(ctx.spec)],
+                    rows=True)
 
 
 def _box_row(ctx: BoxContext, at: int, asg: Assignment,
              cache: dict) -> tuple[list[int], int]:
     """The signed boxes of every label at u + at, evaluated at ``asg`` over
-    one common denominator: (numerators in ``index_set`` order, denominator).
-    The boxes come from the exact kernel run on the row's plan.  Memoized
-    in ``cache``, the per-point factor cache of ``evaluate``."""
+    one common denominator: (numerators in ``index_set`` order, denominator),
+    one output per label of the row's form, over the form's D, from
+    ``_run``.  Memoized in ``cache``, the per-point factor cache of
+    ``evaluate``."""
     key = (ctx, at)
     row = cache.get(key)
     if row is None:
-        pairs = list(_term_pairs(_row_plan(ctx, at), asg, cache))
-        den = lcm(*(d for _, d in pairs))
-        row = cache[key] = ([n * (den // d) for n, d in pairs], den)
+        row = cache[key] = _run(_row_plan(ctx, at), asg, cache)
     return row
 
 

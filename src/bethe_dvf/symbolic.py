@@ -24,29 +24,32 @@ result is canonical without a second pass through ``make``.  A
 equal sums serialize identically.  All values are immutable; every
 operation is a pure function.
 
-Exact evaluation runs one kernel, ``_term_pairs``, over a plan that
-``_compile`` builds for a sum (or a term valued alone) on its first exact
-evaluation and keeps on the instance.  With u = p/q and each zero a/b, the
-unreduced Q_c(u + s) is n_s / D_c, D_c = q^N_c prod b whatever s is
-(likewise phi), so a term is coeff prod n^e prod_c D_c^-net_c: D_c drops
-out where the net exponent of c is 0, as in every box.  At a point each
-distinct base, D_c and power is computed once, a term is two products over
-runs of indices into them, and the terms add on integers.
+Exact evaluation has one path, ``_run``, over a form that ``_compile``
+makes for a sum (or a term valued alone) on its first exact evaluation and
+keeps on the instance.  With u = p/q and each zero a/b, the unreduced
+Q_c(u + s) is n_s / D_c, D_c = q^N_c prod b whatever s is (likewise phi),
+so a term is coeff prod n^e prod_c D_c^-net_c: D_c drops out where the net
+exponent of c is 0, as in every box.  Over one common denominator the sum
+is a polynomial with int coefficients in these slot values; ``_form``
+factors it by greedy Horner and compiles it once into a straight-line
+function, shared by every sum of the same structure (shifted copies share
+one).  At a point each slot value is made once, and a sum is one call.
 
 Determinant expansions are built on packed codes (``Codec``), a transient
-form like the plan: one int per monomial, so a product of monomials is one
-integer add; each result is decoded once.
+form like the compiled one: one int per monomial, so a product of monomials
+is one integer add; each result is decoded once.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import gcd, prod
+from itertools import chain, count
+from math import gcd, lcm, prod
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -180,8 +183,13 @@ class SymTerm:
 
     @cached_property
     def _plan(self) -> tuple:
-        """The term's one-term evaluation plan, compiled on first use."""
+        """The term's one-term compiled form, made on first use."""
         return _compile((self,))
+
+    def __getstate__(self) -> dict:
+        """Pickle state: the fields, not the compiled ``_plan``, whose
+        function is made at run time and cannot be pickled."""
+        return {k: v for k, v in vars(self).items() if k != "_plan"}
 
 
 ONE_TERM = SymTerm.make(1)
@@ -228,9 +236,11 @@ class SymSum:
 
     @cached_property
     def _plan(self) -> tuple:
-        """The sum's evaluation plan, compiled on first use and kept in the
+        """The sum's compiled form, made on first use and kept in the
         instance ``__dict__``: ==, hash, repr and ``dumps`` never read it."""
         return _compile(self.terms)
+
+    __getstate__ = SymTerm.__getstate__
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -410,8 +420,8 @@ def _factor_value(asg: Assignment, color: int | None, shift: int, cache: dict):
     In exact mode the cached value is the reduced integer pair (numerator,
     denominator), from u + shift = p/q and the zeros z = a/b on integers:
     n = prod (p b - a q) over D = prod q b, reduced by one gcd.  D depends
-    on the color alone, so ``_term_pairs`` recovers n as bn (D // bd) and
-    values a term over the D's its net exponents leave.
+    on the color alone, so ``_run`` recovers the unreduced n as bn (D // bd),
+    once per point, and a term keeps only the D's its net exponents leave.
     """
     key = (color, shift)
     val = cache.get(key)
@@ -431,93 +441,170 @@ def _factor_value(asg: Assignment, color: int | None, shift: int, cache: dict):
     return val
 
 
-def _compile(terms: Sequence[SymTerm]) -> tuple:
-    """The plan (bases, poles, others, powers, runs) of the terms, in scan
-    order: term order, Q before phi.  A slot indexes the values that
-    ``_term_pairs`` makes at a point: the n of each base (color, shift),
-    flattened in ``bases``; then ``others``, each D_c as (color,) and each
-    coefficient part other than 1 as an int; then each power (slot, |e|),
-    |e| >= 2.  ``poles`` are the slots of denominator bases; ``runs`` hold
-    per term its numerator and denominator slots, as ``bytes`` while there
-    are at most 256 slots."""
-    bases: dict = {}
+_BASES: dict = {}   # one (color, shift) key per base, shared by all forms
+_FORMS: dict = {}   # structure text -> fn, for the latest 256 structures
+_SCALED = object()   # cache key of the point's slot values: n per base, D_c
+
+
+def _compile(terms: Sequence[SymTerm], rows: bool = False) -> tuple:
+    """The compiled form (keys, poles, fn) of the terms.  ``keys`` name the
+    ints ``fn`` takes: each base (color, shift), for its unreduced n, in scan
+    order (term order, Q before phi), and each color whose D_c a term keeps.
+    ``poles`` are the slots of denominator bases in scan order.  ``fn`` is
+    ``_form``'s for the terms' structure, which shifted copies share;
+    ``_FORMS`` keys it by the structure's text, far smaller than its tuples."""
+    slots: dict = {}
     poles: dict = {}
-    others: dict = {}
-    scanned = []
+    shape = []
     for t in terms:
-        fs, net = [], {}
+        mono, net = [], {}
         # no joined tuple: freed ones would stay on the tuple free lists
         for c, s, e in chain(t.qs, ((None, *f) for f in t.phis)):
-            i = bases.setdefault((c, s), len(bases))
+            i = slots.setdefault((c, s), len(slots))
             if e < 0:
                 poles.setdefault(i)
             net[c] = net.get(c, 0) + e
-            fs.append((i, e))
-        extra = [((c,), -e) for c, e in net.items() if e]    # D_c^-net_c
-        extra += [(v, e) for v, e in ((t.coeff.numerator, 1),
-                                      (t.coeff.denominator, -1)) if v != 1]
-        fs += [(~others.setdefault(k, len(others)), e) for k, e in extra]
-        scanned.append(fs)
-    n_slots = len(bases) + len(others)
-    powers: dict = {}
-    runs = []
-    for fs in scanned:
-        num, den = [], []
-        for i, e in fs:
-            i = i if i >= 0 else len(bases) + ~i
-            if abs(e) > 1:
-                i = n_slots + powers.setdefault((i, abs(e)), len(powers))
-            (num if e > 0 else den).append(i)
-        runs += (num, den)
-    pack = bytes if n_slots + len(powers) <= 256 else tuple
-    return (tuple(x for key in bases for x in key), tuple(poles),
-            tuple(others), tuple(powers), tuple(map(pack, runs)))
+            mono += (i, e)
+        for c, e in net.items():
+            if e:
+                mono += (slots.setdefault(c, len(slots)), -e)   # D_c^-net_c
+        shape.append((t.coeff, *mono))
+    key = repr((rows, shape))
+    fn = _FORMS.get(key)
+    if fn is None:
+        if len(_FORMS) == 256:
+            del _FORMS[next(iter(_FORMS))]
+        fn = _FORMS[key] = _form(rows, len(slots), shape)
+    return tuple(_BASES.setdefault(k, k) for k in slots), tuple(poles), fn
 
 
-_DENOMS = object()   # cache key of the point's D_c per color, D_phi at None
+def _form(rows: bool, n: int, shape: list) -> Callable:
+    """The straight-line function of the n slot values for a ``shape`` of
+    ``_compile``, (coefficient, slot, exponent, slot, ...) per term.  Over one
+    common denominator D = L prod v_i^m_i, m_i the largest denominator
+    exponent of slot i and L the lcm of the coefficient denominators, each
+    term is a monomial with an int coefficient.  It returns (P, D), or with
+    ``rows`` ([each term's numerator], D).  P is the greedy Horner scheme
+    (Ceberio & Kreinovich 2004) of the monomials' sum: a node splits on the
+    slot x in most of its monomials (the lowest on a tie) into Q + R, x in
+    every monomial of Q; each part moves the factor common to its monomials
+    into its reference and is then a constant, inline, or a child node.
+    Slot counts are made for the smaller part, the larger's follow from the
+    node's.  Nodes wait on a stack and each statement follows its
+    children's, so no depth meets a recursion limit.  The source is made
+    from ints and fixed templates and then dropped."""
+    lines: list[str] = []
+    names = count()
+    todo: list = []
+
+    def mul(exps: dict, coeff: int = 1, node: tuple = ()) -> str:
+        # compile() recurses on a long operator chain: the leading factors,
+        # never a node's value, go 64 at a time to statements of their own
+        factors = [str(coeff)] if coeff != 1 else []
+        factors += [f"v{i}" if e == 1 else f"v{i}**{e}" for i, e in exps.items()]
+        factors += node
+        while len(factors) > 64:
+            name = f"t{next(names)}"
+            lines.append(f"{name} = " + "*".join(factors[:64]))
+            factors = [name] + factors[64:]
+        return "*".join(factors) or "1"
+
+    def counts(monos: list) -> Counter:
+        return Counter(chain.from_iterable(exps for exps, _ in monos))
+
+    def part(monos: list, freq: dict) -> str:
+        if len(monos) == 1:
+            return mul(*monos[0])
+        size, ds = len(monos), [exps for exps, _ in monos]
+        common = {x: min([d[x] for d in ds])
+                  for x, c in freq.items() if c == size}
+        for x, k in common.items():
+            for d in ds:        # each monomial is in one part: edit in place
+                if d[x] == k:
+                    del d[x]
+                    freq[x] -= 1
+                else:
+                    d[x] -= k
+        # only constants are left where a sum not made by SymSum.make
+        # repeats a term: they add up
+        if not any(freq.values()):
+            return mul(common, sum(c for _, c in monos))
+        todo.append((monos, f"t{next(names)}", freq))
+        return mul(common, 1, (todo[-1][1],))
+
+    exps = [dict(zip(term[1::2], term[2::2])) for term in shape]
+    top: dict = {}
+    for i, e in chain.from_iterable(x.items() for x in exps):
+        if -e > top.get(i, 0):
+            top[i] = -e
+    big_l = lcm(*(term[0].denominator for term in shape))
+    monos = []
+    for x, (c, *_) in zip(exps, shape):
+        num = dict(top)
+        for i, e in x.items():
+            if num.setdefault(i, 0) + e:
+                num[i] += e
+            else:
+                del num[i]
+        monos.append((num, c.numerator * (big_l // c.denominator)))
+    if rows:
+        value = "[" + ", ".join(mul(*mono) for mono in monos) + "]"
+    else:
+        value = part(monos, counts(monos)) if monos else "0"
+    while todo:
+        node = todo.pop()
+        if type(node) is str:
+            lines.append(node)
+            continue
+        monos, name, freq = node
+        most = max(freq.values())
+        x = min(i for i, c in freq.items() if c == most)
+        q = [mono for mono in monos if x in mono[0]]
+        r = [mono for mono in monos if x not in mono[0]]
+        small = q if len(q) <= len(r) else r
+        fs, big = counts(small), dict(freq)
+        for i, c in fs.items():     # a slot may stay in big with count 0
+            big[i] -= c
+        fq, fr = (fs, big) if small is q else (big, fs)
+        at = len(todo)          # the statement waits below its children
+        todo.insert(at, f"{name} = {part(q, fq)} + {part(r, fr)}")
+    den = mul(top, big_l)
+    body = "".join(f"    {line}\n" for line in lines)
+    scope: dict = {}
+    exec(compile(f"def fn({', '.join(f'v{i}' for i in range(n))}):\n"
+                 f"{body}    return {value}, {den}\n", "<horner>", "exec"),
+         scope)
+    return scope["fn"]
 
 
-def _sum_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Sum of integer pairs (numerator, denominator), not reduced: one gcd each."""
-    tn, td = 0, 1
-    for num, den in pairs:
-        g = gcd(td, den)
-        tn = tn * (den // g) + num * (td // g)
-        td *= den // g
-    return tn, td
-
-
-def _term_pairs(plan: tuple, asg: Assignment,
-                cache: dict) -> Iterator[tuple[int, int]]:
-    """The one exact kernel: each planned term at ``asg`` as an integer pair,
-    not reduced.  D_c is kept in the point's cache; each base n = bn (D_c //
-    bd), from the reduced pair of ``_factor_value``, and each power is made
-    once per call, and a term is two products over its runs.  The first
-    vanishing denominator base, in scan order, raises PoleHit at the call."""
-    bases, poles, others, powers, runs = plan
-    dens = cache.get(_DENOMS)
-    if dens is None:
-        q = asg.u.denominator
-        dens = cache[_DENOMS] = {
-            c: q ** len(zs) * prod(z.denominator for z in zs)
-            for c, zs in (*asg.roots.items(), (None, asg.inhoms))}
-    vals, it = [], iter(bases)
-    for c, s in zip(it, it):
-        bn, bd = cache.get((c, s)) or _factor_value(asg, c, s, cache)
-        vals.append(bn * (dens.get(c, 1) // bd))
-    if not all(map(vals.__getitem__, poles)):
-        i = next(i for i in poles if not vals[i])
-        raise PoleHit(*bases[2 * i:2 * i + 2])
-    vals += [k if type(k) is int else dens.get(k[0], 1) for k in others]
-    vals += [vals[i] ** e for i, e in powers]
-    get, it = vals.__getitem__, iter(runs)
-    return ((prod(map(get, nr)), prod(map(get, dr))) for nr, dr in zip(it, it))
+def _run(plan: tuple, asg: Assignment, cache: dict):
+    """The one exact path: the compiled form ``plan`` at ``asg``, (P, D), or
+    (numerators, D) for a form of rows.  Each slot value is made once per
+    point and kept in the cache: D_c = q^N_c prod b per color, and per base
+    n = bn (D_c // bd) from the reduced pair of ``_factor_value``.  The
+    first vanishing denominator base in scan order raises PoleHit before
+    any product is taken."""
+    keys, poles, fn = plan
+    vals = cache.get(_SCALED) or cache.setdefault(_SCALED, {
+        c: asg.u.denominator ** len(zs) * prod(z.denominator for z in zs)
+        for c, zs in (*asg.roots.items(), (None, asg.inhoms))})
+    args = list(map(vals.get, keys))
+    if None in args:
+        for i, key in enumerate(keys):
+            if args[i] is None and type(key) is tuple:
+                bn, bd = _factor_value(asg, *key, cache)
+                args[i] = vals[key] = bn * (vals.get(key[0], 1) // bd)
+            elif args[i] is None:
+                args[i] = vals[key] = 1     # a color with no zeros here
+    if not all(map(args.__getitem__, poles)):
+        raise PoleHit(*keys[next(i for i in poles if not args[i])])
+    return fn(*args)
 
 
 def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
-    """Value of one term at the assignment: in exact mode the kernel
-    ``_term_pairs`` run on the term's own one-term plan, compiled on its
-    first exact evaluation and kept on the term.
+    """Value of one term at the assignment: in exact mode ``_run`` on the
+    term's own one-term form, compiled on its first exact evaluation and
+    kept on the term.
 
     Raises PoleHit when a denominator factor vanishes, even where a numerator
     factor vanishes too (0/0 is not a value).
@@ -532,22 +619,22 @@ def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
                 raise PoleHit(color, shift)
             val *= base if exp == 1 else 1 / base if exp == -1 else base ** exp
         return val
-    return Fraction(*_sum_pairs(_term_pairs(t._plan, asg, cache)))
+    return Fraction(*_run(t._plan, asg, cache))
 
 
 def evaluate(x: SymSum, asg: Assignment, _cache: dict | None = None):
     """Value of the rational expression at the assignment (0 for the empty sum).
 
-    Exact values come from the kernel ``_term_pairs`` over the sum's plan,
-    compiled on its first exact evaluation and kept on the sum: terms are
-    summed on integers and reduced to a Fraction once per sum.  PoleHit
-    names the first denominator factor, in term order and then factor
-    order, that vanishes at the point, also where 0/0 would result.
+    Exact values come from ``_run`` on the sum's compiled form, made on its
+    first exact evaluation and kept on the sum: one Horner scheme over one
+    common denominator, reduced to a Fraction once.  PoleHit names the
+    first denominator factor, in term order and then factor order, that
+    vanishes at the point, also where 0/0 would result.
     """
     cache = {} if _cache is None else _cache
     if not asg.exact:
         return sum((evaluate_term(t, asg, cache) for t in x.terms), complex(0))
-    return Fraction(*_sum_pairs(_term_pairs(x._plan, asg, cache)))
+    return Fraction(*_run(x._plan, asg, cache))
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +720,14 @@ def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
 def _group_sum_at(groups: Sequence[Sequence[SymSum]], asg: Assignment,
                   cache: dict) -> Fraction:
     """Exact value of a sum of products, each factor valued unexpanded by
-    the kernel: a group's integer pairs multiply, the groups add on
-    integers, and one Fraction is built."""
-    def group_pair(group: Sequence[SymSum]) -> tuple[int, int]:
-        pairs = [_sum_pairs(_term_pairs(f._plan, asg, cache)) for f in group]
-        return prod(n for n, _ in pairs), prod(d for _, d in pairs)
-    return Fraction(*_sum_pairs(map(group_pair, groups)))
+    ``_run``: a group's integer pairs multiply, the groups add on integers,
+    and one Fraction is built."""
+    tn, td = 0, 1
+    for group in groups:
+        pairs = [_run(f._plan, asg, cache) for f in group]
+        n, d = prod(n for n, _ in pairs), prod(d for _, d in pairs)
+        tn, td = tn * d + n * td, td * d
+    return Fraction(tn, td)
 
 
 def equal_group_sums(lhs: Sequence[Sequence[SymSum]],
@@ -661,24 +750,27 @@ def equal_group_sums(lhs: Sequence[Sequence[SymSum]],
 
 
 def exact_det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant of an exact rational matrix by Gaussian elimination."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    """Determinant of an exact rational matrix, fraction-free: each row is
+    scaled to integers by the lcm of its denominators, Bareiss elimination
+    with row swaps runs on the ints, and one Fraction is built at the end."""
+    dens = [lcm(*(x.denominator for x in row)) for row in matrix]
+    m = [[x.numerator * (d // x.denominator) for x in row]
+         for row, d in zip(matrix, dens)]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top, p = m[k], m[k][k]
+        for r in range(k + 1, n):
+            # exact: Bareiss's divisions by the previous pivot leave no rest
+            a = m[r][k]
+            m[r] = [(p * x - a * y) // prev for x, y in zip(m[r], top)]
+        prev = p
+    return Fraction(sign * prev, prod(dens))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dis
 import hashlib
 import json
 import pickle
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -14,7 +16,8 @@ from bethe_dvf.dvf import (BoxContext, build_dvf, cell_shift, column_dvf,
                            dvf_value, generating_series_coeff,
                            normalized_rect_value, row_dvf, signed_box)
 from bethe_dvf import symbolic
-from bethe_dvf.relations import det_formula, tsystem_block, tsystem_g
+from bethe_dvf.relations import (det_formula, det_matrix, tsystem_block,
+                                 tsystem_g)
 from bethe_dvf.symbolic import (Assignment, PoleHit, SymSum, SymTerm, ZERO,
                                 _factor_value, _group_sum_at, colors_of,
                                 equal_as_rational_functions, evaluate,
@@ -555,23 +558,194 @@ def prod_ref(group, asg: Assignment) -> Fraction:
     return val
 
 
-def test_a_wide_plan_falls_back_to_tuple_runs():
-    # 300 distinct bases are more slots than a bytes run can index
+def test_a_wide_form_takes_more_than_256_slots():
+    # 300 distinct bases per color: more slots than a byte can index, and
+    # a common denominator of 300 factors, longer than one product line
     terms = [SymTerm.make(k - 150, [(1, k, 1), (2, -k, -1)], [(k % 7, 2)])
              for k in range(300)]
     x = SymSum.make(terms)
-    runs = x._plan[4]
-    assert len(x._plan[0]) // 2 > 256 and type(runs[0]) is tuple
     rng = Random(5)
     for _ in range(3):
         asg = random_assignment(rng, {1, 2}, 3, 2)
         assert evaluate(x, asg) == _ref_value(x.terms, asg)
+    assert len(x._plan[0]) > 256 and len(x._plan[1]) > 256
     # Q_2(u - 200) = 0: the first vanishing denominator in scan order
     asg = Assignment.exact_point(
         Fraction(201), {1: (Fraction(1, 2),), 2: (1, Fraction(-3, 2))}, (7,))
     with pytest.raises(PoleHit) as hit:
         evaluate(x, asg)
     assert (hit.value.color, hit.value.shift) == _ref_first_pole(x.terms, asg)
+    # terms that share 150 factors, moved out of their sum in one product
+    shared = [(1, k, 1) for k in range(100)] + [(2, k, -1) for k in range(50)]
+    y = SymSum.make([SymTerm.make(c, shared + [(2, c, 1)], [(c, -1)])
+                     for c in (1, 2, 3)])
+    asg = random_assignment(rng, {1, 2}, 2, 2)
+    assert evaluate(y, asg) == _ref_value(y.terms, asg)
+    # a product of 4,000 factors, more than compile() takes in one chain
+    t = SymTerm.make(3, [(1, k, 1) for k in range(4000)], [(0, -1)])
+    asg = Assignment.exact_point(5, {1: (1,)}, (2,))
+    assert evaluate_term(t, asg) == _ref_value((t,), asg)
+
+
+def _ref_gauss_det(matrix) -> Fraction:
+    """The Gaussian elimination on Fractions that exact_det replaced."""
+    n = len(matrix)
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def test_exact_det_matches_gaussian_elimination():
+    assert exact_det([]) == 1 and type(exact_det([])) is Fraction
+    assert exact_det([[Fraction(-3, 4)]]) == Fraction(-3, 4)
+    # a zero pivot at every step, so that every column needs a row swap
+    swaps = [[0, 0, Fraction(1, 3)], [0, 2, 5], [Fraction(-7, 2), 1, 1]]
+    assert exact_det(swaps) == _ref_gauss_det(swaps) == Fraction(7, 3)
+    rng = Random(23)
+    kinds = {"zero pivots": 0, "singular": 0}
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+              if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:      # a row that depends on others
+            i, j = rng.sample(range(n), 2)
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            m[i] = [c * v for v in m[j]]
+        want = _ref_gauss_det(m)
+        assert exact_det(m) == want
+        kinds["zero pivots"] += m[0][0] == 0
+        kinds["singular"] += want == 0
+    assert min(kinds.values()) > 40
+
+
+def test_random_sums_with_high_exponents_match_reference():
+    # Fraction coefficients, exponents up to +-6 and up to 12 terms
+    rng = Random(31)
+    poles = values = 0
+    for _ in range(80):
+        terms = []
+        for _ in range(rng.randint(1, 12)):
+            coeff = Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 40))
+            exps = [e for e in range(-6, 7) if e]
+            qs = [(rng.randint(1, 3), rng.randint(-4, 4), rng.choice(exps))
+                  for _ in range(rng.randint(0, 5))]
+            phis = [(rng.randint(-4, 4), rng.choice(exps))
+                    for _ in range(rng.randint(0, 3))]
+            terms.append(SymTerm.make(coeff, qs, phis))
+        x = SymSum.make(terms)
+        asg = _random_point(rng, x)
+        pole = _ref_first_pole(x.terms, asg)
+        if pole is None:
+            assert evaluate(x, asg) == _ref_value(x.terms, asg)
+        else:
+            with pytest.raises(PoleHit) as hit:
+                evaluate(x, asg)
+            assert (hit.value.color, hit.value.shift) == pole
+        for t in x.terms:
+            if _ref_first_pole((t,), asg) is None:
+                assert evaluate_term(t, asg) == _ref_value((t,), asg)
+        poles += pole is not None
+        values += pole is None
+    assert poles > 15 and values > 15
+
+
+def test_empty_constant_and_unmerged_sums():
+    asg = random_assignment(Random(4), {1, 2})
+    assert evaluate(ZERO, asg) == 0 and type(evaluate(ZERO, asg)) is Fraction
+    for c in (1, -1, Fraction(-22, 7), Fraction(5, 3)):
+        assert evaluate(SymSum.constant(c), asg) == c
+        assert evaluate_term(SymTerm.make(c), asg) == c
+    # a SymSum built without make may repeat or cancel a term
+    t = SymTerm.make(Fraction(3, 5), [(1, 1, 2), (2, 0, -1)], [(1, -2)])
+    one = evaluate_term(t, asg)
+    assert evaluate(SymSum((t, t, t)), asg) == 3 * one
+    assert evaluate(SymSum((t, SymTerm(-t.coeff, t.qs, t.phis))), asg) == 0
+    assert evaluate(SymSum((SymTerm.make(2), SymTerm.make(-2))), asg) == 0
+
+
+def test_a_horner_scheme_deeper_than_the_recursion_limit():
+    # sum_k c_k Q_1(u)^k / phi(u): the scheme is a chain of one node per
+    # power, built and run without recursion
+    depth = sys.getrecursionlimit() + 50
+    x = SymSum.make([SymTerm.make(Fraction(k % 5 - 2 or 1, k % 3 + 1),
+                                  [(1, 0, k)] if k else [], [(0, -1)])
+                     for k in range(depth)])
+    asg = Assignment.exact_point(Fraction(1, 3), {1: (Fraction(1, 2),)}, (2,))
+    assert evaluate(x, asg) == _ref_value(x.terms, asg)
+    assert x._plan[2].__code__.co_nlocals > depth
+
+
+def test_evaluated_sums_and_terms_pickle():
+    ctx = BoxContext(parse_spec("B(2|1)"))
+    x = build_dvf(ctx, SkewDiagram.straight((2, 2)))
+    y = shift_u(column_dvf(ctx, 2), 3)
+    asg = random_assignment(Random(6), colors_of(x))
+    for z in (x, y, ZERO, x.terms[0]):
+        value = (evaluate if isinstance(z, SymSum) else evaluate_term)
+        want = value(z, asg)
+        assert "_plan" in vars(z)
+        back = pickle.loads(pickle.dumps(z))
+        assert back == z and "_plan" not in vars(back)
+        assert value(back, asg) == want
+        assert "_plan" in vars(z)       # pickling keeps the form in place
+
+
+def _multiplications(fn) -> int:
+    """The multiplications and powers in the bytecode of a form's function."""
+    return sum(i.opname in ("BINARY_MULTIPLY", "BINARY_POWER")
+               or i.opname == "BINARY_OP" and i.argrepr in ("*", "**")
+               for i in dis.get_instructions(fn))
+
+
+# multiplications (a power counts as one) in the form of the direct B(2|1)
+# (3,2,1) sum, recorded when the greedy Horner scheme was introduced
+MULTS_B21_321 = 9917
+
+
+def test_horner_work_is_pinned():
+    # deterministic work counts of the direct B(2|1) (3,2,1) sum: its 2,352
+    # terms carry 57,458 factors, which the common denominator and the
+    # greedy Horner scheme take in a sixth as many multiplications
+    x = build_dvf(BoxContext(parse_spec("B(2|1)")),
+                  SkewDiagram.straight((3, 2, 1)))
+    keys, poles, fn = x._plan
+    factors = sum(len(t.qs) + len(t.phis) for t in x.terms)
+    assert (len(x), factors, len(keys), len(poles)) == (2352, 57458, 51, 26)
+    assert _multiplications(fn) == MULTS_B21_321
+
+
+def test_shifted_entries_share_one_code_object():
+    # the column-determinant entries of one shape are shifted copies of
+    # their block T^n: each block compiles one function, which every copy
+    # of it runs
+    spec = parse_spec("B(2|1)")
+    ctx = BoxContext(spec)
+    entries = [(n, shift_u(column_dvf(ctx, n), sh))
+               for row in det_matrix(spec, SkewDiagram.straight((3, 3, 2)),
+                                     "column") for n, sh in row if n > 0]
+    symbolic._FORMS.clear()
+    asg = random_assignment(Random(12), {1, 2, 3})
+    for _, e in entries:
+        evaluate(e, asg)
+    blocks = {n for n, _ in entries}
+    assert len(entries) > len(blocks) > 1
+    assert len(symbolic._FORMS) == len(blocks)
+    for n in blocks:
+        assert len({e._plan[2] for m, e in entries if m == n}) == 1
 
 
 def test_plans_leave_equality_hash_dumps_and_pickle_alone():
