@@ -6,9 +6,8 @@ from .algebra import (AlgebraSpec, IndexLabel, KacDynkinLabel,
                       ZERO_LABEL, bar, bilinear_form, dimension_b0s, grading,
                       index_set, kac_dynkin_from_diagram, parse_label,
                       parse_spec, unb)
-from .dvf import (BoxContext, TruncationTooSmall, box, build_dvf, column_dvf,
-                  crossing_transform, generating_series,
-                  generating_series_coeff, isolated_column_term, normalize_b0s,
+from .dvf import (BoxContext, box, build_dvf, column_dvf, crossing_transform,
+                  generating_series, isolated_column_term, normalize_b0s,
                   normalized_rect_dvf, rect_dvf, row_dvf, signed_box, top_term)
 from .reports import IdentityReport
 from .symbolic import (Assignment, GenericityViolation, HigherOrderPole,

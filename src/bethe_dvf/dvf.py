@@ -20,12 +20,8 @@ from typing import Sequence
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
                       ZERO_LABEL, bar, grading, index_set, unb, validate_label)
 from .symbolic import (ONE, ONE_TERM, Assignment, SymSum, SymTerm, ZERO,
-                       _compile, _run, evaluate_term, shift_u)
+                       _compile, _run, evaluate, shift_u)
 from .tableaux import SkewDiagram, fold_fillings, transfer_sum
-
-
-class TruncationTooSmall(ValueError):
-    """Requested series coefficient beyond the expansion order."""
 
 
 @dataclass(frozen=True)
@@ -218,10 +214,10 @@ def _f_term(s: int, m: int, off: int) -> SymTerm:
 
 @lru_cache(maxsize=None)
 def _inverse_normalizer(spec: AlgebraSpec, shape: SkewDiagram,
-                        nrows: int, shift: int = 0) -> SymTerm:
+                        nrows: int, shift: int = 0) -> SymSum:
     """1 over the product of the row normalizers F over rows 1..nrows of
-    ``shape``, at u + shift, built (and its plan compiled) once per shift;
-    ``nrows`` exceeds its row count for the zero-length rows of m = 0."""
+    ``shape``, at u + shift: a one-term sum whose form compiles once per
+    shift; ``nrows`` exceeds its row count for the zero-length rows of m = 0."""
     if spec.family != "B" or spec.r != 0:
         raise WrongAlgebra("normalization is defined for B(0|s) only")
     mu, lam = shape.mu, shape.lam
@@ -229,7 +225,7 @@ def _inverse_normalizer(spec: AlgebraSpec, shape: SkewDiagram,
     for j in range(1, nrows + 1):
         off = -mu[1] + nrows + mu[j] + lam[j] - 2 * j + 1
         div = div * _f_term(spec.s, mu[j] - lam[j], off)
-    return div.inverse().shifted(shift)
+    return SymSum((div.inverse().shifted(shift),))
 
 
 def normalize_b0s(spec: AlgebraSpec, x: SymSum, shape: SkewDiagram) -> SymSum:
@@ -257,8 +253,7 @@ def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
         return Fraction(0)
     shape = _rect(m, a)
     return (dvf_value(BoxContext(spec), shape, asg, cache, shift)
-            * evaluate_term(_inverse_normalizer(spec, shape, a, shift), asg,
-                            cache))
+            * evaluate(_inverse_normalizer(spec, shape, a, shift), asg, cache))
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +391,3 @@ def generating_series(ctx: BoxContext, kind: str,
             run = [ONE] + [x + y for x, y in zip(run[1:], other[1:])]
         series = _series_mul(series, run)
     return series
-
-
-def generating_series_coeff(ctx: BoxContext, kind: str, n: int,
-                            max_order: int | None = None) -> SymSum:
-    """Coefficient of X^n of ``generating_series(ctx, kind, max_order)``;
-    ``max_order`` defaults to n."""
-    if max_order is None:
-        max_order = n
-    if n < 0 or n > max_order:
-        raise TruncationTooSmall(f"coefficient {n} beyond order {max_order}")
-    return generating_series(ctx, kind, max_order)[n]

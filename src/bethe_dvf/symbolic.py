@@ -25,11 +25,11 @@ equal sums serialize identically.  All values are immutable; every
 operation is a pure function.
 
 Exact evaluation has one path, ``_run``, over a form that ``_compile``
-makes for a sum (or a term valued alone) on its first exact evaluation and
-keeps on the instance.  With u = p/q and each zero a/b, the unreduced
-Q_c(u + s) is n_s / D_c, D_c = q^N_c prod b whatever s is (likewise phi),
-so a term is coeff prod n^e prod_c D_c^-net_c: D_c drops out where the net
-exponent of c is 0, as in every box.  Over one common denominator the sum
+makes for a sum on its first exact evaluation and keeps on the sum.  With
+u = p/q and each zero a/b, the unreduced Q_c(u + s) is n_s / D_c,
+D_c = q^N_c prod b whatever s is (likewise phi), so a term is
+coeff prod n^e prod_c D_c^-net_c: D_c drops out where the net exponent of c
+is 0, as in every box.  Over one common denominator the sum
 is a polynomial with int coefficients in these slot values; ``_form``
 factors it by greedy Horner and compiles it once into a straight-line
 function, shared by every sum of the same structure (shifted copies share
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count
-from math import gcd, lcm, prod
+from math import lcm, prod
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -153,11 +153,6 @@ class SymTerm:
              phis: Iterable[tuple[int, int]] = ()) -> SymTerm:
         return SymTerm(_rat(coeff), _canon(qs, 3), _canon(phis, 2))
 
-    @property
-    def key(self) -> tuple:
-        """Factor signature; terms with equal keys merge under addition."""
-        return (self.qs, self.phis)
-
     def __mul__(self, other: SymTerm) -> SymTerm:
         """Canonical product: ``_merge`` of the factor tuples, no second
         canonicalisation; a coefficient ±1 (a box's) multiplies without gcd."""
@@ -180,16 +175,6 @@ class SymTerm:
         return SymTerm(self.coeff,
                        tuple((c, s + d, e) for c, s, e in self.qs),
                        tuple((s + d, e) for s, e in self.phis))
-
-    @cached_property
-    def _plan(self) -> tuple:
-        """The term's one-term compiled form, made on first use."""
-        return _compile((self,))
-
-    def __getstate__(self) -> dict:
-        """Pickle state: the fields, not the compiled ``_plan``, whose
-        function is made at run time and cannot be pickled."""
-        return {k: v for k, v in vars(self).items() if k != "_plan"}
 
 
 ONE_TERM = SymTerm.make(1)
@@ -240,7 +225,10 @@ class SymSum:
         instance ``__dict__``: ==, hash, repr and ``dumps`` never read it."""
         return _compile(self.terms)
 
-    __getstate__ = SymTerm.__getstate__
+    def __getstate__(self) -> dict:
+        """Pickle state: the terms, not the compiled ``_plan``, whose
+        function is made at run time and cannot be pickled."""
+        return {k: v for k, v in vars(self).items() if k != "_plan"}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -406,7 +394,7 @@ def poly_at(zeros: Iterable, v, start):
 
     ``complex(1)`` gives the float values, and the fixed order keeps them
     bit-identical between callers; ``Fraction(1)`` gives the plain reference
-    for the exact values of ``_factor_value``.
+    for the exact values of ``_base_int``.
     """
     prod = start
     for z in zeros:
@@ -415,30 +403,26 @@ def poly_at(zeros: Iterable, v, start):
 
 
 def _factor_value(asg: Assignment, color: int | None, shift: int, cache: dict):
-    """Base value of Q_color(u + shift) or phi(u + shift), memoized per point.
-
-    In exact mode the cached value is the reduced integer pair (numerator,
-    denominator), from u + shift = p/q and the zeros z = a/b on integers:
-    n = prod (p b - a q) over D = prod q b, reduced by one gcd.  D depends
-    on the color alone, so ``_run`` recovers the unreduced n as bn (D // bd),
-    once per point, and a term keeps only the D's its net exponents leave.
-    """
+    """Float value of Q_color(u + shift) or phi(u + shift), memoized per
+    point under (color, shift)."""
     key = (color, shift)
     val = cache.get(key)
     if val is None:
         zeros = asg.inhoms if color is None else asg.roots.get(color, ())
-        if asg.exact:
-            q = asg.u.denominator
-            p, num, den = asg.u.numerator + shift * q, 1, 1
-            for z in zeros:
-                num *= p * z.denominator - z.numerator * q
-                den *= q * z.denominator
-            g = gcd(num, den)
-            val = (num // g, den // g)
-        else:
-            val = poly_at(zeros, asg.u + complex(shift), complex(1))
-        cache[key] = val
+        val = cache[key] = poly_at(zeros, asg.u + complex(shift), complex(1))
     return val
+
+
+def _base_int(asg: Assignment, color: int | None, shift: int) -> int:
+    """The unreduced numerator n of Q_color(u + shift) or phi(u + shift) at
+    an exact point: n = prod (p b - a q) for u + shift = p/q and each zero
+    a/b, so the value is n / D_c with D_c = q^N prod b, whatever the shift."""
+    zeros = asg.inhoms if color is None else asg.roots.get(color, ())
+    q = asg.u.denominator
+    p, n = asg.u.numerator + shift * q, 1
+    for z in zeros:
+        n *= p * z.denominator - z.numerator * q
+    return n
 
 
 _BASES: dict = {}   # one (color, shift) key per base, shared by all forms
@@ -580,10 +564,10 @@ def _form(rows: bool, n: int, shape: list) -> Callable:
 def _run(plan: tuple, asg: Assignment, cache: dict):
     """The one exact path: the compiled form ``plan`` at ``asg``, (P, D), or
     (numerators, D) for a form of rows.  Each slot value is made once per
-    point and kept in the cache: D_c = q^N_c prod b per color, and per base
-    n = bn (D_c // bd) from the reduced pair of ``_factor_value``.  The
-    first vanishing denominator base in scan order raises PoleHit before
-    any product is taken."""
+    point and kept in the cache's one slot table: D_c = q^N_c prod b per
+    color, and each base's n from ``_base_int``.  The first vanishing
+    denominator base in scan order raises PoleHit before any product is
+    taken."""
     keys, poles, fn = plan
     vals = cache.get(_SCALED) or cache.setdefault(_SCALED, {
         c: asg.u.denominator ** len(zs) * prod(z.denominator for z in zs)
@@ -592,8 +576,7 @@ def _run(plan: tuple, asg: Assignment, cache: dict):
     if None in args:
         for i, key in enumerate(keys):
             if args[i] is None and type(key) is tuple:
-                bn, bd = _factor_value(asg, *key, cache)
-                args[i] = vals[key] = bn * (vals.get(key[0], 1) // bd)
+                args[i] = vals[key] = _base_int(asg, *key)
             elif args[i] is None:
                 args[i] = vals[key] = 1     # a color with no zeros here
     if not all(map(args.__getitem__, poles)):
@@ -602,9 +585,8 @@ def _run(plan: tuple, asg: Assignment, cache: dict):
 
 
 def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
-    """Value of one term at the assignment: in exact mode ``_run`` on the
-    term's own one-term form, compiled on its first exact evaluation and
-    kept on the term.
+    """Value of one term at the assignment: in exact mode the value of the
+    one-term sum ``SymSum((t,))``, so no compiled form stays on the term.
 
     Raises PoleHit when a denominator factor vanishes, even where a numerator
     factor vanishes too (0/0 is not a value).
@@ -619,7 +601,7 @@ def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
                 raise PoleHit(color, shift)
             val *= base if exp == 1 else 1 / base if exp == -1 else base ** exp
         return val
-    return Fraction(*_run(t._plan, asg, cache))
+    return evaluate(SymSum((t,)), asg, cache)
 
 
 def evaluate(x: SymSum, asg: Assignment, _cache: dict | None = None):

@@ -197,3 +197,65 @@ def test_verify_all_stdout_is_byte_stable(jobs, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "54471fbd6e8e92dc5d67d71de554d62898c688fe404b53675f42b87d57ebf291")
+
+
+# sha256 of `build` stdout in each format, and of the three `export` files:
+# the rendered sums are reproducible byte for byte
+BUILD_SHA256 = {
+    ("B(2|1)", "2,1", "json"):
+        "ef372255948e2a38777d1fbe88b90155a49ec48086ae24572361c2412c8abc7c",
+    ("B(2|1)", "2,1", "latex"):
+        "084a0f4cb9e50ee82c3f6b0d806bf94101ee6942ad9b25b16e6619a70a556ccd",
+    ("B(2|1)", "2,1", "text"):
+        "3b4238228b6d6a36a668464e69b0dbe5df1f0b139aec58ac6cf26a7373a8bb54",
+    ("B(0|2)", "2^2", "json"):
+        "d82613a7428d2c2021b0741a1447626b53e639c06f967a027c759891a086ed4c",
+    ("B(0|2)", "2^2", "latex"):
+        "1d75d87c7753c4cf71ef3fcfa420697a8c3d57cc144c727a7361180f62b6aef4",
+    ("B(0|2)", "2^2", "text"):
+        "9a6b30aa38a2e6896a7b42544d874d2bbebed88648e740ffc812aceb6d0d6c0a",
+    ("D(3|1)", "1^2", "json"):
+        "4d8b1c2290c350f81d9c2ee8ba02c907ba7df660219771257ec1834c0480a53b",
+    ("D(3|1)", "1^2", "latex"):
+        "fd9efaeaa5b704e178d0c4e0ad3f67eb7b0e1ef0a512292a9a23ca8c8ac6e64e",
+    ("D(3|1)", "1^2", "text"):
+        "2f6a939fc25e96b989f56fa4ad0305057a258cffe941f4042f978da622ebb4b1",
+    ("B(2|1)", "3,1/1", "json"):
+        "6910c8e3b7b3d169dd0e862933f73424829a5059f1ebdc46da15a72539c1fd57",
+    ("B(2|1)", "3,1/1", "latex"):
+        "80964481817e1b387c9209011228e220f81a9911900025279e8bef0e16b01d9a",
+    ("B(2|1)", "3,1/1", "text"):
+        "552cce7dbd91193851b72ba5bc310a4383abec0aca685c9e3363a8dfe45a6656",
+}
+EXPORT_SHA256 = {
+    "B2-1_column_height_1.json":
+        "642827434304f0eb8778d8add4a497e0ec98a70953bb0ce997064614ca273c32",
+    "B2-1_column_height_2.json":
+        "d363ca8b8c7d8ed4abf7f5c857067c751f7c0c29730748772c41c517dce35905",
+    "B2-1_row_length_2.json":
+        "a071345aaf9b2cf1789418d632cab248ca30def76c16e1239501fb69b798f50e",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec,shape,fmt", sorted(BUILD_SHA256))
+def test_build_stdout_is_byte_stable(spec, shape, fmt, capsys):
+    assert main(["build", spec, "--shape", shape, "--format", fmt]) == 0
+    assert _sha256(capsys.readouterr().out) == BUILD_SHA256[spec, shape, fmt]
+
+
+def test_build_no_vacuum_stdout_is_byte_stable(capsys):
+    assert main(["build", "B(0|2)", "--shape", "2^2", "--no-vacuum",
+                 "--format", "text"]) == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "4777b053c42db42814186d527eb7b12a8f05ea262b4fdcc108ca747e6d5a9efe")
+
+
+def test_export_files_are_byte_stable(tmp_path, capsys):
+    assert main(["export", "--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("*.json")}
+    assert got == EXPORT_SHA256

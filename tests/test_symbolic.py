@@ -13,13 +13,13 @@ from hypothesis import example, given, strategies as st
 
 from bethe_dvf.algebra import index_set, parse_spec
 from bethe_dvf.dvf import (BoxContext, build_dvf, cell_shift, column_dvf,
-                           dvf_value, generating_series_coeff,
+                           dvf_value, generating_series,
                            normalized_rect_value, row_dvf, signed_box)
 from bethe_dvf import symbolic
 from bethe_dvf.relations import (det_formula, det_matrix, tsystem_block,
                                  tsystem_g)
 from bethe_dvf.symbolic import (Assignment, PoleHit, SymSum, SymTerm, ZERO,
-                                _factor_value, _group_sum_at, colors_of,
+                                _base_int, _group_sum_at, colors_of,
                                 equal_as_rational_functions, evaluate,
                                 evaluate_term, exact_det, loads, dumps,
                                 poly_at, random_assignment, residue_breakdown,
@@ -288,8 +288,8 @@ def test_built_sums_carry_int_shifts():
             det_formula(d21, SkewDiagram.straight((2,)), "d_row"),
             tsystem_block(2, 1, 2),
             tsystem_block(2, 2, 1),
-            generating_series_coeff(BoxContext(b21), "row", 2),
-            generating_series_coeff(BoxContext(d21), "column", 2)]
+            generating_series(BoxContext(b21), "row", 2)[2],
+            generating_series(BoxContext(d21), "column", 2)[2]]
     for x in sums:
         assert not x.is_zero()
         assert _shift_types(x) == {int}
@@ -512,8 +512,12 @@ NET_POINT = Assignment.exact_point(
 def test_exact_evaluation_matches_reference():
     # the explicit cases, alone, summed and as sums of products
     asg = NET_POINT
-    # (u - 7/3)(u + 5/3) = -4 is an integer, D_1 = 3^2 * 3 * 3
-    assert _factor_value(asg, 1, 0, {}) == (-4, 1)
+    # (u - 7/3)(u + 5/3) = -4 is an integer: n = (3 - 21)(3 + 15) = -324
+    # over D_1 = 3^2 * 3 * 3 = 81, both in the point's slot table
+    cache: dict = {}
+    evaluate(SymSum.make([SymTerm.make(1, [(1, 0, 1)])]), asg, cache)
+    slots = cache[symbolic._SCALED]
+    assert _base_int(asg, 1, 0) == slots[1, 0] == -324 and slots[1] == 81
     sums = [SymSum.make([t]) for t in NET_CASES] + [SymSum.make(NET_CASES)]
     for x in sums:
         assert evaluate(x, asg) == _ref_value(x.terms, asg)
@@ -695,13 +699,14 @@ def test_evaluated_sums_and_terms_pickle():
     y = shift_u(column_dvf(ctx, 2), 3)
     asg = random_assignment(Random(6), colors_of(x))
     for z in (x, y, ZERO, x.terms[0]):
-        value = (evaluate if isinstance(z, SymSum) else evaluate_term)
+        is_sum = isinstance(z, SymSum)
+        value = evaluate if is_sum else evaluate_term
         want = value(z, asg)
-        assert "_plan" in vars(z)
+        assert ("_plan" in vars(z)) == is_sum   # a term never holds a form
         back = pickle.loads(pickle.dumps(z))
         assert back == z and "_plan" not in vars(back)
         assert value(back, asg) == want
-        assert "_plan" in vars(z)       # pickling keeps the form in place
+        assert ("_plan" in vars(z)) == is_sum   # pickling keeps the form
 
 
 def _multiplications(fn) -> int:
@@ -754,7 +759,7 @@ def test_plans_leave_equality_hash_dumps_and_pickle_alone():
     fresh_x, fresh_t = loads(dumps(x)), SymTerm(t.coeff, t.qs, t.phis)
     asg = random_assignment(Random(3), colors_of(x))
     want = evaluate(x, asg), evaluate_term(t, asg)
-    assert "_plan" in vars(x) and "_plan" in vars(t)
+    assert "_plan" in vars(x) and "_plan" not in vars(t)
     assert "_plan" not in vars(fresh_x) and "_plan" not in vars(fresh_t)
     for got, fresh in ((x, fresh_x), (t, fresh_t)):
         assert got == fresh and hash(got) == hash(fresh)
@@ -791,10 +796,10 @@ def test_plans_compile_once_and_lazily(monkeypatch):
 
 def test_a_point_values_each_base_once(monkeypatch):
     calls = []
-    value = symbolic._factor_value
-    monkeypatch.setattr(symbolic, "_factor_value",
-                        lambda asg, c, s, cache: calls.append((c, s))
-                        or value(asg, c, s, cache))
+    value = symbolic._base_int
+    monkeypatch.setattr(symbolic, "_base_int",
+                        lambda asg, c, s: calls.append((c, s))
+                        or value(asg, c, s))
     x = build_dvf(BoxContext(parse_spec("B(2|1)")), SkewDiagram.straight((2, 1)))
     bases = {(c, s) for t in x.terms for c, s, _ in _ref_factors(t)}
     asg = random_assignment(Random(9), colors_of(x))
@@ -821,9 +826,9 @@ def _wide_rational(rng) -> Fraction:
 
 
 def test_integer_factor_values_match_poly_at():
-    # the exact Q_a(u + s) and phi(u + s) on integers against prod (v - z)
-    # on Fractions, for N_a and N = 0..4, shifts of both signs, and points
-    # with u + s on a root, where the value is 0
+    # the exact Q_a(u + s) and phi(u + s) as n over D_c = q^N prod b on
+    # integers against prod (v - z) on Fractions, for N_a and N = 0..4,
+    # shifts of both signs, and points with u + s on a root, where n is 0
     shifts = (-40, -7, -1, 0, 1, 2, 9, 40)
     rng = Random(17)
     zeros_seen = 0
@@ -836,13 +841,15 @@ def test_integer_factor_values_match_poly_at():
         if on and rng.random() < 0.3:
             u = rng.choice(on) - rng.choice(shifts)
         asg = Assignment.exact_point(u, roots, inhoms)
-        cache: dict = {}
         for color in (1, 2, 3, None):
             zeros = inhoms if color is None else roots.get(color, ())
+            d_c = asg.u.denominator ** len(zeros)
+            for z in zeros:
+                d_c *= z.denominator
             for shift in shifts:
-                want = poly_at(zeros, asg.u + shift, Fraction(1))
-                got = _factor_value(asg, color, shift, cache)
-                assert got == (want.numerator, want.denominator)
+                want = poly_at(zeros, asg.u + shift, Fraction(1)) * d_c
+                assert want.denominator == 1
+                assert _base_int(asg, color, shift) == want
                 zeros_seen += want == 0
     assert zeros_seen > 20
 
@@ -913,13 +920,11 @@ def test_one_cache_serves_every_exact_evaluator():
         cache: dict = {}
         got = [call(cache) for call in order]
         assert got == (fresh if order is calls else fresh[::-1])
-    # the evaluator keeps at most one entry besides the base values
+    # the evaluator keeps one entry, the point's slot table
     for z in (x, y):
         cache = {}
         evaluate(z, asg, cache)
-        bases = {(c, s) for term in z.terms
-                 for c, s, _ in _ref_factors(term)}
-        assert len(cache) <= len(bases) + 1
+        assert list(cache) == [symbolic._SCALED]
 
 
 def _value_digest(x: SymSum) -> str:
