@@ -40,6 +40,11 @@ from .reports import IdentityReport, exact_report
 from .symbolic import (Assignment, GenericityViolation, SymSum, SymTerm,
                        evaluate, residue_breakdown)
 
+GENERIC_TOL = 1e-6       # same-color roots this near each other or a resonant gap clash
+RESIDUE_EPS = 1e-8       # relative residue below which a pole counts as gone
+LAURENT_RADIUS = 1e-3    # of the circle _laurent_tail samples around a pole
+LAURENT_NODES = 16       # sample points on that circle
+
 
 class NoSolutionFound(RuntimeError):
     """Every Newton start failed to converge to an acceptable root set."""
@@ -311,8 +316,7 @@ def _split(counts: tuple[int, ...], vec: np.ndarray) -> tuple[tuple[complex, ...
     return tuple([xs[j - n:j] for n, j in zip(counts, accumulate(counts))])
 
 
-def assert_generic(sys: BetheSystem, roots: BetheRootSet,
-                   tol: float = 1e-6) -> None:
+def assert_generic(sys: BetheSystem, roots: BetheRootSet) -> None:
     """Reject root sets where same-color roots coincide or sit at the
     resonant separations (the self-pairing value, or 2)."""
     for a, vs in enumerate(roots.roots, start=1):
@@ -320,10 +324,10 @@ def assert_generic(sys: BetheSystem, roots: BetheRootSet,
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
                 d = abs(vs[i] - vs[j])
-                if d < tol:
+                if d < GENERIC_TOL:
                     raise GenericityViolation(
                         f"color {a} roots {i} and {j} coincide")
-                if abs(d - gap) < tol or abs(d - 2) < tol:
+                if abs(d - gap) < GENERIC_TOL or abs(d - 2) < GENERIC_TOL:
                     raise GenericityViolation(
                         f"color {a} roots {i} and {j} at resonant separation {d:.3g}")
 
@@ -562,8 +566,8 @@ def _relative_residue(x: SymSum, color: int, k: int, shift: int,
     return abs(sum(parts, 0j)) / scale
 
 
-def check_residue_pairs(spec: AlgebraSpec, sys: BetheSystem, roots: BetheRootSet,
-                        eps: float = 1e-8) -> IdentityReport:
+def check_residue_pairs(spec: AlgebraSpec, sys: BetheSystem,
+                        roots: BetheRootSet) -> IdentityReport:
     """All pairwise residue cancellations at one solved instance."""
     ctx = BoxContext(spec, include_vacuum=True)
     asg = Assignment.float_point(0, roots.as_mapping(),
@@ -579,11 +583,7 @@ def check_residue_pairs(spec: AlgebraSpec, sys: BetheSystem, roots: BetheRootSet
             rows.append({"relation": name, "color": d, "k": k, "residue": rel})
     return IdentityReport(name=f"residue-pairs {spec}", mode="numeric",
                           samples=len(rows), max_deviation=worst,
-                          passed=worst < eps, details={"cases": rows})
-
-
-LAURENT_RADIUS = 1e-3    # of the circle _laurent_tail samples around a pole
-LAURENT_NODES = 16       # sample points on that circle
+                          passed=worst < RESIDUE_EPS, details={"cases": rows})
 
 
 def _laurent_tail(x: SymSum, pole: complex, asg: Assignment,
@@ -611,7 +611,7 @@ def _laurent_tail(x: SymSum, pole: complex, asg: Assignment,
 
 
 def check_pole_free(dvf_sum: SymSum, sys: BetheSystem, roots: BetheRootSet,
-                    eps: float = 1e-8, name: str = "pole-free") -> IdentityReport:
+                    name: str = "pole-free") -> IdentityReport:
     """Total residue at every candidate pole of the sum, relative to the
     term-magnitude scale; itemized per color."""
     asg = Assignment.float_point(0, roots.as_mapping(),
@@ -648,7 +648,7 @@ def check_pole_free(dvf_sum: SymSum, sys: BetheSystem, roots: BetheRootSet,
         rows.append({"color": color, "k": k, "shift": str(shift),
                      "residue": rel, "method": how})
     return IdentityReport(name=name, mode="numeric", samples=len(rows),
-                          max_deviation=worst, passed=worst < eps,
+                          max_deviation=worst, passed=worst < RESIDUE_EPS,
                           details={"per_color": {str(c): v for c, v in
                                                  sorted(per_color.items())},
                                    "cases": rows})

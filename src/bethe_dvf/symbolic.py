@@ -59,6 +59,7 @@ RatLike = Union[Fraction, int, str]
 
 SAMPLE_BOUND = 10**4     # numerators/denominators of random sample points
 SAMPLE_RETRY_CAP = 100   # resampling attempts before SamplingExhausted
+POLE_TOL = 1e-9          # |root gap| or |pole base| that is a residue collision
 
 
 class PoleHit(ArithmeticError):
@@ -585,23 +586,25 @@ def _run(plan: tuple, asg: Assignment, cache: dict):
 
 
 def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
-    """Value of one term at the assignment: in exact mode the value of the
-    one-term sum ``SymSum((t,))``, so no compiled form stays on the term.
+    """Complex value of one term at a float assignment; exact values come
+    from ``evaluate`` on the one-term sum ``SymSum((t,))``.
 
     Raises PoleHit when a denominator factor vanishes, even where a numerator
-    factor vanishes too (0/0 is not a value).
+    factor vanishes too (0/0 is not a value), and ValueError at an exact
+    assignment.
     """
+    if asg.exact:
+        raise ValueError("evaluate_term values float points; value a term "
+                         "exactly with evaluate(SymSum((t,)), asg)")
     cache = {} if _cache is None else _cache
-    if not asg.exact:
-        val = complex(t.coeff)
-        # phi as color None, as in _compile and PoleHit
-        for color, shift, exp in (*t.qs, *((None, *f) for f in t.phis)):
-            base = _factor_value(asg, color, shift, cache)
-            if exp < 0 and base == 0:
-                raise PoleHit(color, shift)
-            val *= base if exp == 1 else 1 / base if exp == -1 else base ** exp
-        return val
-    return evaluate(SymSum((t,)), asg, cache)
+    val = complex(t.coeff)
+    # phi as color None, as in _compile and PoleHit
+    for color, shift, exp in (*t.qs, *((None, *f) for f in t.phis)):
+        base = _factor_value(asg, color, shift, cache)
+        if exp < 0 and base == 0:
+            raise PoleHit(color, shift)
+        val *= base if exp == 1 else 1 / base if exp == -1 else base ** exp
+    return val
 
 
 def evaluate(x: SymSum, asg: Assignment, _cache: dict | None = None):
@@ -760,7 +763,7 @@ def exact_det(matrix: list[list[Fraction]]) -> Fraction:
 
 
 def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
-                  at: Assignment, cache: dict, tol: float = 1e-9) -> complex:
+                  at: Assignment, cache: dict) -> complex:
     """Simple-pole residue of one term at the pole ``at``, with its cache."""
     roots = at.roots.get(color, ())
     u_k = roots[root_index]
@@ -779,7 +782,7 @@ def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
         if j == root_index:
             continue
         d = u_k - other
-        if abs(d) < tol:
+        if abs(d) < POLE_TOL:
             raise GenericityViolation(
                 f"color {color} roots {root_index} and {j} coincide")
         deriv *= d
@@ -790,7 +793,7 @@ def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
         if c == color and s == -shift:
             continue                    # the simple pole, divided out by deriv
         base = _factor_value(at, c, s, cache)
-        if base == 0 or (e < 0 and abs(base) < tol):
+        if base == 0 or (e < 0 and abs(base) < POLE_TOL):
             if e < 0:
                 what = "phi" if c is None else f"Q_{c}"
                 raise GenericityViolation(

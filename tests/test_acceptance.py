@@ -15,11 +15,10 @@ import numpy as np
 
 from bethe_dvf.algebra import KacDynkinLabel, dimension_b0s, parse_spec
 from bethe_dvf.bae import BetheRootSet, BetheSystem, check_pole_free
-from bethe_dvf.cli import FIXTURE_W, SUITES
+from bethe_dvf.cli import FIXTURE_W, SUITE_TABLE, SUITES, run_cases
 from bethe_dvf.dvf import BoxContext, build_dvf, column_dvf
-from bethe_dvf.relations import (check_det_vs_tableaux, check_duality,
-                                 det_formula, verify_const, verify_modi,
-                                 verify_modi1)
+from bethe_dvf.relations import (check_duality, det_formula, verify_const,
+                                 verify_modi, verify_modi1)
 from bethe_dvf.tableaux import SkewDiagram, count_tableaux
 
 from conftest import partitions_up_to
@@ -79,24 +78,14 @@ CRITERION_05_SHA256 = \
 
 def test_criterion_05_determinant_formulas():
     t0 = time.time()
-    ok = True
-    reports = []
-    for name in ("B(1|1)", "B(2|1)"):
-        spec = parse_spec(name)
-        for mu in partitions_up_to(6):
-            sd = SkewDiagram.straight(mu)
-            for variant in ("column", "row"):
-                rep = check_det_vs_tableaux(spec, sd, variant, trials=20,
-                                            seed=17)
-                ok &= rep.passed and rep.max_deviation == 0
-                reports.append(rep.to_json())
-    text = json.dumps(reports, sort_keys=True)
-    ok &= len(reports) == 116
+    check, _ = SUITE_TABLE["determinant"]
+    cases = [(name, mu, variant) for name in ("B(1|1)", "B(2|1)")
+             for mu in partitions_up_to(6) for variant in ("column", "row")]
+    reports = run_cases(check, cases + [("D(2|1)", (2,), "d_row")], seed=17)
+    ok = all_passed(reports, 117)
+    ok &= all(rep.max_deviation == 0 for rep in reports)
+    text = json.dumps([rep.to_json() for rep in reports[:116]], sort_keys=True)
     ok &= hashlib.sha256(text.encode()).hexdigest() == CRITERION_05_SHA256
-    rep = check_det_vs_tableaux(parse_spec("D(2|1)"),
-                                SkewDiagram.straight((2,)), "d_row",
-                                trials=20, seed=17)
-    ok &= rep.passed and rep.max_deviation == 0
     report(5, "determinant formulas at 20 exact points per shape", ok, t0, 60.0)
 
 

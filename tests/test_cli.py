@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import bethe_dvf
+from bethe_dvf import cli
 from bethe_dvf.cli import main, parse_shape
 
 # the subprocess runs the package these tests import, installed or not
@@ -189,14 +190,46 @@ def test_verify_stdout_is_byte_stable(suite, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED42_SHA256[suite]
 
 
+VERIFY_ALL_SEED42_SHA256 = \
+    "54471fbd6e8e92dc5d67d71de554d62898c688fe404b53675f42b87d57ebf291"
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_all_stdout_is_byte_stable(jobs, capsys):
     # every suite, numeric ones included, in registry order; a process pool
     # prints the same bytes
     assert main(["verify", "all", "--seed", "42", "--jobs", jobs]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "54471fbd6e8e92dc5d67d71de554d62898c688fe404b53675f42b87d57ebf291")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SEED42_SHA256
+
+
+def test_verify_all_reads_the_registry_at_call_time(monkeypatch, capsys):
+    # the benchmark's verify_all round times each suite by wrapping the
+    # entries of cli.SUITES, and empties cli._FIXTURE_CACHE so that every
+    # round solves the Bethe fixtures again; both names are its contract
+    assert list(cli.SUITES) == [
+        "golden", "counts", "determinant", "hirota", "duality", "tsystem",
+        "residues", "polefree", "lemmas", "crossing", "genseries",
+        "conjecture"]
+    calls: dict[str, list] = {}
+
+    def wrap(name, fn):
+        def suite(seed):
+            reports = fn(seed)
+            calls.setdefault(name, []).append((seed, len(reports)))
+            return reports
+        return suite
+
+    for name, fn in list(cli.SUITES.items()):
+        monkeypatch.setitem(cli.SUITES, name, wrap(name, fn))
+    cli._FIXTURE_CACHE.clear()
+    assert main(["verify", "all", "--seed", "42"]) == 0
+    out = capsys.readouterr().out
+    assert list(calls) == list(cli.SUITES)
+    assert all(len(c) == 1 and c[0][0] == 42 for c in calls.values())
+    assert sum(c[0][1] for c in calls.values()) == len(json.loads(out)) == 138
+    assert sorted(cli._FIXTURE_CACHE) == sorted(cli.FIXTURE_COUNTS)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SEED42_SHA256
 
 
 # sha256 of `build` stdout in each format, and of the three `export` files:

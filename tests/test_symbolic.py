@@ -114,6 +114,16 @@ def test_evaluate_float_mode():
     assert abs(evaluate(x, asg) - 2) < 1e-12
 
 
+def test_evaluate_term_values_float_points_only():
+    # exact values have one entry, evaluate on a sum: a term at an exact
+    # point is refused, not valued in a mix of Fraction and complex
+    t = q1_ratio(1, -1)
+    with pytest.raises(ValueError):
+        evaluate_term(t, Assignment.exact_point(3, {1: (0,)}))
+    asg = Assignment.float_point(3 + 0j, {1: (0j,)})
+    assert evaluate_term(t, asg) == evaluate(SymSum((t,)), asg) == 2
+
+
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
 def test_ring_laws_under_evaluation(r1, r2, uval):
     a = SymSum.make([SymTerm.make(2, [(1, 1, 1)]),
@@ -522,7 +532,7 @@ def test_exact_evaluation_matches_reference():
     for x in sums:
         assert evaluate(x, asg) == _ref_value(x.terms, asg)
     for t in NET_CASES:
-        assert evaluate_term(t, asg) == _ref_value((t,), asg)
+        assert evaluate(SymSum((t,)), asg) == _ref_value((t,), asg)
     groups = [[sums[0], sums[1]], [sums[4]], [sums[2], sums[3], sums[0]]]
     assert _group_sum_at(groups, asg, {}) == sum(
         prod_ref(g, asg) for g in groups)
@@ -532,6 +542,7 @@ def test_exact_evaluation_matches_reference():
         x = _random_sum(rng)
         asg = _random_point(rng, x)
         pole = _ref_first_pole(x.terms, asg)
+        singles = [SymSum((t,)) for t in x.terms]
         cache: dict = {}
         for _ in range(2):      # the second pass reads the filled cache
             if pole is None:
@@ -540,14 +551,14 @@ def test_exact_evaluation_matches_reference():
                 with pytest.raises(PoleHit) as hit:
                     evaluate(x, asg, cache)
                 assert (hit.value.color, hit.value.shift) == pole
-            for t in x.terms:
+            for t, one in zip(x.terms, singles):
                 term_pole = _ref_first_pole((t,), asg)
                 if term_pole is None:
                     want = _ref_value((t,), asg)
-                    assert evaluate_term(t, asg, cache) == want
+                    assert evaluate(one, asg, cache) == want
                 else:
                     with pytest.raises(PoleHit) as hit:
-                        evaluate_term(t, asg, cache)
+                        evaluate(one, asg, cache)
                     assert (hit.value.color, hit.value.shift) == term_pole
         poles += pole is not None
         values += pole is None
@@ -588,7 +599,7 @@ def test_a_wide_form_takes_more_than_256_slots():
     # a product of 4,000 factors, more than compile() takes in one chain
     t = SymTerm.make(3, [(1, k, 1) for k in range(4000)], [(0, -1)])
     asg = Assignment.exact_point(5, {1: (1,)}, (2,))
-    assert evaluate_term(t, asg) == _ref_value((t,), asg)
+    assert evaluate(SymSum((t,)), asg) == _ref_value((t,), asg)
 
 
 def _ref_gauss_det(matrix) -> Fraction:
@@ -661,7 +672,7 @@ def test_random_sums_with_high_exponents_match_reference():
             assert (hit.value.color, hit.value.shift) == pole
         for t in x.terms:
             if _ref_first_pole((t,), asg) is None:
-                assert evaluate_term(t, asg) == _ref_value((t,), asg)
+                assert evaluate(SymSum((t,)), asg) == _ref_value((t,), asg)
         poles += pole is not None
         values += pole is None
     assert poles > 15 and values > 15
@@ -672,10 +683,10 @@ def test_empty_constant_and_unmerged_sums():
     assert evaluate(ZERO, asg) == 0 and type(evaluate(ZERO, asg)) is Fraction
     for c in (1, -1, Fraction(-22, 7), Fraction(5, 3)):
         assert evaluate(SymSum.constant(c), asg) == c
-        assert evaluate_term(SymTerm.make(c), asg) == c
+        assert evaluate(SymSum((SymTerm.make(c),)), asg) == c
     # a SymSum built without make may repeat or cancel a term
     t = SymTerm.make(Fraction(3, 5), [(1, 1, 2), (2, 0, -1)], [(1, -2)])
-    one = evaluate_term(t, asg)
+    one = evaluate(SymSum((t,)), asg)
     assert evaluate(SymSum((t, t, t)), asg) == 3 * one
     assert evaluate(SymSum((t, SymTerm(-t.coeff, t.qs, t.phis))), asg) == 0
     assert evaluate(SymSum((SymTerm.make(2), SymTerm.make(-2))), asg) == 0
@@ -700,7 +711,8 @@ def test_evaluated_sums_and_terms_pickle():
     asg = random_assignment(Random(6), colors_of(x))
     for z in (x, y, ZERO, x.terms[0]):
         is_sum = isinstance(z, SymSum)
-        value = evaluate if is_sum else evaluate_term
+        value = evaluate if is_sum else (
+            lambda term, at: evaluate(SymSum((term,)), at))
         want = value(z, asg)
         assert ("_plan" in vars(z)) == is_sum   # a term never holds a form
         back = pickle.loads(pickle.dumps(z))
@@ -758,7 +770,7 @@ def test_plans_leave_equality_hash_dumps_and_pickle_alone():
     t = x.terms[0]
     fresh_x, fresh_t = loads(dumps(x)), SymTerm(t.coeff, t.qs, t.phis)
     asg = random_assignment(Random(3), colors_of(x))
-    want = evaluate(x, asg), evaluate_term(t, asg)
+    want = evaluate(x, asg), evaluate(SymSum((t,)), asg)
     assert "_plan" in vars(x) and "_plan" not in vars(t)
     assert "_plan" not in vars(fresh_x) and "_plan" not in vars(fresh_t)
     for got, fresh in ((x, fresh_x), (t, fresh_t)):
@@ -770,7 +782,7 @@ def test_plans_leave_equality_hash_dumps_and_pickle_alone():
         assert back == x and dumps(back) == dumps(x)
         assert evaluate(back, asg) == want[0]
     back = pickle.loads(pickle.dumps(t))
-    assert back == t and evaluate_term(back, asg) == want[1]
+    assert back == t and evaluate(SymSum((back,)), asg) == want[1]
 
 
 def test_plans_compile_once_and_lazily(monkeypatch):
@@ -857,14 +869,15 @@ def test_integer_factor_values_match_poly_at():
 @pytest.mark.parametrize("name,mu", [("B(1|1)", (2, 1)), ("B(0|2)", (2, 2)),
                                      ("D(2|1)", (1, 1, 1)), ("D(2|1)", (3,))])
 def test_pole_hits_on_the_integer_path_name_the_first_factor(name, mu):
-    # points where a box denominator vanishes: evaluate and evaluate_term
-    # name the first vanishing denominator factor in term and factor order,
-    # and dvf_value the first in cell, label and factor order, as the
-    # Fraction reference finds them
+    # points where a box denominator vanishes: evaluate, on the sum and on
+    # its first term alone, names the first vanishing denominator factor in
+    # term and factor order, and dvf_value the first in cell, label and
+    # factor order, as the Fraction reference finds them
     ctx, shape = BoxContext(parse_spec(name)), SkewDiagram.straight(mu)
     boxes = [signed_box(ctx, lab, cell_shift(shape, i, j))
              for i, j in shape.cells() for lab in index_set(ctx.spec)]
     x = build_dvf(ctx, shape)
+    first = SymSum(x.terms[:1])
     dens = sorted({(c, sh) for t in boxes for c, sh, e in _ref_factors(t)
                    if e < 0})
     rng = Random(name)
@@ -886,7 +899,7 @@ def test_pole_hits_on_the_integer_path_name_the_first_factor(name, mu):
             assert (hit.value.color, hit.value.shift) == pole
         for terms, value in ((x.terms, lambda c: evaluate(x, asg, c)),
                              (x.terms[:1],
-                              lambda c: evaluate_term(x.terms[0], asg, c))):
+                              lambda c: evaluate(first, asg, c))):
             pole = _ref_first_pole(terms, asg)
             if pole is None:
                 assert value({}) == _ref_value(terms, asg)
@@ -906,13 +919,13 @@ def test_one_cache_serves_every_exact_evaluator():
                                   [(1, 2), (2, -1)]),
                      SymTerm.make(-1, [(1, 1, 2)], [(1, -1)])])
     y = column_dvf(ctx, 2)
-    t = x.terms[0]
+    one = SymSum(x.terms[:1])
     shape = SkewDiagram.straight((2, 1))
     roots = {1: (Fraction(1, 2), -3), 2: (Fraction(5, 4),)}
     asg = Assignment.exact_point(Fraction(7, 3), roots, (Fraction(-2, 3), 4))
     calls = [lambda c: evaluate(x, asg, c),
              lambda c: evaluate(y, asg, c),
-             lambda c: evaluate_term(t, asg, c),
+             lambda c: evaluate(one, asg, c),
              lambda c: dvf_value(ctx, shape, asg, c, 1),
              lambda c: normalized_rect_value(b02, 2, 1, asg, c)]
     fresh = [call({}) for call in calls]
