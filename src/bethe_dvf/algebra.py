@@ -205,7 +205,8 @@ def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkin
     B family: any mu with mu_{r+1} <= s (r >= 1) or mu_1 <= s (r = 0).
     D family: only single columns (1^a) and single rows (m^1).
     """
-    from .tableaux import Partition, conjugate  # tableaux imports this module
+    # tableaux imports this module
+    from .tableaux import Partition, SkewDiagram, _check_shape, conjugate
 
     s, r = spec.s, spec.r
     mu = Partition.make(mu)
@@ -228,25 +229,21 @@ def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkin
         return KacDynkinLabel(tuple(out))
 
     # D family
-    if len(mu) == 0:
-        return KacDynkinLabel((Fraction(0),) * n)
-    if all(p == 1 for p in mu.parts):    # column (1^a)
+    _check_shape(spec, SkewDiagram.straight(mu))
+    if all(p == 1 for p in mu.parts):    # column (1^a), a = 0 included
         a = len(mu)
         return KacDynkinLabel(tuple(Fraction(a if j == 1 else 0)
                                     for j in range(1, n + 1)))
-    if len(mu) == 1:                     # row (m^1)
-        m = mu[1]
-        out = [Fraction(0)] * n
-        if m <= s:
-            out[m - 1] = Fraction(1)
-        else:
-            out[s - 1] = Fraction(m - s + 1)
-            out[s] = Fraction(m - s)
-            if r == 2:
-                out[s + 1] = Fraction(m - s)
-        return KacDynkinLabel(tuple(out))
-    raise UnsupportedShape(
-        f"D-family labels defined only for single rows/columns, got {mu.parts}")
+    m = mu[1]                            # row (m^1)
+    out = [Fraction(0)] * n
+    if m <= s:
+        out[m - 1] = Fraction(1)
+    else:
+        out[s - 1] = Fraction(m - s + 1)
+        out[s] = Fraction(m - s)
+        if r == 2:
+            out[s + 1] = Fraction(m - s)
+    return KacDynkinLabel(tuple(out))
 
 
 def dimension_b0s(s: int, label: KacDynkinLabel) -> int:

@@ -602,7 +602,7 @@ def _laurent_tail(x: SymSum, pole: complex, asg: Assignment,
     scale = 0.0
     for j in range(LAURENT_NODES):
         z = LAURENT_RADIUS * cmath.exp(2j * cmath.pi * j / LAURENT_NODES)
-        asg_j = Assignment(pole + z, asg.roots, asg.inhoms, exact=False)
+        asg_j = Assignment(pole + z, asg.roots, asg.inhoms)
         val = evaluate(x, asg_j)
         scale = max(scale, abs(val))
         for m in range(1, order + 1):

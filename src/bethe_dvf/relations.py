@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product as iproduct
 
-from .algebra import (AlgebraSpec, KacDynkinLabel, UnsupportedShape,
-                      WrongAlgebra, ZERO_LABEL, bar, dimension_b0s, unb)
+from .algebra import (AlgebraSpec, KacDynkinLabel, WrongAlgebra, ZERO_LABEL,
+                      bar, dimension_b0s, unb)
 from .dvf import (BoxContext, box_product, column_dvf, dvf_value,
                   normalized_rect_dvf, normalized_rect_value, rect_value,
                   row_dvf)
@@ -23,7 +23,7 @@ from .reports import IdentityReport, exact_report, merge_reports
 from .symbolic import (ONE, ONE_TERM, Codec, SymSum, ZERO,
                        equal_as_rational_functions, evaluate, exact_det,
                        sample_max_deviation, shift_u)
-from .tableaux import SkewDiagram, conjugate, count_tableaux
+from .tableaux import SkewDiagram, _check_shape, conjugate, count_tableaux
 
 
 # ---------------------------------------------------------------------------
@@ -70,20 +70,14 @@ def det_matrix(spec: AlgebraSpec, shape: SkewDiagram,
     entry a pair (n, shift): the block of size n shifted by shift along u.
 
     ``column`` has single-column sums T^n as entries, ``row`` single-row sums
-    T_n (both B family, any skew shape); ``d_row`` is the D-family
-    expression of a single row T_m over the T^n.  Blocks of negative size
-    are 0 and of size 0 are 1, as for ``column_dvf`` and ``row_dvf``.
+    T_n.  Both serve both families: any skew shape for B, and the column
+    (1^a) and row (m^1) for D, the other D shapes raising UnsupportedShape.
+    Blocks of negative size are 0 and of size 0 are 1, as for
+    ``column_dvf`` and ``row_dvf``.
     """
-    if variant == "d_row":
-        if spec.family != "D" or not shape.is_row():
-            raise UnsupportedShape("d_row needs a D-family single row")
-        m = shape.n_cells()
-        return [[(1 - i + j, -m + i + j - 1)
-                 for j in range(1, m + 1)] for i in range(1, m + 1)]
     if variant not in ("column", "row"):
         raise ValueError(f"unknown variant {variant!r}")
-    if spec.family != "B":
-        raise UnsupportedShape(f"{variant} determinant applies to the B family")
+    _check_shape(spec, shape)
     lam, mu = shape.lam, shape.mu
     mup, lamp = conjugate(mu), conjugate(lam)
     if variant == "column":

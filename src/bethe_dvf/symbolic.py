@@ -367,27 +367,27 @@ class Assignment:
     """Numeric specialization of u, the Bethe roots and the inhomogeneities.
 
     ``roots`` maps a color to the tuple of roots of that color (so N_a is
-    implied by the tuple length).  ``exact`` selects bit-exact Fraction
-    arithmetic; otherwise values are coerced to complex floats.
+    implied by the tuple length).  A point is exact when u is a Fraction,
+    valued in bit-exact Fraction arithmetic; otherwise values are complex
+    floats.
     """
 
     u: object
     roots: Mapping[int, tuple]
     inhoms: tuple = ()
-    exact: bool = False
 
     @staticmethod
     def exact_point(u: RatLike, roots: Mapping[int, Sequence[RatLike]],
                     inhoms: Sequence[RatLike] = ()) -> Assignment:
         return Assignment(_rat(u),
                           {c: tuple(_rat(v) for v in vs) for c, vs in roots.items()},
-                          tuple(_rat(w) for w in inhoms), exact=True)
+                          tuple(_rat(w) for w in inhoms))
 
     @staticmethod
     def float_point(u, roots: Mapping[int, Sequence], inhoms: Sequence = ()) -> Assignment:
         return Assignment(complex(u),
                           {c: tuple(complex(v) for v in vs) for c, vs in roots.items()},
-                          tuple(complex(w) for w in inhoms), exact=False)
+                          tuple(complex(w) for w in inhoms))
 
 
 def poly_at(zeros: Iterable, v, start):
@@ -593,7 +593,7 @@ def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
     factor vanishes too (0/0 is not a value), and ValueError at an exact
     assignment.
     """
-    if asg.exact:
+    if isinstance(asg.u, Fraction):
         raise ValueError("evaluate_term values float points; value a term "
                          "exactly with evaluate(SymSum((t,)), asg)")
     cache = {} if _cache is None else _cache
@@ -617,7 +617,7 @@ def evaluate(x: SymSum, asg: Assignment, _cache: dict | None = None):
     vanishes at the point, also where 0/0 would result.
     """
     cache = {} if _cache is None else _cache
-    if not asg.exact:
+    if not isinstance(asg.u, Fraction):
         return sum((evaluate_term(t, asg, cache) for t in x.terms), complex(0))
     return Fraction(*_run(x._plan, asg, cache))
 
@@ -808,7 +808,7 @@ def residue_breakdown(x: SymSum, color: int, root_index: int, shift: int,
     """Per-term simple-pole residues of x at u = u_{root_index}^(color) + shift."""
     s = _shift(shift)
     pole = asg.roots.get(color, ())[root_index] + complex(s)
-    at = Assignment(pole, asg.roots, asg.inhoms, exact=False)
+    at = Assignment(pole, asg.roots, asg.inhoms)
     cache: dict = {}
     return [_term_residue(t, color, root_index, s, at, cache) for t in x.terms]
 

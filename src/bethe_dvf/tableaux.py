@@ -4,18 +4,19 @@ Coordinates follow the matrix convention: cell (i, j) has the row index i
 growing downward, the column index j growing rightward, and (1, 1) at the
 top left corner of the outer diagram.
 
-Admissibility for the B family is local (per adjacent cell pair): entries
-weakly increase along rows and columns, strictly down columns when the upper
-entry lies in J_+ \\ {0}, and strictly along rows when the left entry lies
-in J_- u {0}.  For the D family only single columns (1^a) and single rows
-(m^1) are defined; the column rule admits the incomparable pair
-{s+r, bar(s+r)} in either adjacent order (repeated alternation included),
-and the row rule adds the non-local constraint that s+r and bar(s+r) never
-appear together.  That constraint follows from the local row rule: levels
-never decrease along a row and only s+r and bar(s+r) share a level, so a row
-holding both holds them side by side, which the local rule refuses.
-``is_admissible`` still checks it; the enumeration needs only the local
-rules.  General skew shapes for D are refused rather than guessed.
+One admissibility rule serves both families, stated on the levels of
+``algebra._level`` for each adjacent cell pair: levels rise weakly along
+rows and down columns, a label may repeat along a row only if it lies in
+J_+ \\ {0}, and down a column only if it lies in J_- u {0}.  On B the
+levels are the positions of the total order on J.  On D, s+r and bar(s+r)
+share one level: they stack in a column in either order (repeated
+alternation included) but never stand side by side in a row.  For D only
+single columns (1^a) and single rows (m^1) are defined, and ``_check_shape``
+refuses every other D shape rather than guess.  The non-local D row rule,
+that s+r and bar(s+r) never appear together, follows from the local one:
+levels never fall along a row and only those two share a level, so a row
+holding both holds them side by side.  ``is_admissible`` still checks it;
+the enumeration needs only the local rules.
 
 Every walk over the fillings runs one transfer plan per (spec, shape),
 ``_transfer_plan``, compiled once from per-spec successor tables built from
@@ -130,78 +131,50 @@ class Tableau:
 # admissibility
 
 
-def _b_row_ok(spec: AlgebraSpec, left: IndexLabel, cur: IndexLabel,
-              pos: dict[IndexLabel, int]) -> bool:
-    # weakly increasing, strict when the left entry is in J_- u {0}
-    strict = grading(spec, left) == 1 or left.kind == "zero"
-    return pos[left] < pos[cur] or (not strict and pos[left] == pos[cur])
+def _check_shape(spec: AlgebraSpec, shape: SkewDiagram) -> None:
+    """Refuse a D-family shape other than a column (1^a) or a row (m^1)."""
+    if spec.family == "D" and not (shape.is_column() or shape.is_row()):
+        raise UnsupportedShape(
+            "D-family tableaux are defined only for (1^a) and (m^1)")
 
 
-def _b_col_ok(spec: AlgebraSpec, top: IndexLabel, cur: IndexLabel,
-              pos: dict[IndexLabel, int]) -> bool:
-    # weakly increasing, strict when the upper entry is in J_+ \ {0}
-    strict = grading(spec, top) == 0 and top.kind != "zero"
-    return pos[top] < pos[cur] or (not strict and pos[top] == pos[cur])
+def _repeats_in_row(spec: AlgebraSpec, x: IndexLabel) -> bool:
+    """True on J_+ \\ {0}, the labels that may repeat along a row; the
+    others, J_- u {0}, may repeat down a column."""
+    return x.kind != "zero" and grading(spec, x) == 0
 
 
-def _d_col_ok(spec: AlgebraSpec, top: IndexLabel, cur: IndexLabel) -> bool:
-    n = spec.rank
-    extreme = {unb(n), bar(n)}
-    if top in extreme and cur in extreme and top != cur:
-        return True  # the allowed incomparable adjacency, any number of times
+def _row_ok(spec: AlgebraSpec, left: IndexLabel, cur: IndexLabel) -> bool:
+    # levels rise along a row, and only J_+ \ {0} repeats; s+r and
+    # bar(s+r), which share a level on D, never stand side by side
+    return (_level(spec, left) < _level(spec, cur)
+            or (left == cur and _repeats_in_row(spec, cur)))
+
+
+def _col_ok(spec: AlgebraSpec, top: IndexLabel, cur: IndexLabel) -> bool:
+    # levels rise down a column, and only J_- u {0} repeats; s+r and
+    # bar(s+r) stack in either order, any number of times
     lv_top, lv_cur = _level(spec, top), _level(spec, cur)
-    if grading(spec, cur) == 1:      # entry below in J_-: weak
-        return lv_top <= lv_cur
-    if top in extreme and cur in extreme:
-        return False                 # equal extreme labels are not strict
-    return lv_top < lv_cur
-
-
-def _d_row_ok(spec: AlgebraSpec, left: IndexLabel, cur: IndexLabel) -> bool:
-    # Levels never fall along a row and only s+r and bar(s+r) share one, so
-    # refusing the pair side by side keeps it out of the whole row: the
-    # non-local row rule follows, though is_admissible still checks it.
-    n = spec.rank
-    extreme = {unb(n), bar(n)}
-    lv_left, lv_cur = _level(spec, left), _level(spec, cur)
-    if grading(spec, cur) == 0:      # entry to the right in J_+: weak
-        if left in extreme and cur in extreme and left != cur:
-            return False             # incomparable
-        return lv_left <= lv_cur
-    return lv_left < lv_cur
+    return lv_top < lv_cur or (lv_top == lv_cur and (
+        top != cur or not _repeats_in_row(spec, cur)))
 
 
 def is_admissible(spec: AlgebraSpec, t: Tableau) -> bool:
     """Check every rule for the tableau, including the non-local D row rule."""
+    _check_shape(spec, t.shape)
     for _, _, lab in t.entries:
         validate_label(spec, lab)
     entry = {(i, j): lab for i, j, lab in t.entries}
-    expected = set(t.shape.cells())
-    if set(entry) != expected:
-        raise ValueError("tableau does not cover exactly the skew cells")
-
-    if spec.family == "B":
-        pos = {lab: k for k, lab in enumerate(index_set(spec))}
-        for (i, j), lab in entry.items():
-            left = entry.get((i, j - 1))
-            if left is not None and not _b_row_ok(spec, left, lab, pos):
-                return False
-            top = entry.get((i - 1, j))
-            if top is not None and not _b_col_ok(spec, top, lab, pos):
-                return False
-        return True
-
-    if t.shape.is_column():
-        col = [entry[(i, 1)] for i in range(1, t.shape.n_cells() + 1)]
-        return all(_d_col_ok(spec, col[k], col[k + 1]) for k in range(len(col) - 1))
-    if t.shape.is_row():
-        row = [entry[(1, j)] for j in range(1, t.shape.n_cells() + 1)]
-        if not all(_d_row_ok(spec, row[k], row[k + 1]) for k in range(len(row) - 1)):
+    if len(entry) != len(t.entries) or set(entry) != set(t.shape.cells()):
+        raise ValueError("tableau does not fill each skew cell exactly once")
+    for (i, j), lab in entry.items():
+        left, top = entry.get((i, j - 1)), entry.get((i - 1, j))
+        if (left is not None and not _row_ok(spec, left, lab)
+                or top is not None and not _col_ok(spec, top, lab)):
             return False
-        n = spec.rank
-        return not ({unb(n), bar(n)} <= set(row))
-    raise UnsupportedShape(
-        "D-family admissibility is defined only for (1^a) and (m^1)")
+    n = spec.rank
+    return not (spec.family == "D" and t.shape.is_row()
+                and {unb(n), bar(n)} <= set(entry.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +188,9 @@ def _successors(spec: AlgebraSpec) -> tuple[tuple[tuple[int, ...], ...],
     positions allowed below it, ascending; read off the predicates that
     ``is_admissible`` uses, so each rule has one definition."""
     labels = index_set(spec)
-    if spec.family == "B":
-        pos = {lab: k for k, lab in enumerate(labels)}
-        row_ok = lambda a, b: _b_row_ok(spec, a, b, pos)
-        col_ok = lambda a, b: _b_col_ok(spec, a, b, pos)
-    else:
-        row_ok = lambda a, b: _d_row_ok(spec, a, b)
-        col_ok = lambda a, b: _d_col_ok(spec, a, b)
-    return (tuple(tuple(v for v, b in enumerate(labels) if row_ok(a, b))
+    return (tuple(tuple(v for v, b in enumerate(labels) if _row_ok(spec, a, b))
                   for a in labels),
-            tuple(tuple(v for v, b in enumerate(labels) if col_ok(a, b))
+            tuple(tuple(v for v, b in enumerate(labels) if _col_ok(spec, a, b))
                   for a in labels))
 
 
@@ -241,9 +207,7 @@ def _transfer_plan(spec: AlgebraSpec, shape: SkewDiagram) -> tuple:
     state a partial filling reaches is kept.  D-family shapes other than
     (1^a) and (m^1) raise UnsupportedShape.
     """
-    if spec.family == "D" and not (shape.is_column() or shape.is_row()):
-        raise UnsupportedShape(
-            "D-family tableaux are defined only for (1^a) and (m^1)")
+    _check_shape(spec, shape)
     right, below = _successors(spec)
     every = tuple(range(len(right)))
     cells = shape.cells()

@@ -81,7 +81,7 @@ def test_criterion_05_determinant_formulas():
     check, _ = SUITE_TABLE["determinant"]
     cases = [(name, mu, variant) for name in ("B(1|1)", "B(2|1)")
              for mu in partitions_up_to(6) for variant in ("column", "row")]
-    reports = run_cases(check, cases + [("D(2|1)", (2,), "d_row")], seed=17)
+    reports = run_cases(check, cases + [("D(2|1)", (2,), "column")], seed=17)
     ok = all_passed(reports, 117)
     ok &= all(rep.max_deviation == 0 for rep in reports)
     text = json.dumps([rep.to_json() for rep in reports[:116]], sort_keys=True)

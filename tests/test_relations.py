@@ -8,8 +8,8 @@ from random import Random
 import pytest
 
 from bethe_dvf.algebra import AlgebraSpec, UnsupportedShape, parse_spec
-from bethe_dvf.dvf import (BoxContext, build_dvf, column_dvf,
-                           normalized_rect_dvf, row_dvf)
+from bethe_dvf.dvf import (BoxContext, build_dvf, column_dvf, dvf_value,
+                           normalized_rect_dvf, rect_value, row_dvf)
 from bethe_dvf import relations, symbolic
 from bethe_dvf.relations import (_block_matrix, check_det_vs_tableaux, check_duality,
                                  check_duality_suite, check_hirota,
@@ -18,7 +18,8 @@ from bethe_dvf.relations import (_block_matrix, check_det_vs_tableaux, check_dua
                                  tsystem_block, verify_const, verify_modi,
                                  verify_modi1)
 from bethe_dvf.symbolic import (ONE, ONE_TERM, ZERO, SymSum, SymTerm,
-                                equal_group_sums, shift_u, sum_to_json)
+                                equal_group_sums, exact_det,
+                                sample_max_deviation, shift_u, sum_to_json)
 from bethe_dvf.tableaux import SkewDiagram, _transfer_plan
 
 from conftest import partitions_up_to
@@ -90,7 +91,7 @@ def test_determinants_multiply_no_terms(monkeypatch):
     # packed codes and never reaches the term product or the factor merge
     cases = [(parse_spec("B(1|1)"), SkewDiagram.straight((3, 2, 2)), variant)
              for variant in ("column", "row")]
-    cases.append((parse_spec("D(2|1)"), SkewDiagram.straight((3,)), "d_row"))
+    cases.append((parse_spec("D(2|1)"), SkewDiagram.straight((3,)), "column"))
     for case in cases:
         det_formula(*case)          # builds the cached blocks
     calls = []
@@ -126,10 +127,10 @@ def test_det_constrained_rectangle_vanishes_exactly():
 
 
 @pytest.mark.parametrize("name,mu,variant,error", [
-    ("B(1|1)", (2,), "d_row", UnsupportedShape),
-    ("D(2|1)", (1, 1), "column", UnsupportedShape),
-    ("D(2|1)", (2,), "row", UnsupportedShape),
-    ("D(2|1)", (1, 1), "d_row", UnsupportedShape),
+    ("B(1|1)", (2,), "d_row", ValueError),
+    ("D(2|1)", (2, 1), "column", UnsupportedShape),
+    ("D(2|1)", (2, 1), "row", UnsupportedShape),
+    ("D(2|1)", (1, 1), "d_row", ValueError),
     ("B(1|1)", (2,), "diagonal", ValueError),
 ])
 def test_det_refusals(name, mu, variant, error):
@@ -181,8 +182,46 @@ def test_d_row_determinant_m2():
     spec = parse_spec("D(2|1)")
     ctx = BoxContext(spec)
     sd = SkewDiagram.straight((2,))
-    det = det_formula(spec, sd, "d_row")
+    det = det_formula(spec, sd, "column")
     assert det == build_dvf(ctx, sd)
+
+
+D_UP_TO_5 = ["D(2|1)", "D(3|1)", "D(4|1)", "D(2|2)", "D(3|2)", "D(2|3)"]
+
+
+@pytest.mark.parametrize("name", D_UP_TO_5)
+def test_d_lines_through_the_shared_matrices(name):
+    # a D row (m) over the T^n and a D column (1^a) over the T_n
+    spec = parse_spec(name)
+    for n in range(1, 7):
+        for mu, variant in (((n,), "column"), ((1,) * n, "row")):
+            rep = check_det_vs_tableaux(spec, SkewDiagram.straight(mu),
+                                        variant, trials=3, seed=n)
+            assert rep.passed and rep.samples == 3, (mu, variant)
+
+
+@pytest.mark.parametrize("name", D_UP_TO_5)
+def test_a_swapped_entry_breaks_the_d_column(name):
+    # negative control: the first entry T_k with k >= 2 of the row matrix of
+    # (1^a) becomes T^k; the top-left T_1 = T^1 would control nothing
+    spec = parse_spec(name)
+    ctx = BoxContext(spec)
+    for a in range(2, 7):
+        shape = SkewDiagram.straight((1,) * a)
+        matrix = relations.det_matrix(spec, shape, "row")
+        swap = next((i, j) for i, row in enumerate(matrix)
+                    for j, (n, _) in enumerate(row) if n >= 2)
+
+        def swapped_minus_direct(asg, cache):
+            det = exact_det([[rect_value(ctx, *((1, n) if (i, j) == swap
+                                                else (n, 1)), asg, cache, sh)
+                              for j, (n, sh) in enumerate(row)]
+                             for i, row in enumerate(matrix)])
+            return det - dvf_value(ctx, shape, asg, cache)
+
+        worst, _ = sample_max_deviation(
+            swapped_minus_direct, set(range(1, spec.rank + 1)), 3, a)
+        assert worst != 0, a
 
 
 def test_hirota_b01_base():
@@ -275,8 +314,8 @@ def test_packed_d_row_matches_plain_cofactors(name):
     spec = parse_spec(name)
     for m in range(1, 4):
         shape = SkewDiagram.straight((m,))
-        assert det_formula(spec, shape, "d_row") == _plain_formula(
-            spec, shape, "d_row"), m
+        assert det_formula(spec, shape, "column") == _plain_formula(
+            spec, shape, "column"), m
 
 
 def test_packed_tsystem_blocks_match_plain_cofactors():

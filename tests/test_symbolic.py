@@ -295,7 +295,7 @@ def test_built_sums_carry_int_shifts():
             build_dvf(BoxContext(d21), SkewDiagram.straight((3,))),
             det_formula(parse_spec("B(1|1)"), SkewDiagram.straight((2, 1)),
                         "column"),
-            det_formula(d21, SkewDiagram.straight((2,)), "d_row"),
+            det_formula(d21, SkewDiagram.straight((2,)), "column"),
             tsystem_block(2, 1, 2),
             tsystem_block(2, 2, 1),
             generating_series(BoxContext(b21), "row", 2)[2],

@@ -9,12 +9,13 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from bethe_dvf.algebra import (UnsupportedShape, ZERO_LABEL, bar, index_set,
-                               kac_dynkin_from_diagram, parse_spec, unb)
-from bethe_dvf.tableaux import (Partition, SkewDiagram, Tableau, _d_row_ok,
-                                _transfer_plan, conjugate, count_tableaux,
-                                enumerate_tableaux, is_admissible,
-                                iter_fillings, transfer_sum)
+from bethe_dvf.algebra import (AlgebraSpec, UnsupportedShape, ZERO_LABEL, bar,
+                               index_set, kac_dynkin_from_diagram, parse_spec,
+                               unb)
+from bethe_dvf.tableaux import (Partition, SkewDiagram, Tableau, _row_ok,
+                                _successors, _transfer_plan, conjugate,
+                                count_tableaux, enumerate_tableaux,
+                                is_admissible, iter_fillings, transfer_sum)
 
 
 def test_conjugate_examples():
@@ -104,6 +105,14 @@ def test_d_row_excludes_extreme_pair():
     assert is_admissible(spec, _tab(spec, (2,), [unb(2), bar(3)]))
     # non-adjacent co-occurrence is equally banned
     assert not is_admissible(spec, _tab(spec, (3,), [unb(3), unb(3), bar(3)]))
+
+
+def test_a_cell_filled_twice_is_refused():
+    # cell (1, 2) holds two labels; a dict of cells would check only the last
+    t = Tableau.from_json({"shape": {"lambda": [], "mu": [2]},
+                           "cells": [[1, 1, "1"], [1, 2, "2"], [1, 2, "1b"]]})
+    with pytest.raises(ValueError, match="exactly once"):
+        is_admissible(parse_spec("B(1|1)"), t)
 
 
 def test_d_general_skew_refused():
@@ -214,6 +223,21 @@ def test_enumeration_order_is_pinned(name):
     assert hashlib.sha256(repr(fills).encode()).hexdigest() == ORDER_SHA[name]
 
 
+# sha256 of the successor tables of 63 algebras: B(r|s) with s <= 7 and
+# r + s <= 8, then D(r|s) with s <= 7 and r + s <= 9, each grouped by s then
+# r; recorded while B and D still had separate rule predicates
+SUCCESSORS_SHA = "f0100fe3c5c5266b8cd982cc085f2998a1712c0ca04f29d136f896304ba30b6c"
+
+
+def test_successor_tables_are_pinned():
+    specs = ([AlgebraSpec("B", r, s) for s in range(1, 8) for r in range(9 - s)]
+             + [AlgebraSpec("D", r, s) for s in range(1, 8)
+                for r in range(2, 10 - s)])
+    assert len(specs) == 63
+    tables = repr([_successors(spec) for spec in specs])
+    assert hashlib.sha256(tables.encode()).hexdigest() == SUCCESSORS_SHA
+
+
 @pytest.mark.parametrize("name", list(ORDER_SHA))
 def test_count_is_the_number_of_fillings(name):
     # count_tableaux sums unit weights by transfer matrix; the pinned
@@ -227,13 +251,13 @@ def test_count_is_the_number_of_fillings(name):
 
 @pytest.mark.parametrize("name", ["D(2|1)", "D(3|1)", "D(2|2)"])
 def test_d_row_local_rule_implies_non_local(name):
-    # rows whose neighbours all pass _d_row_ok never hold s+r and bar(s+r)
+    # rows whose neighbours all pass _row_ok never hold s+r and bar(s+r)
     spec = parse_spec(name)
     extreme = {unb(spec.rank), bar(spec.rank)}
     rows = [[lab] for lab in index_set(spec)]
     for _ in range(4):
         rows = [row + [lab] for row in rows for lab in index_set(spec)
-                if _d_row_ok(spec, row[-1], lab)]
+                if _row_ok(spec, row[-1], lab)]
         assert rows and not any(extreme <= set(row) for row in rows)
 
 
