@@ -96,12 +96,16 @@ def _simple_root(spec: AlgebraSpec, a: int) -> tuple[dict[int, int], dict[int, i
     return de, ep
 
 
+def _inner(x: tuple, y: tuple) -> int:
+    """(x|y) of two weights, each (delta coefficients, epsilon coefficients)."""
+    (dx, ex), (dy, ey) = x, y
+    return (sum(ex[i] * ey.get(i, 0) for i in ex)
+            - sum(dx[i] * dy.get(i, 0) for i in dx))
+
+
 def bilinear_form(spec: AlgebraSpec, a: int, b: int) -> Fraction:
     """(alpha_a | alpha_b) in the normalization |(alpha|alpha)| = 2 for the longest root."""
-    da, ea = _simple_root(spec, a)
-    db, eb = _simple_root(spec, b)
-    val = sum(ea[i] * eb.get(i, 0) for i in ea) - sum(da[i] * db.get(i, 0) for i in da)
-    return Fraction(val)
+    return Fraction(_inner(_simple_root(spec, a), _simple_root(spec, b)))
 
 
 def root_degree(spec: AlgebraSpec, a: int) -> int:
@@ -199,51 +203,35 @@ class KacDynkinLabel:
         return len(self.b)
 
 
-def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkinLabel:
-    """Highest-weight label of the Young diagram mu.
+def _kac_dynkin(spec: AlgebraSpec, weight: tuple) -> KacDynkinLabel:
+    """Label of a weight (delta coefficients, epsilon coefficients): b_a =
+    2(w|alpha_a)/(alpha_a|alpha_a), or -(w|alpha_a) where alpha_a is isotropic."""
+    out = []
+    for a in range(1, spec.rank + 1):
+        root = _simple_root(spec, a)
+        w, norm = _inner(weight, root), _inner(root, root)
+        out.append(Fraction(2 * w, norm) if norm else Fraction(-w))
+    return KacDynkinLabel(tuple(out))
 
-    B family: any mu with mu_{r+1} <= s (r >= 1) or mu_1 <= s (r = 0).
-    D family: only single columns (1^a) and single rows (m^1).
+
+def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkinLabel:
+    """Highest-weight label of the Young diagram mu, for mu_{r+1} <= s and in
+    the D family for (1^a) and (m^1) only: the label of the weight of its top
+    filling (``dvf.top_term``), delta_j taken mu'_j times and epsilon_i
+    max(mu_i - s, 0) times.
     """
     # tableaux imports this module
     from .tableaux import Partition, SkewDiagram, _check_shape, conjugate
 
     s, r = spec.s, spec.r
     mu = Partition.make(mu)
-    mup = conjugate(mu)
-    n = s + r
-    if spec.family == "B":
-        if mu[r + 1] > s:
-            raise UnsupportedShape(
-                f"diagram {mu.parts} has mu_{r + 1} > s; no finite-dimensional label")
-        out = [Fraction(mup[i] - mup[i + 1]) for i in range(1, s)]
-        out += [Fraction(0)] * (r + 1)
-        if r == 0:
-            out[s - 1] = Fraction(2 * mup[s])
-            return KacDynkinLabel(tuple(out))
-        eta = [max(mu[i] - s, 0) for i in range(1, r + 2)]
-        out[s - 1] = Fraction(mup[s] + eta[0])
-        for j in range(1, r):
-            out[s + j - 1] = Fraction(eta[j - 1] - eta[j])
-        out[n - 1] = Fraction(2 * eta[r - 1])
-        return KacDynkinLabel(tuple(out))
-
-    # D family
     _check_shape(spec, SkewDiagram.straight(mu))
-    if all(p == 1 for p in mu.parts):    # column (1^a), a = 0 included
-        a = len(mu)
-        return KacDynkinLabel(tuple(Fraction(a if j == 1 else 0)
-                                    for j in range(1, n + 1)))
-    m = mu[1]                            # row (m^1)
-    out = [Fraction(0)] * n
-    if m <= s:
-        out[m - 1] = Fraction(1)
-    else:
-        out[s - 1] = Fraction(m - s + 1)
-        out[s] = Fraction(m - s)
-        if r == 2:
-            out[s + 1] = Fraction(m - s)
-    return KacDynkinLabel(tuple(out))
+    if mu[r + 1] > s:
+        raise UnsupportedShape(
+            f"diagram {mu.parts} has mu_{r + 1} > s; no finite-dimensional label")
+    mup = conjugate(mu)
+    return _kac_dynkin(spec, ({j: mup[j] for j in range(1, s + 1)},
+                              {i: max(mu[i] - s, 0) for i in range(1, r + 1)}))
 
 
 def dimension_b0s(s: int, label: KacDynkinLabel) -> int:

@@ -34,7 +34,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .algebra import (AlgebraSpec, IndexLabel, ZERO_LABEL, bar, bilinear_form,
-                      root_degree, unb)
+                      index_set, root_degree, unb)
 from .dvf import BoxContext, box, box_product, crossing_shift
 from .reports import IdentityReport, exact_report
 from .symbolic import (Assignment, GenericityViolation, SymSum, SymTerm,
@@ -528,14 +528,15 @@ def _pair_relations(spec: AlgebraSpec):
 
     One list serves both families.  Each down-shift is -K minus its up-shift,
     K = crossing_shift(spec), as the barred boxes are the crossing images of
-    the unbarred ones.  In B(0|s) the label 0 stands where s+1 and its bar
-    stand otherwise, and there is no outer block and no tail; only the tail
-    differs between the families.
+    the unbarred ones.  The odd pair reads the labels next to s and sbar on
+    the chain ``index_set``, 0 in B(0|s), which has no outer block and no
+    tail; only the tail differs between the families.
     """
     s, r = spec.s, spec.r
     n = s + r
     k = crossing_shift(spec)
-    up, down = (unb(s + 1), bar(s + 1)) if r else (ZERO_LABEL, ZERO_LABEL)
+    j = index_set(spec)
+    up, down = j[s], j[-s - 1]
     if spec.family == "D":
         tail = [("fork-a", n, s - r + 1, [(unb(n - 1), 1), (bar(n), 1)]),
                 ("fork-b", n, s - r + 1, [(unb(n), 1), (bar(n - 1), 1)])]

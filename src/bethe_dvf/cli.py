@@ -41,8 +41,10 @@ def parse_shape(text: str) -> SkewDiagram:
     mu_part, _, lam_part = text.strip().partition("/")
     lam = tuple(int(p) for p in lam_part.split(",") if p)
     if "^" in mu_part:
-        m_str, a_str = mu_part.split("^", 1)
-        mu = (int(m_str),) * int(a_str)
+        m, a = (int(p) for p in mu_part.split("^", 1))
+        if a < 0:
+            raise ValueError(f"negative row count in shape {text!r}")
+        mu = (m,) * a
     else:
         mu = tuple(int(p) for p in mu_part.split(",") if p)
     return SkewDiagram.make(lam, mu)

@@ -18,10 +18,10 @@ from math import prod
 from typing import Sequence
 
 from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
-                      ZERO_LABEL, bar, grading, index_set, unb, validate_label)
+                      bar, grading, index_set, unb, validate_label)
 from .symbolic import (ONE, ONE_TERM, Assignment, SymSum, SymTerm, ZERO,
                        _compile, _run, evaluate, shift_u)
-from .tableaux import SkewDiagram, fold_fillings, transfer_sum
+from .tableaux import SkewDiagram, _repeats_in_row, fold_fillings, transfer_sum
 
 
 @dataclass(frozen=True)
@@ -375,8 +375,7 @@ def generating_series(ctx: BoxContext, kind: str,
     for lab in index_set(spec) if kind == "row" else index_set(spec)[::-1]:
         if d_pair and kind == "row" and lab == top_bar:
             continue                            # in the factor of s+r below
-        # odd labels and 0 repeat down a column, the other labels along a row
-        down = grading(spec, lab) == 1 or lab == ZERO_LABEL
+        down = not _repeats_in_row(spec, lab)
         longest = max_order if down == (kind == "column") else 1
         t = signed_box(ctx, lab)
         run = _series_run(t, longest, max_order)

@@ -13,14 +13,15 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product as iproduct
+from typing import Sequence
 
-from .algebra import (AlgebraSpec, KacDynkinLabel, WrongAlgebra, ZERO_LABEL,
-                      bar, dimension_b0s, unb)
+from .algebra import (AlgebraSpec, IndexLabel, WrongAlgebra, _kac_dynkin,
+                      dimension_b0s, index_set)
 from .dvf import (BoxContext, box_product, column_dvf, dvf_value,
                   normalized_rect_dvf, normalized_rect_value, rect_value,
                   row_dvf)
 from .reports import IdentityReport, exact_report, merge_reports
-from .symbolic import (ONE, ONE_TERM, Codec, SymSum, ZERO,
+from .symbolic import (ONE, ONE_TERM, Codec, SymSum, SymTerm, ZERO,
                        equal_as_rational_functions, evaluate, exact_det,
                        sample_max_deviation, shift_u)
 from .tableaux import SkewDiagram, _check_shape, conjugate, count_tableaux
@@ -158,53 +159,37 @@ def check_hirota(spec: AlgebraSpec, a: int, m: int, trials: int = 20,
 # duality of the normalized B(0|s) family
 
 
-def _b0s_dress(s: int) -> BoxContext:
-    return BoxContext(AlgebraSpec("B", 0, s), include_vacuum=False)
-
-
-def _b0s_label(s: int, k: int):
-    """Row label with the convention that slot s+1 holds the 0 label."""
-    return unb(k) if k <= s else ZERO_LABEL
-
-
-def _b0s_label_bar(s: int, k: int):
-    return bar(k) if k <= s else ZERO_LABEL
+def _dress_line(s: int, labels: Sequence[IndexLabel], start: int) -> SymTerm:
+    """Product of the B(0|s) dress boxes of ``labels`` along a line at
+    u + start, u + start + 2, ...; each helper identity below takes its
+    labels from the chain j = index_set(B(0|s)), 1 < .. < s < 0 < sbar < ..
+    < 1bar, in which the slot of s+1 and of its bar is j[s] = 0."""
+    return box_product(BoxContext(AlgebraSpec("B", 0, s), include_vacuum=False),
+                       labels, range(start, start + 2 * len(labels), 2))
 
 
 def verify_modi1(s: int, a: int) -> bool:
     """[abar]_u x [1..a] at u-2s-1, u-2s+1, ... equals [1..a-1] at u-2s+1, ...
 
-    Exact statement used in the duality proof; a runs over 1..s+1 with the
-    slot convention above.  Dress parts only.
+    Exact statement used in the duality proof; a runs over 1..s+1.  Dress
+    parts only.
     """
-    ctx = _b0s_dress(s)
-    lhs = box_product(ctx, [_b0s_label_bar(s, a)], [0]) \
-        * box_product(ctx, [_b0s_label(s, k) for k in range(1, a + 1)],
-                      [-2 * s - 3 + 2 * k for k in range(1, a + 1)])
-    rhs = box_product(ctx, [_b0s_label(s, k) for k in range(1, a)],
-                      [-2 * s - 1 + 2 * k for k in range(1, a)])
-    return lhs == rhs
+    j = index_set(AlgebraSpec("B", 0, s))
+    return (_dress_line(s, [j[-a]], 0) * _dress_line(s, j[:a], -2 * s - 1)
+            == _dress_line(s, j[:a - 1], -2 * s + 1))
 
 
 def verify_modi(s: int, a: int) -> bool:
     """[a]_u x [abar..1bar] at u-2a+2s+3, ... equals [(a-1)bar..1bar]."""
-    ctx = _b0s_dress(s)
-    down = list(range(a, 0, -1))
-    lhs = box_product(ctx, [_b0s_label(s, a)], [0]) \
-        * box_product(ctx, [_b0s_label_bar(s, k) for k in down],
-                      [-2 * k + 2 * s + 3 for k in down])
-    down1 = list(range(a - 1, 0, -1))
-    rhs = box_product(ctx, [_b0s_label_bar(s, k) for k in down1],
-                      [-2 * k + 2 * s + 1 for k in down1])
-    return lhs == rhs
+    j = index_set(AlgebraSpec("B", 0, s))
+    start = 2 * s + 3 - 2 * a
+    return (_dress_line(s, [j[a - 1]], 0) * _dress_line(s, j[-a:], start)
+            == _dress_line(s, j[len(j) - a + 1:], start))
 
 
 def verify_const(s: int) -> bool:
     """The full-width strict row [1..s|0|sbar..1bar] multiplies out to 1."""
-    labels = [unb(k) for k in range(1, s + 1)] + [ZERO_LABEL] \
-        + [bar(k) for k in range(s, 0, -1)]
-    shifts = [-2 * s + 2 * j for j in range(2 * s + 1)]
-    return box_product(_b0s_dress(s), labels, shifts) == ONE_TERM
+    return _dress_line(s, index_set(AlgebraSpec("B", 0, s)), -2 * s) == ONE_TERM
 
 
 def check_duality(s: int, a: int, m: int, trials: int = 20,
@@ -334,13 +319,11 @@ def term_count_prediction(s: int, a: int, m: int) -> int:
     """Dimension sum predicted for the number of terms in T_m^(a)."""
     if not 1 <= a <= s:
         raise ValueError(f"node index {a} out of range 1..{s}")
-    total = 0
-    for ks in _label_vectors(s, a, m):
-        label = [Fraction(k) for k in ks] + [Fraction(0)] * (s - a)
-        if a == s:
-            label[s - 1] *= 2
-        total += dimension_b0s(s, KacDynkinLabel(tuple(label)))
-    return total
+    spec = AlgebraSpec("B", 0, s)
+    # the weight sum_i (k_i + .. + k_a) delta_i of each label vector k
+    weights = (({i: sum(ks[i - 1:]) for i in range(1, a + 1)}, {})
+               for ks in _label_vectors(s, a, m))
+    return sum(dimension_b0s(s, _kac_dynkin(spec, w)) for w in weights)
 
 
 def check_term_count_conjecture(s: int, a: int, m: int) -> IdentityReport:

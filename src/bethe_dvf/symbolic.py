@@ -630,9 +630,9 @@ def colors_of(*sums: SymSum) -> set[int]:
     return {c for x in sums for t in x.terms for c, _, _ in t.qs}
 
 
-def random_rational(rng: Random, bound: int = SAMPLE_BOUND) -> Fraction:
+def random_rational(rng: Random) -> Fraction:
     # small denominators keep exact arithmetic cheap over long products
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, 8))
+    return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, 8))
 
 
 def random_assignment(rng: Random, colors: Iterable[int],
@@ -718,7 +718,7 @@ def _group_sum_at(groups: Sequence[Sequence[SymSum]], asg: Assignment,
 def equal_group_sums(lhs: Sequence[Sequence[SymSum]],
                      rhs: Sequence[Sequence[SymSum]], trials: int = 20, *,
                      seed: int = 0, roots_per_color: int = 2,
-                     n_inhom: int = 2, name: str = "group-sums"):
+                     n_inhom: int = 2):
     """Randomized-exact equality of two sum-of-products expressions.
 
     Factors are evaluated individually at each sample point, so large
@@ -729,7 +729,7 @@ def equal_group_sums(lhs: Sequence[Sequence[SymSum]],
         lambda asg, cache: (_group_sum_at(lhs, asg, cache)
                             - _group_sum_at(rhs, asg, cache)),
         cols, trials, seed, roots_per_color, n_inhom)
-    return IdentityReport(name=name, mode="randomized-exact", samples=trials,
+    return IdentityReport(name="group-sums", mode="randomized-exact", samples=trials,
                           max_deviation=worst, passed=(worst == 0), details={},
                           seed=seed)
 

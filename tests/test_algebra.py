@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from bethe_dvf.algebra import (AlgebraSpec, KacDynkinLabel,
                                kac_dynkin_from_diagram, parse_spec, unb)
 from bethe_dvf.dvf import BoxContext, box, crossing_transform
 from bethe_dvf.symbolic import SymSum
+
+from conftest import partitions_of
 
 
 def order_relation(spec, x, y):
@@ -185,6 +188,25 @@ def test_kac_dynkin_malformed_diagram_refused(mu):
     # a negative part or a zero row inside the diagram is not a partition
     with pytest.raises(ValueError):
         kac_dynkin_from_diagram(parse_spec("B(0|2)"), mu)
+
+
+def test_kac_dynkin_labels_are_pinned():
+    # every label and refusal text over 36 algebras and the 67 partitions
+    # with at most 8 cells, pinned before the per-family formulas became one
+    # rule on the top weight (1,408 labels, 1,004 refusals)
+    specs = ([AlgebraSpec("B", r, s) for s in range(1, 5) for r in range(5)]
+             + [AlgebraSpec("D", r, s) for s in range(1, 5)
+                for r in range(2, 6)])
+    entries = []
+    for spec in specs:
+        for mu in (mu for n in range(9) for mu in partitions_of(n)):
+            try:
+                entries.append((str(spec), mu,
+                                kac_dynkin_from_diagram(spec, mu).b))
+            except UnsupportedShape as exc:
+                entries.append((str(spec), mu, f"UnsupportedShape: {exc}"))
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == (
+        "a4c62f8e1beed230bc3a0f76a9f155d0d30e5994317fa214ebe5c7482964a63f")
 
 
 TABLE_DIMS = {(0, 0): 1, (1, 0): 5, (2, 0): 14, (3, 0): 30,

@@ -32,6 +32,16 @@ def test_parse_shape_grammar():
     assert sd.mu.parts == (3, 1) and sd.lam.parts == (1,)
 
 
+def test_negative_row_count_is_refused(capsys):
+    # m^a with a < 0 once read as the empty shape and counted 1 tableau
+    assert parse_shape("2^0").mu.parts == ()
+    with pytest.raises(ValueError, match="negative row count"):
+        parse_shape("2^-1")
+    assert main(["count", "B(0|2)", "--shape", "2^-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "negative row count" in err
+
+
 def test_build_latex_golden_term_count():
     code, out, _ = run_cli("build", "B(2|1)", "--shape", "1^1",
                            "--format", "latex")

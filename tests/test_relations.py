@@ -254,6 +254,35 @@ def test_duality_helpers_exact():
             assert verify_modi(s, a)
 
 
+def test_short_constant_row_is_not_one(monkeypatch):
+    # negative control: the constant row without its last label (1bar)
+    # multiplies out to something other than 1, for s <= 6; a shifted start
+    # would be no control, as the full row is 1 at every shift
+    assert all(verify_const(s) for s in range(1, 7))
+    line = relations._dress_line
+    monkeypatch.setattr(relations, "_dress_line",
+                        lambda s, labels, start: line(s, labels[:-1], start))
+    assert not any(verify_const(s) for s in range(1, 7))
+
+
+@pytest.mark.parametrize("check", [verify_modi1, verify_modi])
+def test_late_product_line_breaks_the_helper(monkeypatch, check):
+    # negative control: each helper reads its single box, its product line
+    # and its right side, in that order; the product line started 2 later
+    # makes the identity false for every s <= 6 and a <= s+1 (27 cases each)
+    cases = [(s, a) for s in range(1, 7) for a in range(1, s + 2)]
+    assert all(check(s, a) for s, a in cases)
+    line = relations._dress_line
+    failures = 0
+    for s, a in cases:
+        calls = iter(range(3))
+        monkeypatch.setattr(
+            relations, "_dress_line", lambda s_, labels, start: line(
+                s_, labels, start + (2 if next(calls) == 1 else 0)))
+        failures += not check(s, a)
+    assert failures == len(cases) == 27
+
+
 @pytest.mark.parametrize("s", [1, 2])
 def test_duality_all_levels(s):
     for a in (1, 2):
@@ -429,6 +458,14 @@ def test_term_count_prediction_values():
     assert term_count_prediction(2, 2, 1) == 10
     assert term_count_prediction(2, 2, 2) == 50        # 35 + 14 + 1
     assert term_count_prediction(2, 2, 3) == 175       # 84 + 81 + 10
+
+
+def test_term_count_predictions_are_pinned():
+    # s <= 4, every node a and m <= 6: 70 dimension sums
+    table = [(s, a, m, term_count_prediction(s, a, m))
+             for s in range(1, 5) for a in range(1, s + 1) for m in range(7)]
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == (
+        "46fae78a2eaa544e49bafb3a70e6f1f9ef9d63b1fa25270848366c055eaee30d")
 
 
 @pytest.mark.parametrize("a,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
