@@ -14,6 +14,7 @@ bar(s+r) mutually incomparable.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -215,23 +216,16 @@ def _kac_dynkin(spec: AlgebraSpec, weight: tuple) -> KacDynkinLabel:
 
 
 def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkinLabel:
-    """Highest-weight label of the Young diagram mu, for mu_{r+1} <= s and in
-    the D family for (1^a) and (m^1) only: the label of the weight of its top
-    filling (``dvf.top_term``), delta_j taken mu'_j times and epsilon_i
-    max(mu_i - s, 0) times.
-    """
+    """Highest-weight label of the Young diagram mu: the label of the weight
+    of its top filling (``tableaux._top_filling``, which refuses the diagrams
+    without one), label a <= s weighing delta_a and a > s epsilon_{a-s}."""
     # tableaux imports this module
-    from .tableaux import Partition, SkewDiagram, _check_shape, conjugate
+    from .tableaux import SkewDiagram, _top_filling
 
-    s, r = spec.s, spec.r
-    mu = Partition.make(mu)
-    _check_shape(spec, SkewDiagram.straight(mu))
-    if mu[r + 1] > s:
-        raise UnsupportedShape(
-            f"diagram {mu.parts} has mu_{r + 1} > s; no finite-dimensional label")
-    mup = conjugate(mu)
-    return _kac_dynkin(spec, ({j: mup[j] for j in range(1, s + 1)},
-                              {i: max(mu[i] - s, 0) for i in range(1, r + 1)}))
+    s = spec.s
+    cells = Counter(x.value for x in _top_filling(spec, SkewDiagram.straight(mu)))
+    return _kac_dynkin(spec, ({a: k for a, k in cells.items() if a <= s},
+                              {a - s: k for a, k in cells.items() if a > s}))
 
 
 def dimension_b0s(s: int, label: KacDynkinLabel) -> int:

@@ -2,9 +2,9 @@
 
 The equation for root k of color a equates a boundary factor (nontrivial
 only for a = 1, where the inhomogeneity polynomial phi enters) with a
-product of Q-ratios over the colors coupled to a.  For B(0|s) the color-s
-equations take a special form that is NOT the specialization of the generic
-root-system expression; the equation table below hard-codes that exception.
+product of Q-ratios over the colors coupled to a, read off the bilinear
+form.  Only alpha_s of B(0|s) has an equation of its own, of osp(1|2) type,
+NOT the specialization of that form: the equation table's one exception.
 Each system is compiled once into one flat plan: its factor points sorted
 by zero count and one index table of the factors of every product.  One
 evaluator runs the plan at many root vectors at once, in a fixed number of
@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import (AlgebraSpec, IndexLabel, ZERO_LABEL, bar, bilinear_form,
                       index_set, root_degree, unb)
-from .dvf import BoxContext, box, box_product, crossing_shift
+from .dvf import BoxContext, box_product, crossing_shift, signed_box
 from .reports import IdentityReport, exact_report
 from .symbolic import (Assignment, GenericityViolation, SymSum, SymTerm,
                        evaluate, residue_breakdown)
@@ -97,9 +97,11 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
     most first, so that step t of the products over the zeros covers one
     slice of them.  Factor rows P and P + 1 are (1, 0) and (-1, 0).  rn and
     rd are products of factors, left-padded with (1, 0): (1, 0) * (1, 0) is
-    the (1, 0) a product starts from.  An equation's sign is the last factor
-    of its rn.  ln and ld are one factor each, ln times -1 for "-phi": "phi"
-    is phi(u-1)/phi(u+1), "-phi" its negative, "-1" is -1/1, "1" is 1/1.
+    the (1, 0) a product starts from.  ``color_row`` reads each color's Q
+    factors off ``bilinear_form`` and its sign (-1)^deg off ``root_degree``,
+    but for the unsigned alpha_s row of B(0|s); the sign ends rn.  ln and ld
+    are one factor each, ln times -1 for "-phi": "phi" is phi(u-1)/phi(u+1),
+    "-phi" its negative, "-1" is -1/1, "1" is 1/1.
 
     Returns (cols, shifts, n_phi, zq, ends, gidx, lidx, lsign): point i is
     x[cols[i]] + shifts[:, i]; zq[t] is each Q point's zero at step t and
@@ -110,17 +112,10 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
     s = spec.s
 
     def color_row(a: int):
-        if spec.family == "B" and spec.r == 0:
-            if s == 1:
-                return "phi", None, [(1, 1), (1, -2)], [(1, -1), (1, 2)]
-            if a == 1:
-                return "-phi", None, [(1, -2), (2, 1)], [(1, 2), (2, -1)]
-            if a < s:
-                return ("-1", None, [(a - 1, 1), (a, -2), (a + 1, 1)],
-                        [(a - 1, -1), (a, 2), (a + 1, -1)])
-            # a == s: the exceptional odd-root form
-            return ("1", None, [(s - 1, 1), (s, 1), (s, -2)],
-                    [(s - 1, -1), (s, -1), (s, 2)])
+        if spec.family == "B" and spec.r == 0 and a == s:
+            # the exceptional odd-root form, with Q_0 = 1 dropped
+            cs = [(b, c) for b, c in ((s - 1, 1), (s, 1), (s, -2)) if b]
+            return "phi" if a == 1 else "1", None, cs, [(b, -c) for b, c in cs]
         # a zero coupling drops out: its ratio is identically 1
         cs = [(b, c) for b in range(1, spec.rank + 1)
               if (c := bilinear_form(spec, a, b)) != 0]
@@ -524,7 +519,8 @@ def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
 
 
 def _pair_relations(spec: AlgebraSpec):
-    """(name, color d, pole shift, [(label, sign), (label, sign)]) tuples.
+    """(name, color d, pole shift, [label, label]) tuples: the signed boxes
+    of the two labels have residues at the shift that cancel in their sum.
 
     One list serves both families.  Each down-shift is -K minus its up-shift,
     K = crossing_shift(spec), as the barred boxes are the crossing images of
@@ -538,24 +534,24 @@ def _pair_relations(spec: AlgebraSpec):
     j = index_set(spec)
     up, down = j[s], j[-s - 1]
     if spec.family == "D":
-        tail = [("fork-a", n, s - r + 1, [(unb(n - 1), 1), (bar(n), 1)]),
-                ("fork-b", n, s - r + 1, [(unb(n), 1), (bar(n - 1), 1)])]
+        tail = [("fork-a", n, s - r + 1, [unb(n - 1), bar(n)]),
+                ("fork-b", n, s - r + 1, [unb(n), bar(n - 1)])]
     elif r:
-        tail = [("tail-up", n, s - r, [(unb(n), 1), (ZERO_LABEL, 1)]),
-                ("tail-down", n, s - r + 1, [(ZERO_LABEL, 1), (bar(n), 1)])]
+        tail = [("tail-up", n, s - r, [unb(n), ZERO_LABEL]),
+                ("tail-down", n, s - r + 1, [ZERO_LABEL, bar(n)])]
     else:
         tail = []
-    return ([(f"inner-up[{d}]", d, d, [(unb(d), 1), (unb(d + 1), 1)])
+    return ([(f"inner-up[{d}]", d, d, [unb(d), unb(d + 1)])
              for d in range(1, s)]
-            + [("odd-up", s, s, [(unb(s), 1), (up, -1)])]
-            + [(f"outer-up[{d}]", d, 2 * s - d, [(unb(d), 1), (unb(d + 1), 1)])
+            + [("odd-up", s, s, [unb(s), up])]
+            + [(f"outer-up[{d}]", d, 2 * s - d, [unb(d), unb(d + 1)])
                for d in range(s + 1, n)]
             + tail
-            + [(f"outer-down[{d}]", d, d - 2 * s - k,
-                [(bar(d + 1), 1), (bar(d), 1)]) for d in range(s + 1, n)]
-            + [("odd-down", s, -s - k, [(down, 1), (bar(s), -1)])]
-            + [(f"inner-down[{d}]", d, -d - k,
-                [(bar(d + 1), 1), (bar(d), 1)]) for d in range(1, s)])
+            + [(f"outer-down[{d}]", d, d - 2 * s - k, [bar(d + 1), bar(d)])
+               for d in range(s + 1, n)]
+            + [("odd-down", s, -s - k, [down, bar(s)])]
+            + [(f"inner-down[{d}]", d, -d - k, [bar(d + 1), bar(d)])
+               for d in range(1, s)])
 
 
 def _relative_residue(x: SymSum, color: int, k: int, shift: int,
@@ -575,9 +571,8 @@ def check_residue_pairs(spec: AlgebraSpec, sys: BetheSystem,
                                  [complex(w) for w in sys.inhoms])
     rows = []
     worst = 0.0
-    for name, d, shift, combo in _pair_relations(spec):
-        x = SymSum.make([SymTerm(t.coeff * sg, t.qs, t.phis)
-                         for lab, sg in combo for t in [box(ctx, lab, 0)]])
+    for name, d, shift, labels in _pair_relations(spec):
+        x = SymSum.make([signed_box(ctx, lab) for lab in labels])
         for k in range(1, sys.root_counts[d - 1] + 1):
             rel = _relative_residue(x, d, k, shift, asg)
             worst = max(worst, rel)

@@ -42,8 +42,8 @@ def parse_shape(text: str) -> SkewDiagram:
     lam = tuple(int(p) for p in lam_part.split(",") if p)
     if "^" in mu_part:
         m, a = (int(p) for p in mu_part.split("^", 1))
-        if a < 0:
-            raise ValueError(f"negative row count in shape {text!r}")
+        if a < 0 or m < 0:
+            raise ValueError(f"negative row count or length in shape {text!r}")
         mu = (m,) * a
     else:
         mu = tuple(int(p) for p in mu_part.split(",") if p)

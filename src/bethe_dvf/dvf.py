@@ -17,11 +17,12 @@ from itertools import chain
 from math import prod
 from typing import Sequence
 
-from .algebra import (AlgebraSpec, IndexLabel, UnsupportedShape, WrongAlgebra,
-                      bar, grading, index_set, unb, validate_label)
+from .algebra import (AlgebraSpec, IndexLabel, WrongAlgebra, bar, grading,
+                      index_set, unb, validate_label)
 from .symbolic import (ONE, ONE_TERM, Assignment, SymSum, SymTerm, ZERO,
                        _compile, _run, evaluate, shift_u)
-from .tableaux import SkewDiagram, _repeats_in_row, fold_fillings, transfer_sum
+from .tableaux import (SkewDiagram, _repeats_in_row, _top_filling, fold_fillings,
+                       transfer_sum)
 
 
 @dataclass(frozen=True)
@@ -261,23 +262,13 @@ def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
 
 
 def top_term(ctx: BoxContext, shape: SkewDiagram) -> SymTerm:
-    """The distinguished highest-weight term of the tableaux sum."""
-    spec = ctx.spec
+    """The distinguished highest-weight term of the tableaux sum: the signed
+    boxes of ``tableaux._top_filling`` along the shape (1 with no cells)."""
     if shape.n_cells() == 0:
         return ONE_TERM
-    if shape.lam.size() != 0:
-        raise UnsupportedShape("top term defined for straight shapes only")
-    s = spec.s
-    if spec.family == "D" and not (shape.is_column() or shape.is_row()):
-        raise UnsupportedShape("D-family top terms exist for (1^a) and (m^1) only")
-    if spec.family == "B" and shape.mu[spec.r + 1] > s:
-        raise UnsupportedShape(f"need mu_{spec.r + 1} <= s for a highest weight")
-    # a D column or row is the B formula on a line
-    t = ONE_TERM
-    for i, j in shape.cells():
-        lab = unb(j) if j <= s else unb(i + s)
-        t = t * signed_box(ctx, lab, cell_shift(shape, i, j))
-    return t
+    return prod((signed_box(ctx, lab, at) for lab, at in
+                 zip(_top_filling(ctx.spec, shape), _cell_shifts(shape))),
+                start=ONE_TERM)
 
 
 def isolated_column_term(spec: AlgebraSpec, a: int) -> SymTerm:

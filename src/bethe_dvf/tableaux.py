@@ -138,6 +138,21 @@ def _check_shape(spec: AlgebraSpec, shape: SkewDiagram) -> None:
             "D-family tableaux are defined only for (1^a) and (m^1)")
 
 
+def _top_filling(spec: AlgebraSpec, shape: SkewDiagram) -> list[IndexLabel]:
+    """The labels of the highest-weight tableau of a straight shape mu, in
+    cell order: j in column j <= s, s + i in row i past column s; a D column
+    or row is the B filling on a line.  Refuses a skew shape, a shape that
+    ``_check_shape`` refuses, and mu_{r+1} > s, which has no such weight."""
+    if shape.lam.size() != 0:
+        raise UnsupportedShape("top term defined for straight shapes only")
+    _check_shape(spec, shape)
+    s, r, mu = spec.s, spec.r, shape.mu
+    if mu[r + 1] > s:
+        raise UnsupportedShape(
+            f"diagram {mu.parts} has mu_{r + 1} > s; no finite-dimensional label")
+    return [unb(j) if j <= s else unb(i + s) for i, j in shape.cells()]
+
+
 def _repeats_in_row(spec: AlgebraSpec, x: IndexLabel) -> bool:
     """True on J_+ \\ {0}, the labels that may repeat along a row; the
     others, J_- u {0}, may repeat down a column."""

@@ -16,7 +16,7 @@ from bethe_dvf.bae import (BetheRootSet, BetheSystem, NoSolutionFound,
                            check_lemma_products, check_pole_free,
                            check_residue_pairs, max_residual, solve_bae)
 from bethe_dvf.cli import FIXTURE_COUNTS, FIXTURE_W, solved_fixture
-from bethe_dvf.dvf import BoxContext, column_dvf
+from bethe_dvf.dvf import BoxContext, column_dvf, signed_box
 from bethe_dvf.symbolic import GenericityViolation
 
 
@@ -181,13 +181,26 @@ FAMILY_RULE_SPECS = ([AlgebraSpec("B", r, s) for s in range(1, 7)
 def test_family_rules_are_pinned():
     # recorded before each family rule of bae.py was written once for all
     # families: the relations and the lemma checks must keep every name,
-    # color, shift, sign and result
+    # color, shift and result (the relations re-pinned once, when their
+    # hand-written signs gave way to the signed boxes)
     assert sha([_pair_relations(spec) for spec in FAMILY_RULE_SPECS]) == (
-        "dc4578be0d1c852dfd296a5ca3d6a1d27df3c3304072d24be762cec69ed52012")
+        "9aa8d0429ffb649c23935b99a4db7e3271faafa7b0b07a2b65f2d6c879b20514")
     text = json.dumps([check_lemma_products(spec).to_json()
                        for spec in FAMILY_RULE_SPECS], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "7b74850e33f0c0dcf9de43342db8937f1c930805701a801733bc81de290ff8a0")
+
+
+def test_pair_relations_take_the_signed_box_signs():
+    # recorded before check_residue_pairs summed signed boxes, when each
+    # label carried a hand-written sign: every label with the coefficient of
+    # its signed box, the sign each residue now carries
+    assert sha([[(name, d, shift,
+                  [(lab, signed_box(BoxContext(spec), lab).coeff)
+                   for lab in labels])
+                 for name, d, shift, labels in _pair_relations(spec)]
+                for spec in FAMILY_RULE_SPECS]) == (
+        "cf9541c533be571493827c9cc5087d983f668033cc19addebea884ecda0ab62b")
 
 
 # sha256 of the solver's exact output, recorded before the equations were
@@ -374,6 +387,25 @@ def test_parts_over_small_ranks_are_pinned():
                 h.update(out.tobytes())
     assert h.hexdigest() == (
         "ddafe68236a72e865da0486b38b6d0f4a5983fcfb12b58c5286f246a9d3f2ff4")
+
+
+def test_b0s_parts_are_pinned():
+    # recorded before the B(0|s) rows below alpha_s were read off the
+    # bilinear form: every float of _parts for B(0|1)..B(0|7), past the
+    # s <= 4 of PARTS_SPECS, so that every row shape of color_row is reached
+    w = [complex(1.7, 0.0), complex(-0.4, 0.25), complex(0.3, -0.5)]
+    h = hashlib.sha256()
+    for s in range(1, 8):
+        spec = AlgebraSpec("B", 0, s)
+        for counts in (tuple(1 + a % 2 for a in range(1, s + 1)),
+                       tuple(a % 3 for a in range(1, s + 1)), (2,) * s):
+            x = _parts_rows(sum(counts))
+            for n_sites in (0, 1, 3):
+                out = _parts(_equation_table(spec, counts), w[:n_sites], x)
+                h.update(repr((str(spec), counts, n_sites, out.shape)).encode())
+                h.update(out.tobytes())
+    assert h.hexdigest() == (
+        "be17c992b668a2d7d483085463f3edb0fd80e6faf5c6be955c53101047096ccf")
 
 
 _FIXTURE_SOLVER = dict(tol=1e-10, seed=21, max_iter=150, start_radius=5.0)

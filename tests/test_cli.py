@@ -42,6 +42,16 @@ def test_negative_row_count_is_refused(capsys):
     assert out == "" and "negative row count" in err
 
 
+def test_negative_row_length_is_refused(capsys):
+    # m^0 with m < 0 once read as the empty shape and counted 1 tableau
+    assert parse_shape("0^3").mu.parts == ()
+    with pytest.raises(ValueError, match="negative row count or length"):
+        parse_shape("-2^0")
+    assert main(["count", "B(0|2)", "--shape=-2^0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "negative row count or length" in err
+
+
 def test_build_latex_golden_term_count():
     code, out, _ = run_cli("build", "B(2|1)", "--shape", "1^1",
                            "--format", "latex")

@@ -53,10 +53,10 @@ TOP_TERM_SHAPES = [((), mu) for mu in [(), (1,), (2,), (3,), (5,), (1, 1),
                                        (3, 2, 1)]] + [((1,), (3, 1))]
 
 
-def test_boxes_and_top_terms_are_pinned():
-    # recorded before the barred boxes were written as crossing images of
-    # the unbarred ones: every box at shifts -3, 0 and 2, and the top terms
-    # of TOP_TERM_SHAPES with their refusals, with and without the vacuum
+def _boxes_and_top_terms_digest(refusal) -> str:
+    """sha256 over PIN_SPECS of every box at shifts -3, 0 and 2, and the top
+    terms of TOP_TERM_SHAPES, each refusal written as ``refusal(exc)``, with
+    and without the vacuum."""
     h = hashlib.sha256()
     for spec in PIN_SPECS:
         for vacuum in (True, False):
@@ -70,10 +70,26 @@ def test_boxes_and_top_terms_are_pinned():
                     got = dumps(SymSum.from_term(
                         top_term(ctx, SkewDiagram.make(lam, mu))))
                 except UnsupportedShape as exc:
-                    got = f"UnsupportedShape: {exc}"
+                    got = refusal(exc)
                 h.update(got.encode())
-    assert h.hexdigest() == (
-        "eb650f098fa1668a57b16b64eefbffccb23d7c214935d9c2d7f6d2b83a5fb17b")
+    return h.hexdigest()
+
+
+def test_boxes_and_top_terms_are_pinned():
+    # recorded before the barred boxes were written as crossing images of
+    # the unbarred ones, with the refusal texts; re-pinned once when the
+    # refusals became those of tableaux._top_filling, which the terms and
+    # the refused shapes of the next test did not change
+    assert _boxes_and_top_terms_digest(
+        lambda exc: f"UnsupportedShape: {exc}") == (
+        "bcedba1d98515632438b57b9a56d8dc44abbadce53355c79366b83f496bb6172")
+
+
+def test_top_terms_and_their_refusals_are_pinned():
+    # recorded before top_term read its filling and refusals from
+    # tableaux._top_filling: every term, and which shapes are refused
+    assert _boxes_and_top_terms_digest(lambda exc: "UnsupportedShape") == (
+        "6ffaa8a7f43c552b4ae510560cc5df0d048f4a4042bb9752f8b4f8996fe1e811")
 
 
 def test_box_dress_mode_strips_phi():

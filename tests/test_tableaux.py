@@ -13,9 +13,11 @@ from bethe_dvf.algebra import (AlgebraSpec, UnsupportedShape, ZERO_LABEL, bar,
                                index_set, kac_dynkin_from_diagram, parse_spec,
                                unb)
 from bethe_dvf.tableaux import (Partition, SkewDiagram, Tableau, _row_ok,
-                                _successors, _transfer_plan, conjugate,
-                                count_tableaux, enumerate_tableaux,
+                                _successors, _top_filling, _transfer_plan,
+                                conjugate, count_tableaux, enumerate_tableaux,
                                 is_admissible, iter_fillings, transfer_sum)
+
+from conftest import partitions_up_to
 
 
 def test_conjugate_examples():
@@ -221,6 +223,33 @@ def test_enumeration_order_is_pinned(name):
     fills = [list(iter_fillings(spec, SkewDiagram.make(lam, mu)))
              for lam, mu in shapes]
     assert hashlib.sha256(repr(fills).encode()).hexdigest() == ORDER_SHA[name]
+
+
+def test_top_filling_is_the_first_admissible_filling():
+    # the highest-weight tableau that top_term and kac_dynkin_from_diagram
+    # read is a tableau of the one rule, and the least one in enumeration
+    # order, over the 36 algebras of the Kac-Dynkin pin and every diagram
+    # with at most 6 cells
+    specs = ([AlgebraSpec("B", r, s) for s in range(1, 5) for r in range(5)]
+             + [AlgebraSpec("D", r, s) for s in range(1, 5)
+                for r in range(2, 6)])
+    accepted = refused = 0
+    for spec in specs:
+        position = {lab: v for v, lab in enumerate(index_set(spec))}
+        for mu in partitions_up_to(6):
+            shape = SkewDiagram.straight(mu)
+            try:
+                top = _top_filling(spec, shape)
+            except UnsupportedShape:
+                refused += 1
+                continue
+            accepted += 1
+            cells = shape.cells()
+            assert is_admissible(spec, Tableau(shape, tuple(
+                (i, j, lab) for (i, j), lab in zip(cells, top)))), (spec, mu)
+            assert next(iter_fillings(spec, shape)) == tuple(
+                position[lab] for lab in top), (spec, mu)
+    assert (accepted, refused) == (699, 345)
 
 
 # sha256 of the successor tables of 63 algebras: B(r|s) with s <= 7 and
