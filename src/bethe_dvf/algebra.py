@@ -2,21 +2,23 @@
 
 The two families are written B(r|s) (odd orthogonal, r >= 0) and D(r|s)
 (even orthogonal, r >= 2), always with the distinguished simple root system.
-Simple roots live in the span of epsilon_1..epsilon_r, delta_1..delta_s with
+Weights live in the span of epsilon_1..epsilon_r, delta_1..delta_s with
 
     (eps_i|eps_j) = delta_ij,  (delta_i|delta_j) = -delta_ij,  (eps|delta) = 0.
 
 Box labels form the index set J: unbarred 1..s+r, their bars, and (for B
 only) the extra label 0.  B carries a total order on J; D leaves s+r and
-bar(s+r) mutually incomparable.
+bar(s+r) mutually incomparable.  Label a <= s weighs delta_a, a > s weighs
+epsilon_{a-s}, a bar the negative and 0 nothing; the simple roots are the
+differences of consecutive weights along J.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class UnsupportedShape(ValueError):
@@ -71,30 +73,16 @@ def parse_spec(text: str) -> AlgebraSpec:
 
 
 def _simple_root(spec: AlgebraSpec, a: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Simple root alpha_a as (delta coefficients, epsilon coefficients)."""
-    s, r = spec.s, spec.r
-    if not 1 <= a <= s + r:
-        raise ValueError(f"root index {a} out of range 1..{s + r}")
-    de: dict[int, int] = {}
-    ep: dict[int, int] = {}
-    if a < s:
-        de = {a: 1, a + 1: -1}
-    elif a == s:
-        de = {s: 1}
-        if spec.family == "D" or r > 0:
-            ep = {1: -1}
-    elif spec.family == "B":
-        j = a - s
-        ep = {j: 1, j + 1: -1} if j < r else {r: 1}
-    else:  # D
-        j = a - s
-        if j <= r - 2:
-            ep = {j: 1, j + 1: -1}
-        elif a == s + r - 1:
-            ep = {r - 1: 1, r: -1}
-        else:
-            ep = {r - 1: 1, r: 1}
-    return de, ep
+    """Simple root alpha_a as (delta coefficients, epsilon coefficients): the
+    weight of label J[a-1] minus that of J[a] along J = ``index_set``, but
+    for D's last root, which steps from s+r-1 (J[a-2]) to bar(s+r).  The two
+    labels have different values, so no coefficient of one meets the other."""
+    if not 1 <= a <= spec.rank:
+        raise ValueError(f"root index {a} out of range 1..{spec.rank}")
+    labels = index_set(spec)
+    fork = spec.family == "D" and a == spec.rank
+    hi, lo = _weight(spec, labels[a - 1 - fork]), _weight(spec, labels[a])
+    return tuple({**p, **{i: -c for i, c in q.items()}} for p, q in zip(hi, lo))
 
 
 def _inner(x: tuple, y: tuple) -> int:
@@ -152,6 +140,7 @@ def parse_label(text: str) -> IndexLabel:
     return unb(int(text))
 
 
+@lru_cache(maxsize=None)
 def index_set(spec: AlgebraSpec) -> tuple[IndexLabel, ...]:
     """All labels in the deterministic iteration order used for enumeration.
 
@@ -185,11 +174,18 @@ def _level(spec: AlgebraSpec, x: IndexLabel) -> int:
 
 
 def grading(spec: AlgebraSpec, x: IndexLabel) -> int:
-    """1 for labels built from delta weights (1..s and bars), 0 otherwise."""
+    """1 for labels whose weight has a delta part (1..s and bars), 0 otherwise."""
     validate_label(spec, x)
+    return 1 if _weight(spec, x)[0] else 0
+
+
+def _weight(spec: AlgebraSpec, x: IndexLabel) -> tuple[dict[int, int], dict[int, int]]:
+    """Weight of a label as (delta coefficients, epsilon coefficients): a <= s
+    weighs delta_a, a > s epsilon_{a-s}, a bar the negative, 0 nothing."""
     if x.kind == "zero":
-        return 0
-    return 1 if x.value <= spec.s else 0
+        return {}, {}
+    c, s = (1 if x.kind == "unbarred" else -1), spec.s
+    return ({x.value: c}, {}) if x.value <= s else ({}, {x.value - s: c})
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +200,27 @@ class KacDynkinLabel:
         return len(self.b)
 
 
-def _kac_dynkin(spec: AlgebraSpec, weight: tuple) -> KacDynkinLabel:
-    """Label of a weight (delta coefficients, epsilon coefficients): b_a =
-    2(w|alpha_a)/(alpha_a|alpha_a), or -(w|alpha_a) where alpha_a is isotropic."""
+def _kac_dynkin(spec: AlgebraSpec, *weights: tuple) -> KacDynkinLabel:
+    """Label of the sum w of the weights, each (delta coefficients, epsilon
+    coefficients): b_a = 2(w|alpha_a)/(alpha_a|alpha_a), or -(w|alpha_a)
+    where alpha_a is isotropic."""
     out = []
     for a in range(1, spec.rank + 1):
         root = _simple_root(spec, a)
-        w, norm = _inner(weight, root), _inner(root, root)
+        w, norm = sum(_inner(x, root) for x in weights), _inner(root, root)
         out.append(Fraction(2 * w, norm) if norm else Fraction(-w))
     return KacDynkinLabel(tuple(out))
 
 
 def kac_dynkin_from_diagram(spec: AlgebraSpec, mu: tuple[int, ...]) -> KacDynkinLabel:
-    """Highest-weight label of the Young diagram mu: the label of the weight
-    of its top filling (``tableaux._top_filling``, which refuses the diagrams
-    without one), label a <= s weighing delta_a and a > s epsilon_{a-s}."""
+    """Highest-weight label of the Young diagram mu: the label of the sum of
+    the ``_weight``s of its top filling (``tableaux._top_filling``, which
+    refuses the diagrams without one)."""
     # tableaux imports this module
     from .tableaux import SkewDiagram, _top_filling
 
-    s = spec.s
-    cells = Counter(x.value for x in _top_filling(spec, SkewDiagram.straight(mu)))
-    return _kac_dynkin(spec, ({a: k for a, k in cells.items() if a <= s},
-                              {a - s: k for a, k in cells.items() if a > s}))
+    filling = _top_filling(spec, SkewDiagram.straight(mu))
+    return _kac_dynkin(spec, *(_weight(spec, x) for x in filling))
 
 
 def dimension_b0s(s: int, label: KacDynkinLabel) -> int:

@@ -42,6 +42,7 @@ from .symbolic import (Assignment, GenericityViolation, SymSum, SymTerm,
 
 GENERIC_TOL = 1e-6       # same-color roots this near each other or a resonant gap clash
 RESIDUE_EPS = 1e-8       # relative residue below which a pole counts as gone
+POLE_GAP_TOL = 1e-8      # candidate poles this near each other coincide
 LAURENT_RADIUS = 1e-3    # of the circle _laurent_tail samples around a pole
 LAURENT_NODES = 16       # sample points on that circle
 
@@ -97,11 +98,12 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
     most first, so that step t of the products over the zeros covers one
     slice of them.  Factor rows P and P + 1 are (1, 0) and (-1, 0).  rn and
     rd are products of factors, left-padded with (1, 0): (1, 0) * (1, 0) is
-    the (1, 0) a product starts from.  ``color_row`` reads each color's Q
-    factors off ``bilinear_form`` and its sign (-1)^deg off ``root_degree``,
-    but for the unsigned alpha_s row of B(0|s); the sign ends rn.  ln and ld
-    are one factor each, ln times -1 for "-phi": "phi" is phi(u-1)/phi(u+1),
-    "-phi" its negative, "-1" is -1/1, "1" is 1/1.
+    the (1, 0) a product starts from.  ``color_row`` reads each color's
+    couplings (b, c) off ``bilinear_form`` and its sign (-1)^deg off
+    ``root_degree``, but for the unsigned alpha_s row of B(0|s); rn is the
+    Q_b(u + c) and rd the Q_b(u - c) of the same couplings, and the sign
+    ends rn.  ln and ld are one factor each, ln times -1 for "-phi": "phi"
+    is phi(u-1)/phi(u+1), "-phi" its negative, "-1" is -1/1, "1" is 1/1.
 
     Returns (cols, shifts, n_phi, zq, ends, gidx, lidx, lsign): point i is
     x[cols[i]] + shifts[:, i]; zq[t] is each Q point's zero at step t and
@@ -114,13 +116,12 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
     def color_row(a: int):
         if spec.family == "B" and spec.r == 0 and a == s:
             # the exceptional odd-root form, with Q_0 = 1 dropped
-            cs = [(b, c) for b, c in ((s - 1, 1), (s, 1), (s, -2)) if b]
-            return "phi" if a == 1 else "1", None, cs, [(b, -c) for b, c in cs]
+            return ("phi" if a == 1 else "1", None,
+                    [(b, c) for b, c in ((s - 1, 1), (s, 1), (s, -2)) if b])
         # a zero coupling drops out: its ratio is identically 1
-        cs = [(b, c) for b in range(1, spec.rank + 1)
-              if (c := bilinear_form(spec, a, b)) != 0]
         return ("-phi" if a == 1 else "-1", (-1) ** root_degree(spec, a),
-                cs, [(b, -c) for b, c in cs])
+                [(b, c) for b in range(1, spec.rank + 1)
+                 if (c := bilinear_form(spec, a, b)) != 0])
 
     ends = list(accumulate(root_counts))
     one, minus = -1, -2         # the constant factors (1, 0) and (-1, 0)
@@ -130,13 +131,13 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
         points.append((zeros, j, float(re), im))
         return len(points) - 1
 
-    def q_refs(pairs, j: int) -> list:
-        return [ref(range(ends[b - 1] - root_counts[b - 1], ends[b - 1]), j, c)
-                for b, c in pairs]
+    def q_refs(pairs, j: int, orient: int) -> list:
+        return [ref(range(ends[b - 1] - root_counts[b - 1], ends[b - 1]), j,
+                    orient * c) for b, c in pairs]
 
     eqs = []
     for a, n_a in enumerate(root_counts, start=1):
-        boundary, sign, num, den = color_row(a)
+        boundary, sign, cs = color_row(a)
         last = [] if sign is None else [one if sign == 1 else minus]
         for j in range(ends[a - 1] - n_a, ends[a - 1]):
             if boundary in ("phi", "-phi"):
@@ -144,7 +145,7 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
                 ln, ld = ref(None, j, -1.0, -0.0), ref(None, j, 1.0)
             else:
                 ln, ld = minus if boundary == "-1" else one, one
-            eqs.append((ln, ld, q_refs(num, j) + last, q_refs(den, j),
+            eqs.append((ln, ld, q_refs(cs, j, 1) + last, q_refs(cs, j, -1),
                         -1.0 if boundary == "-phi" else 1.0))
 
     order = sorted(range(len(points)), key=lambda i: (
@@ -619,7 +620,7 @@ def check_pole_free(dvf_sum: SymSum, sys: BetheSystem, roots: BetheRootSet,
                  for color, shift in cands
                  for k in range(1, sys.root_counts[color - 1] + 1)]
     for a, b in combinations(locations, 2):
-        if a[:2] != b[:2] and abs(a[3] - b[3]) < 1e-8:
+        if a[:2] != b[:2] and abs(a[3] - b[3]) < POLE_GAP_TOL:
             raise GenericityViolation(f"candidate poles coincide: {a} vs {b}")
     per_color: dict[int, float] = {}
     rows = []
@@ -750,12 +751,9 @@ def check_lemma_products(spec: AlgebraSpec) -> IdentityReport:
                      [[tb], [tb1]])]
         for n_alt in (2, 3):
             g = _d_tail_groups(spec, n_alt)
-            for key in "ABEH":
-                checks.append((f"{key}-avoids-Q{n}[n={n_alt}]",
-                               not _contains_color(g[key], n)))
-            for key in "CDFG":
-                checks.append((f"{key}-avoids-Q{n - 1}[n={n_alt}]",
-                               not _contains_color(g[key], n - 1)))
+            for keys, c in (("ABEH", n), ("CDFG", n - 1)):
+                checks.extend((f"{key}-avoids-Q{c}[n={n_alt}]",
+                               not _contains_color(g[key], c)) for key in keys)
             # each four-term partial sum, head + [nbar, n]^(n_alt-k) + tail,
             # is the product of the two groups its name ends in
             for name, heads, k, tails in partials:

@@ -31,7 +31,7 @@ from .relations import (check_det_vs_tableaux, check_duality_suite,
                         check_hirota, check_t_system,
                         check_term_count_conjecture)
 from .reports import IdentityReport, exact_report
-from .symbolic import (equal_as_rational_functions, shift_u,
+from .symbolic import (dumps, equal_as_rational_functions, shift_u,
                        sum_to_json, sum_to_latex, sum_to_text)
 from .tableaux import SkewDiagram, count_tableaux
 
@@ -50,8 +50,8 @@ def parse_shape(text: str) -> SkewDiagram:
     return SkewDiagram.make(lam, mu)
 
 
-_FORMATS = {"json": lambda x: json.dumps(sum_to_json(x), sort_keys=True, indent=1),
-            "latex": sum_to_latex, "text": sum_to_text}
+_FORMATS = {"json": partial(dumps, indent=1), "latex": sum_to_latex,
+            "text": sum_to_text}
 
 
 def cmd_build(args) -> int:

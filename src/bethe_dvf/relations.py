@@ -263,7 +263,6 @@ def check_t_system(s: int, depth: int, trials: int = 8,
     if depth < 1:
         raise ValueError("need depth >= 1")
     spec = AlgebraSpec("B", 0, s)
-    reports = []
 
     def block(asg, cache, a: int, m: int, shift: int = 0) -> Fraction:
         return exact_det([[normalized_rect_value(spec, n, 1, asg, cache,
@@ -281,27 +280,21 @@ def check_t_system(s: int, depth: int, trials: int = 8,
         return (block(asg, cache, a, m)
                 - normalized_rect_value(spec, a, m, asg, cache))
 
-    salt = 0
-    for m in range(1, depth + 1):
-        for a in range(1, s + 1):          # inner nodes, then the tail (label 2m)
-            node = f"node {a}" if a < s else "tail"
-            reports.append(_sampled_report(
-                f"t-system B(0|{s}) {node} m={m}", spec,
-                partial(relation, a=a, m=m, g=tsystem_g(s, a, m)), trials,
-                seed + salt))
-            salt += 1
-
+    # the relations at each level, inner nodes then the tail (label 2m),
+    # then the blocks node by node; case i samples with seed + i
+    levels, nodes = range(1, depth + 1), range(1, s + 1)
+    cases = ([(f"t-system B(0|{s}) {f'node {a}' if a < s else 'tail'} m={m}",
+               partial(relation, a=a, m=m, g=tsystem_g(s, a, m)))
+              for m in levels for a in nodes]
+             + [(f"block-vs-tableaux B(0|{s}) a={a} m={m}",
+                 partial(block_vs_direct, a=a, m=m)) for a in nodes for m in levels])
+    reports = [_sampled_report(name, spec, check, trials, seed + i)
+               for i, (name, check) in enumerate(cases)]
     g_ok = all(tsystem_g(s, 1, m + 1) * tsystem_g(s, 1, m - 1)
                == shift_u(tsystem_g(s, 1, m), 1) * shift_u(tsystem_g(s, 1, m), -1)
-               for m in range(1, depth + 1))
-    reports.append(exact_report(f"g-bilinear B(0|{s})", g_ok, depth, seed=seed))
-
-    for a in range(1, s + 1):
-        for m in range(1, depth + 1):
-            reports.append(_sampled_report(
-                f"block-vs-tableaux B(0|{s}) a={a} m={m}", spec,
-                partial(block_vs_direct, a=a, m=m), trials, seed + salt))
-            salt += 1
+               for m in levels)
+    reports.insert(depth * s, exact_report(f"g-bilinear B(0|{s})", g_ok, depth,
+                                           seed=seed))
     return merge_reports(f"t-system B(0|{s}) depth {depth}", reports)
 
 

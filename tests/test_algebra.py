@@ -7,9 +7,10 @@ import pytest
 
 from bethe_dvf.algebra import (AlgebraSpec, KacDynkinLabel,
                                NotFiniteDimensional, UnsupportedShape,
-                               ZERO_LABEL, _level, bar, bilinear_form,
-                               dimension_b0s, grading, index_set,
-                               kac_dynkin_from_diagram, parse_spec, unb)
+                               ZERO_LABEL, _level, _simple_root, bar,
+                               bilinear_form, dimension_b0s, grading,
+                               index_set, kac_dynkin_from_diagram,
+                               parse_spec, unb)
 from bethe_dvf.dvf import BoxContext, box, crossing_transform
 from bethe_dvf.symbolic import SymSum
 
@@ -66,6 +67,27 @@ def test_bilinear_symmetry():
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 assert bilinear_form(spec, a, b) == bilinear_form(spec, b, a)
+
+
+def test_root_data_is_pinned():
+    # recorded before the simple roots and the grading were read off the
+    # label weights: over 128 algebras (B(r|s) with s, r <= 8 and D(r|s)
+    # with 2 <= r <= 8), the bilinear form, both coefficient dicts of every
+    # simple root and the grading of every label, in index-set order
+    specs = ([AlgebraSpec("B", r, s) for s in range(1, 9) for r in range(9)]
+             + [AlgebraSpec("D", r, s) for s in range(1, 9)
+                for r in range(2, 9)])
+    h = hashlib.sha256()
+    for spec in specs:
+        nodes = range(1, spec.rank + 1)
+        h.update(repr((str(spec),
+                       [[bilinear_form(spec, a, b) for b in nodes]
+                        for a in nodes],
+                       [[sorted(d.items()) for d in _simple_root(spec, a)]
+                        for a in nodes],
+                       [grading(spec, x) for x in index_set(spec)])).encode())
+    assert h.hexdigest() == (
+        "aab13fe990b14a82e23c3ae70da96d04ed1d1f87aad7c9777f289b4852634eb4")
 
 
 def test_order_examples():
