@@ -92,14 +92,15 @@ def _inner(x: tuple, y: tuple) -> int:
             - sum(dx[i] * dy.get(i, 0) for i in dx))
 
 
+@lru_cache(maxsize=None)
 def bilinear_form(spec: AlgebraSpec, a: int, b: int) -> Fraction:
     """(alpha_a | alpha_b) in the normalization |(alpha|alpha)| = 2 for the longest root."""
     return Fraction(_inner(_simple_root(spec, a), _simple_root(spec, b)))
 
 
 def root_degree(spec: AlgebraSpec, a: int) -> int:
-    """Grading of the simple root: 1 for the odd root alpha_s, else 0."""
-    return 1 if a == spec.s else 0
+    """Grading of the simple root: the parity of its delta part."""
+    return sum(_simple_root(spec, a)[0].values()) % 2
 
 
 # ---------------------------------------------------------------------------

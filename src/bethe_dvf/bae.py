@@ -2,9 +2,9 @@
 
 The equation for root k of color a equates a boundary factor (nontrivial
 only for a = 1, where the inhomogeneity polynomial phi enters) with a
-product of Q-ratios over the colors coupled to a, read off the bilinear
-form.  Only alpha_s of B(0|s) has an equation of its own, of osp(1|2) type,
-NOT the specialization of that form: the equation table's one exception.
+product of Q-ratios over the colors coupled to a, read off the root data
+by one rule.  An odd alpha_a with (alpha_a|alpha_a) != 0, alpha_s of
+B(0|s) alone, gives an equation of osp(1|2) type, as 2 alpha_a is a root.
 Each system is compiled once into one flat plan: its factor points sorted
 by zero count and one index table of the factors of every product.  One
 evaluator runs the plan at many root vectors at once, in a fixed number of
@@ -99,11 +99,9 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
     slice of them.  Factor rows P and P + 1 are (1, 0) and (-1, 0).  rn and
     rd are products of factors, left-padded with (1, 0): (1, 0) * (1, 0) is
     the (1, 0) a product starts from.  ``color_row`` reads each color's
-    couplings (b, c) off ``bilinear_form`` and its sign (-1)^deg off
-    ``root_degree``, but for the unsigned alpha_s row of B(0|s); rn is the
-    Q_b(u + c) and rd the Q_b(u - c) of the same couplings, and the sign
-    ends rn.  ln and ld are one factor each, ln times -1 for "-phi": "phi"
-    is phi(u-1)/phi(u+1), "-phi" its negative, "-1" is -1/1, "1" is 1/1.
+    couplings (b, c) off ``bilinear_form``; rn is the Q_b(u + c) and rd the
+    Q_b(u - c) of the same couplings.  A signed row ends rn with (-1)^deg
+    and negates ln/ld, which is phi(u-1)/phi(u+1) for color 1, else 1/1.
 
     Returns (cols, shifts, n_phi, zq, ends, gidx, lidx, lsign): point i is
     x[cols[i]] + shifts[:, i]; zq[t] is each Q point's zero at step t and
@@ -111,17 +109,15 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
     t-th factor of rn, then of rd, of each equation; lidx picks ln, then
     ld, and lsign multiplies ln.
     """
-    s = spec.s
-
     def color_row(a: int):
-        if spec.family == "B" and spec.r == 0 and a == s:
-            # the exceptional odd-root form, with Q_0 = 1 dropped
-            return ("phi" if a == 1 else "1", None,
-                    [(b, c) for b, c in ((s - 1, 1), (s, 1), (s, -2)) if b])
-        # a zero coupling drops out: its ratio is identically 1
-        return ("-phi" if a == 1 else "-1", (-1) ** root_degree(spec, a),
-                [(b, c) for b in range(1, spec.rank + 1)
-                 if (c := bilinear_form(spec, a, b)) != 0])
+        # an odd root with c = (alpha_a|alpha_a) != 0 is unsigned and couples
+        # to itself at -c, then 2c (2 alpha_a is even); a zero coupling
+        # drops out: its ratio is identically 1
+        c = bilinear_form(spec, a, a)
+        signed = not (root_degree(spec, a) and c)
+        cs = [(b, bilinear_form(spec, a, b) if signed or b != a else -c)
+              for b in range(1, spec.rank + 1)]
+        return signed, [(b, x) for b, x in cs if x] + ([] if signed else [(a, 2 * c)])
 
     ends = list(accumulate(root_counts))
     one, minus = -1, -2         # the constant factors (1, 0) and (-1, 0)
@@ -137,16 +133,16 @@ def _equation_table(spec: AlgebraSpec, root_counts: tuple[int, ...]) -> tuple:
 
     eqs = []
     for a, n_a in enumerate(root_counts, start=1):
-        boundary, sign, cs = color_row(a)
-        last = [] if sign is None else [one if sign == 1 else minus]
+        signed, cs = color_row(a)
+        last = [minus if root_degree(spec, a) else one] if signed else []
         for j in range(ends[a - 1] - n_a, ends[a - 1]):
-            if boundary in ("phi", "-phi"):
+            if a == 1:
                 # u - 1 is (re - 1, im - 0) in Python, the same as adding -0.0
                 ln, ld = ref(None, j, -1.0, -0.0), ref(None, j, 1.0)
             else:
-                ln, ld = minus if boundary == "-1" else one, one
+                ln, ld = minus if signed else one, one
             eqs.append((ln, ld, q_refs(cs, j, 1) + last, q_refs(cs, j, -1),
-                        -1.0 if boundary == "-phi" else 1.0))
+                        -1.0 if signed and a == 1 else 1.0))
 
     order = sorted(range(len(points)), key=lambda i: (
         points[i][0] is not None, -len(points[i][0] or ())))
@@ -557,16 +553,17 @@ def _pair_relations(spec: AlgebraSpec):
 
 def _relative_residue(x: SymSum, color: int, k: int, shift: int,
                       asg: Assignment) -> float:
+    """|total residue| over the summed sizes of the term residues, or inf:
+    where no term has one, the check has nothing to cancel."""
     parts = residue_breakdown(x, color, k - 1, shift, asg)
     scale = sum(abs(p) for p in parts)
-    if scale == 0:
-        return 0.0
-    return abs(sum(parts, 0j)) / scale
+    return abs(sum(parts, 0j)) / scale if scale else float("inf")
 
 
 def check_residue_pairs(spec: AlgebraSpec, sys: BetheSystem,
                         roots: BetheRootSet) -> IdentityReport:
-    """All pairwise residue cancellations at one solved instance."""
+    """All pairwise residue cancellations at one solved instance.  A relation
+    fails unless both boxes have a residue: one alone reads 1, none inf."""
     ctx = BoxContext(spec, include_vacuum=True)
     asg = Assignment.float_point(0, roots.as_mapping(),
                                  [complex(w) for w in sys.inhoms])

@@ -213,14 +213,18 @@ def _f_term(s: int, m: int, off: int) -> SymTerm:
     return SymTerm.make(1, (), phis)
 
 
+def _require_b0s(spec: AlgebraSpec) -> None:
+    if spec.family != "B" or spec.r != 0:
+        raise WrongAlgebra("normalization is defined for B(0|s) only")
+
+
 @lru_cache(maxsize=None)
 def _inverse_normalizer(spec: AlgebraSpec, shape: SkewDiagram,
                         nrows: int, shift: int = 0) -> SymSum:
     """1 over the product of the row normalizers F over rows 1..nrows of
     ``shape``, at u + shift: a one-term sum whose form compiles once per
     shift; ``nrows`` exceeds its row count for the zero-length rows of m = 0."""
-    if spec.family != "B" or spec.r != 0:
-        raise WrongAlgebra("normalization is defined for B(0|s) only")
+    _require_b0s(spec)
     mu, lam = shape.mu, shape.lam
     div = ONE_TERM
     for j in range(1, nrows + 1):
@@ -236,8 +240,7 @@ def normalize_b0s(spec: AlgebraSpec, x: SymSum, shape: SkewDiagram) -> SymSum:
 
 def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int) -> SymSum:
     """Normalized T_m^a for B(0|s); handles the m = 0 boundary products."""
-    if spec.family != "B" or spec.r != 0:
-        raise WrongAlgebra("normalization is defined for B(0|s) only")
+    _require_b0s(spec)
     if m < 0 or a < 0:
         return ZERO
     return rect_dvf(BoxContext(spec), m, a) * _inverse_normalizer(
@@ -248,8 +251,7 @@ def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
                           cache: dict, shift: int = 0) -> Fraction:
     """``shift_u(normalized_rect_dvf(spec, m, a), shift)`` at ``asg``: the
     rectangle's ``dvf_value`` times the inverted normalizer's value."""
-    if spec.family != "B" or spec.r != 0:
-        raise WrongAlgebra("normalization is defined for B(0|s) only")
+    _require_b0s(spec)
     if m < 0 or a < 0:
         return Fraction(0)
     shape = _rect(m, a)

@@ -10,7 +10,7 @@ from bethe_dvf.algebra import (AlgebraSpec, KacDynkinLabel,
                                ZERO_LABEL, _level, _simple_root, bar,
                                bilinear_form, dimension_b0s, grading,
                                index_set, kac_dynkin_from_diagram,
-                               parse_spec, unb)
+                               parse_spec, root_degree, unb)
 from bethe_dvf.dvf import BoxContext, box, crossing_transform
 from bethe_dvf.symbolic import SymSum
 
@@ -69,16 +69,19 @@ def test_bilinear_symmetry():
                 assert bilinear_form(spec, a, b) == bilinear_form(spec, b, a)
 
 
+# the 128 algebras B(r|s) with s, r <= 8 and D(r|s) with 2 <= r <= 8
+ROOT_DATA_SPECS = ([AlgebraSpec("B", r, s) for s in range(1, 9) for r in range(9)]
+                   + [AlgebraSpec("D", r, s) for s in range(1, 9)
+                      for r in range(2, 9)])
+
+
 def test_root_data_is_pinned():
     # recorded before the simple roots and the grading were read off the
-    # label weights: over 128 algebras (B(r|s) with s, r <= 8 and D(r|s)
-    # with 2 <= r <= 8), the bilinear form, both coefficient dicts of every
-    # simple root and the grading of every label, in index-set order
-    specs = ([AlgebraSpec("B", r, s) for s in range(1, 9) for r in range(9)]
-             + [AlgebraSpec("D", r, s) for s in range(1, 9)
-                for r in range(2, 9)])
+    # label weights: over ROOT_DATA_SPECS, the bilinear form, both
+    # coefficient dicts of every simple root and the grading of every
+    # label, in index-set order
     h = hashlib.sha256()
-    for spec in specs:
+    for spec in ROOT_DATA_SPECS:
         nodes = range(1, spec.rank + 1)
         h.update(repr((str(spec),
                        [[bilinear_form(spec, a, b) for b in nodes]
@@ -88,6 +91,28 @@ def test_root_data_is_pinned():
                        [grading(spec, x) for x in index_set(spec)])).encode())
     assert h.hexdigest() == (
         "aab13fe990b14a82e23c3ae70da96d04ed1d1f87aad7c9777f289b4852634eb4")
+
+
+def test_root_degree_is_the_parity_of_the_delta_part():
+    # the parity of the simple root's delta coefficients, which in the
+    # distinguished root system marks alpha_s alone as odd
+    for spec in ROOT_DATA_SPECS:
+        nodes = range(1, spec.rank + 1)
+        assert ([root_degree(spec, a) for a in nodes]
+                == [sum(_simple_root(spec, a)[0].values()) % 2 for a in nodes]
+                == [int(a == spec.s) for a in nodes])
+        for a in (0, spec.rank + 1):
+            with pytest.raises(ValueError):
+                root_degree(spec, a)
+
+
+def test_the_non_isotropic_odd_roots_are_pinned():
+    # the odd simple roots with (alpha|alpha) != 0, whose Bethe equations
+    # are of osp(1|2) type: alpha_s = delta_s of B(0|s), and no other
+    found = [(str(spec), a, bilinear_form(spec, a, a))
+             for spec in ROOT_DATA_SPECS for a in range(1, spec.rank + 1)
+             if root_degree(spec, a) and bilinear_form(spec, a, a)]
+    assert found == [(f"B(0|{s})", s, -1) for s in range(1, 9)]
 
 
 def test_order_examples():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bethe_dvf import bae
-from bethe_dvf.algebra import AlgebraSpec, parse_spec
+from bethe_dvf.algebra import ZERO_LABEL, AlgebraSpec, parse_spec
 from bethe_dvf.bae import (BetheRootSet, BetheSystem, NoSolutionFound,
                            _equation_table, _pair_relations, _parts,
                            assert_generic, bae_parts,
@@ -100,6 +100,36 @@ def test_residue_pairs_cancel(name):
     rep = check_residue_pairs(spec, system, sol)
     assert rep.passed, rep.details
     assert rep.max_deviation < 1e-8
+
+
+@pytest.mark.parametrize("name,moved", [
+    *((name, "odd-up") for name in sorted(FIXTURE_COUNTS)), ("D(2|1)", "fork-b")])
+def test_a_relation_off_its_pole_fails(monkeypatch, name, moved):
+    # moved by 2, the relation's boxes have no residue to cancel there: the
+    # check must fail rather than pass with nothing tested
+    spec, system, sol = solved_fixture(name)
+    relations = bae._pair_relations
+    monkeypatch.setattr(bae, "_pair_relations", lambda sp: [
+        (rel, d, shift + 2 * (rel == moved), labels)
+        for rel, d, shift, labels in relations(sp)])
+    rep = check_residue_pairs(spec, system, sol)
+    assert not rep.passed
+    assert {row["relation"] for row in rep.details["cases"]
+            if not row["residue"] < bae.RESIDUE_EPS} == {moved}
+
+
+def test_a_relation_with_one_box_off_its_pole_fails(monkeypatch):
+    # the box of 0 has no residue where those of 1 and 2 in B(1|1) have
+    # theirs: the relation's total residue is all of its scale
+    spec, system, sol = solved_fixture("B(1|1)")
+    relations = bae._pair_relations
+    monkeypatch.setattr(bae, "_pair_relations", lambda sp: [
+        (rel, d, shift, [labels[0], ZERO_LABEL] if rel == "odd-up" else labels)
+        for rel, d, shift, labels in relations(sp)])
+    rep = check_residue_pairs(spec, system, sol)
+    assert not rep.passed
+    assert [row["residue"] for row in rep.details["cases"]
+            if row["relation"] == "odd-up"] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_COUNTS))

@@ -298,6 +298,13 @@ def test_normalize_rejects_wrong_family():
     from bethe_dvf.algebra import WrongAlgebra
     with pytest.raises(WrongAlgebra):
         normalize_b0s(B21, ONE, SkewDiagram.straight((1,)))
+    # the refusal comes before the m < 0 shortcut to zero
+    for spec in (B21, parse_spec("D(2|1)")):
+        for m in (-1, 1):
+            with pytest.raises(WrongAlgebra):
+                normalized_rect_dvf(spec, m, 1)
+            with pytest.raises(WrongAlgebra):
+                normalized_rect_value(spec, m, 1, None, {})
 
 
 def test_normalize_f2_explicit():
