@@ -8,15 +8,15 @@ from functools import lru_cache, partial
 import numpy as np
 import pytest
 
-from bethe_dvf import bae
+from bethe_dvf import bae, newton
 from bethe_dvf.algebra import ZERO_LABEL, AlgebraSpec, parse_spec
 from bethe_dvf.bae import (BetheRootSet, BetheSystem, NoSolutionFound,
-                           _equation_table, _pair_relations, _parts,
-                           assert_generic, bae_parts,
+                           _pair_relations, assert_generic, bae_parts,
                            check_lemma_products, check_pole_free,
                            check_residue_pairs, max_residual, solve_bae)
 from bethe_dvf.cli import FIXTURE_COUNTS, FIXTURE_W, solved_fixture
 from bethe_dvf.dvf import BoxContext, column_dvf, signed_box
+from bethe_dvf.newton import _equation_table, _parts
 from bethe_dvf.symbolic import GenericityViolation
 
 
@@ -317,8 +317,13 @@ def test_search_is_pinned(name, counts):
 
 
 @pytest.mark.parametrize("kw", [{"n_starts": 0}, {"n_starts": -2},
-                                {"max_iter": 0}, {"max_iter": -1}])
+                                {"max_iter": 0}, {"max_iter": -1},
+                                {"tol": math.nan}, {"tol": 0.0},
+                                {"tol": -1.0}])
 def test_solver_refuses_bad_arguments(kw):
+    # res >= nan is False, so a NaN tol once let every converged start pass
+    # the residual filter; a tol <= 0 ended in NoSolutionFound, as if the
+    # search had failed
     for counts in ((1,), (0,)):
         system = BetheSystem(parse_spec("B(0|1)"), 2, (2.0, -1.0), counts)
         stats: dict = {}
@@ -444,10 +449,10 @@ _FIXTURE_SOLVER = dict(tol=1e-10, seed=21, max_iter=150, start_radius=5.0)
 @lru_cache(maxsize=None)
 def _fixture_searches(n_starts: int) -> tuple[dict, int, int]:
     """The fixture searches at ``n_starts`` starts, name -> (sols, stats),
-    how many times they called bae._residuals and how many root vectors
+    how many times they called newton._residuals and how many root vectors
     they passed it."""
     calls = rows = 0
-    residuals = bae._residuals
+    residuals = newton._residuals
 
     def counted(table, w, x):
         nonlocal calls, rows
@@ -455,14 +460,14 @@ def _fixture_searches(n_starts: int) -> tuple[dict, int, int]:
         rows += len(x)
         return residuals(table, w, x)
 
-    bae._residuals = counted
+    newton._residuals = counted
     try:
         out = {name: _search(BetheSystem(parse_spec(name), len(FIXTURE_W),
                                          FIXTURE_W, counts),
                              n_starts=n_starts, **_FIXTURE_SOLVER)
                for name, counts in FIXTURE_COUNTS.items()}
     finally:
-        bae._residuals = residuals
+        newton._residuals = residuals
     return out, calls, rows
 
 
@@ -533,10 +538,10 @@ def test_norms_are_plain_python_sums():
         f[4, -1] = complex(1.0, np.nan)
         f[5, 0] = complex(np.inf, np.nan)
         expected = _bits([_plain_norm(row) for row in f])
-        assert (_bits(bae._norms(f)) == expected).all()
+        assert (_bits(newton._norms(f)) == expected).all()
         for row, bits in zip(f, expected):
-            assert _bits(bae._norms(row[None]))[0] == bits
-        batch = bae._norms(f[::-1].reshape(4, 10, n))
+            assert _bits(newton._norms(row[None]))[0] == bits
+        batch = newton._norms(f[::-1].reshape(4, 10, n))
         assert (_bits(batch) == expected[::-1].reshape(4, 10)).all()
 
 
@@ -545,11 +550,11 @@ def _plain_line_search(residuals, x, norm, step) -> list:
     # norm is below the start's, as (index, trial, residual, norm)
     out = []
     for xi, n0, si in zip(x, norm, step):
-        for j, lam in enumerate(bae._LAMBDAS):
+        for j, lam in enumerate(newton._LAMBDAS):
             trial = xi + lam * si
             ft = residuals(trial[None])[0]
-            if bae._norms(ft) < n0:
-                out.append((j, trial, ft, bae._norms(ft)))
+            if newton._norms(ft) < n0:
+                out.append((j, trial, ft, newton._norms(ft)))
                 break
         else:
             out.append(None)
@@ -563,14 +568,14 @@ def test_windowed_line_search_matches_plain_search(n_starts):
     # _ROWS trials in a round), moves it where the plain search does
     spec = parse_spec("D(2|1)")
     counts = FIXTURE_COUNTS["D(2|1)"]
-    residuals = partial(bae._residuals, _equation_table(spec, counts),
+    residuals = partial(newton._residuals, _equation_table(spec, counts),
                         [complex(w) for w in FIXTURE_W])
     n = sum(counts)
     rng = np.random.default_rng(n_starts)
     x = 3 * (rng.uniform(-1, 1, (n_starts, n))
              + 1j * rng.uniform(-1, 1, (n_starts, n)))
     f = residuals(x)
-    norm = bae._norms(f)
+    norm = newton._norms(f)
     # Newton steps stretched up to 1000-fold, so that the first descending
     # step length varies; one start gets a random direction and one none
     h = 1e-7
@@ -587,7 +592,7 @@ def test_windowed_line_search_matches_plain_search(n_starts):
                  (exact + rng.integers(1, 6, n_starts)).clip(0, 24),
                  rng.integers(0, 25, n_starts)):
         xs, fs, norms, hints = x.copy(), f.copy(), norm.copy(), hint.copy()
-        moved = bae._line_search(residuals, xs, fs, norms, step, hints)
+        moved = newton._line_search(residuals, xs, fs, norms, step, hints)
         assert moved.tolist() == [r is not None for r in ref]
         for i, r in enumerate(ref):
             j, xi, fi, ni = (hint[i], x[i], f[i], norm[i]) if r is None else r

@@ -118,6 +118,17 @@ def test_solve_zero_starts_exit_2():
     assert "n_starts" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_solve_tolerance_not_above_zero_exit_2(tol, capsys):
+    # a NaN tolerance once passed every residual and exited 0, and a
+    # tolerance <= 0 exited 3 as if the search had failed
+    assert main(["solve", "B(0|2)", "--N", "3", "--w", "1.7,-0.4,0.3",
+                 "--Na", "2,2", "--starts", "40", "--seed", "21",
+                 "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tol > 0" in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_verify_jobs_below_one_exit_2(jobs):
     # a pool without workers is bad input, as a search without starts is

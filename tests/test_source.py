@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,64 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_numpy(source: str) -> bool:
+    """Whether a module imports numpy or a numpy submodule anywhere."""
+    return any(isinstance(node, ast.Import)
+               and any(a.name.partition(".")[0] == "numpy" for a in node.names)
+               or isinstance(node, ast.ImportFrom)
+               and (node.module or "").partition(".")[0] == "numpy"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_numpy_imports_are_found():
+    assert imports_numpy("def f():\n    import numpy.linalg as la\n")
+    assert imports_numpy("from numpy import array\n")
+    assert not imports_numpy("import numpyro\nfrom . import newton\n")
+
+
+def test_only_the_kernel_imports_numpy():
+    package = Path(bethe_dvf.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if imports_numpy(p.read_text())] == ["newton.py"]
+
+
+EXACT_COMMANDS = """
+import bethe_dvf, bethe_dvf.bae, bethe_dvf.cli
+for argv in (["count", "B(0|2)", "--shape", "2^2"],
+             ["build", "B(2|1)", "--shape", "2,1"], ["verify", "golden"]):
+    assert bethe_dvf.cli.main(argv) == 0
+"""
+
+ONE_SOLVE = """
+from bethe_dvf.algebra import parse_spec
+from bethe_dvf.bae import BetheSystem, solve_bae
+solve_bae(BetheSystem(parse_spec("B(0|1)"), 2, (2.0, -1.0), (1,)), seed=3)
+"""
+
+
+def numpy_loaded(*snippets: str) -> list[bool]:
+    """Run the snippets in turn in one fresh interpreter, and say after each
+    whether numpy is loaded."""
+    probe = "import sys\n" + "".join(
+        f"{s}\nprint('numpy loaded:', 'numpy' in sys.modules)\n"
+        for s in snippets)
+    root = str(Path(bethe_dvf.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    return [line == "numpy loaded: True" for line in out.splitlines()
+            if line.startswith("numpy loaded:")]
+
+
+def test_exact_commands_start_without_numpy():
+    # count, build and verify golden never solve a Bethe system, so they
+    # never load numpy; the first solve does
+    assert numpy_loaded(EXACT_COMMANDS, ONE_SOLVE) == [False, True]
+
+
+def test_the_numpy_probe_sees_the_kernel():
+    # the negative control: the probe reports numpy where a snippet loads it
+    assert numpy_loaded("import bethe_dvf.newton") == [True]
