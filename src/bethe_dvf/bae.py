@@ -151,8 +151,8 @@ def solve_bae(sys: BetheSystem, tol: float = 1e-10, n_starts: int = 32,
     stats.update(starts=n_starts, converged=len(converged))
     found: dict[tuple, BetheRootSet] = {}
     for vec, res in converged:
-        # a tuple: a spurious polynomial root sitting on a denominator zero
-        if isinstance(res, tuple) or res >= tol:
+        # a tuple: a spurious root on a denominator zero; a NaN fails res < tol
+        if isinstance(res, tuple) or not res < tol:
             stats["residual_rejected"] += 1
             continue
         roots = BetheRootSet(_split(sys.root_counts, vec))

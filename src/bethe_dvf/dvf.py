@@ -155,22 +155,22 @@ def _row_plan(ctx: BoxContext, at: int) -> tuple:
                     rows=True)
 
 
-def _box_row(ctx: BoxContext, at: int, asg: Assignment,
-             cache: dict) -> tuple[list[int], int]:
+def _box_row(ctx: BoxContext, at: int,
+             asg: Assignment) -> tuple[list[int], int]:
     """The signed boxes of every label at u + at, evaluated at ``asg`` over
     one common denominator: (numerators in ``index_set`` order, denominator),
     one output per label of the row's form, over the form's D, from
-    ``_run``.  Memoized in ``cache``, the per-point factor cache of
-    ``evaluate``."""
+    ``_run``.  Memoized under (ctx, at) in the point's memo, beside the
+    slot values ``evaluate`` keeps there."""
     key = (ctx, at)
-    row = cache.get(key)
+    row = asg._memo.get(key)
     if row is None:
-        row = cache[key] = _run(_row_plan(ctx, at), asg, cache)
+        row = asg._memo[key] = _run(_row_plan(ctx, at), asg, asg._memo)
     return row
 
 
 def dvf_value(ctx: BoxContext, shape: SkewDiagram, asg: Assignment,
-              cache: dict, shift: int = 0) -> Fraction:
+              shift: int = 0) -> Fraction:
     """Value of ``shift_u(build_dvf(ctx, shape), shift)`` at the exact point
     ``asg``, by ``transfer_sum`` over the signed box values, without building
     the sum.
@@ -178,22 +178,22 @@ def dvf_value(ctx: BoxContext, shape: SkewDiagram, asg: Assignment,
     The cell shifts are cached per shape.  Each cell's box values come over
     a common denominator, so the transfer matrix runs on integers and
     divides once at the end.  They are evaluated once per point and shift
-    and kept in ``cache``, so cells on one diagonal and shifted copies of a
-    block share them.  Raises PoleHit when any box denominator vanishes,
-    also one that would cancel in the expanded sum.
+    and kept in the point's memo, so cells on one diagonal and shifted
+    copies of a block share them.  Raises PoleHit when any box denominator
+    vanishes, also one that would cancel in the expanded sum.
     """
-    rows = [_box_row(ctx, at + shift, asg, cache) for at in _cell_shifts(shape)]
+    rows = [_box_row(ctx, at + shift, asg) for at in _cell_shifts(shape)]
     total = transfer_sum(ctx.spec, shape, [nums for nums, _ in rows])
     return Fraction(total, prod(den for _, den in rows))
 
 
-def rect_value(ctx: BoxContext, m: int, a: int, asg: Assignment, cache: dict,
+def rect_value(ctx: BoxContext, m: int, a: int, asg: Assignment,
                shift: int = 0) -> Fraction:
     """Value of ``shift_u(rect_dvf(ctx, m, a), shift)`` at ``asg``, as
     ``dvf_value`` gives it; 0 for a negative side, 1 for a zero side."""
     if m < 0 or a < 0:
         return Fraction(0)
-    return dvf_value(ctx, _rect(m, a), asg, cache, shift)
+    return dvf_value(ctx, _rect(m, a), asg, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +248,15 @@ def normalized_rect_dvf(spec: AlgebraSpec, m: int, a: int) -> SymSum:
 
 
 def normalized_rect_value(spec: AlgebraSpec, m: int, a: int, asg: Assignment,
-                          cache: dict, shift: int = 0) -> Fraction:
+                          shift: int = 0) -> Fraction:
     """``shift_u(normalized_rect_dvf(spec, m, a), shift)`` at ``asg``: the
     rectangle's ``dvf_value`` times the inverted normalizer's value."""
     _require_b0s(spec)
     if m < 0 or a < 0:
         return Fraction(0)
     shape = _rect(m, a)
-    return (dvf_value(BoxContext(spec), shape, asg, cache, shift)
-            * evaluate(_inverse_normalizer(spec, shape, a, shift), asg, cache))
+    return (dvf_value(BoxContext(spec), shape, asg, shift)
+            * evaluate(_inverse_normalizer(spec, shape, a, shift), asg))
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,8 @@ def _complex_parts(sys, counts: tuple[int, ...], rows) -> list:
 
 
 def _max_residuals(sys, rows) -> list:
-    """max |LHS - RHS| over the equations at each of ``rows``, or, where a
-    denominator vanishes, the (a, k) of the first such equation."""
+    """max |LHS - RHS| over the equations at each of ``rows``, NaN if one is,
+    or, where a denominator vanishes, the (a, k) of the first such equation."""
     labels = [(a, k) for a, n_a in enumerate(sys.root_counts, start=1)
               for k in range(1, n_a + 1)]
     out = []
@@ -208,7 +208,8 @@ def _max_residuals(sys, rows) -> list:
             if ld == 0 or rd == 0:
                 worst = (a, k)
                 break
-            worst = max(worst, abs(ln / ld - rn / rd))
+            d = abs(ln / ld - rn / rd)
+            worst = d if d != d or d > worst else worst     # max() skips NaN
         out.append(worst)
     return out
 

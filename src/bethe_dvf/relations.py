@@ -103,7 +103,7 @@ def det_formula(spec: AlgebraSpec, shape: SkewDiagram, variant: str) -> SymSum:
 
 def _sampled_report(name: str, spec: AlgebraSpec, lhs_minus_rhs, trials: int,
                     seed: int) -> IdentityReport:
-    """Randomized-exact report of ``lhs_minus_rhs(asg, cache)`` over every Q
+    """Randomized-exact report of ``lhs_minus_rhs(asg)`` over every Q
     color: the fundamental blocks T^1 and T_1 hold a box of every label."""
     worst, _ = sample_max_deviation(lhs_minus_rhs,
                                     set(range(1, spec.rank + 1)), trials, seed)
@@ -121,10 +121,10 @@ def check_det_vs_tableaux(spec: AlgebraSpec, shape: SkewDiagram, variant: str,
     matrix = det_matrix(spec, shape, variant)
     sides = (lambda n: (n, 1)) if variant == "row" else (lambda n: (1, n))
 
-    def det_minus_direct(asg, cache):
-        det_val = exact_det([[rect_value(ctx, *sides(n), asg, cache, sh)
+    def det_minus_direct(asg):
+        det_val = exact_det([[rect_value(ctx, *sides(n), asg, sh)
                               for n, sh in row] for row in matrix])
-        return det_val - dvf_value(ctx, shape, asg, cache)
+        return det_val - dvf_value(ctx, shape, asg)
 
     return _sampled_report(
         f"determinant[{variant}] {spec} {shape.mu.parts}/{shape.lam.parts}",
@@ -145,9 +145,9 @@ def check_hirota(spec: AlgebraSpec, a: int, m: int, trials: int = 20,
         raise ValueError("need a, m >= 1")
     ctx = BoxContext(spec)
 
-    def lhs_minus_rhs(asg, cache):
+    def lhs_minus_rhs(asg):
         def t(m_, a_, shift=0):
-            return rect_value(ctx, m_, a_, asg, cache, shift)
+            return rect_value(ctx, m_, a_, asg, shift)
         return (t(m, a, -1) * t(m, a, 1)
                 - (t(m - 1, a) * t(m + 1, a) + t(m, a - 1) * t(m, a + 1)))
 
@@ -264,21 +264,19 @@ def check_t_system(s: int, depth: int, trials: int = 8,
         raise ValueError("need depth >= 1")
     spec = AlgebraSpec("B", 0, s)
 
-    def block(asg, cache, a: int, m: int, shift: int = 0) -> Fraction:
-        return exact_det([[normalized_rect_value(spec, n, 1, asg, cache,
-                                                 sh + shift) for n, sh in row]
-                          for row in _block_matrix(s, a, m)])
+    def block(asg, a: int, m: int, shift: int = 0) -> Fraction:
+        return exact_det([[normalized_rect_value(spec, n, 1, asg, sh + shift)
+                           for n, sh in row] for row in _block_matrix(s, a, m)])
 
-    def relation(asg, cache, a: int, m: int, g: SymSum) -> Fraction:
+    def relation(asg, a: int, m: int, g: SymSum) -> Fraction:
         """lhs - rhs at node a, g = tsystem_g(s, a, m) built once per
         relation; the tail node s couples to itself."""
-        t, g_val = partial(block, asg, cache), evaluate(g, asg, cache)
+        t, g_val = partial(block, asg), evaluate(g, asg)
         return (t(a, m, -1) * t(a, m, 1) - t(a, m - 1) * t(a, m + 1)
                 - g_val * t(a - 1, m) * t(min(a + 1, s), m))
 
-    def block_vs_direct(asg, cache, a: int, m: int) -> Fraction:
-        return (block(asg, cache, a, m)
-                - normalized_rect_value(spec, a, m, asg, cache))
+    def block_vs_direct(asg, a: int, m: int) -> Fraction:
+        return block(asg, a, m) - normalized_rect_value(spec, a, m, asg)
 
     # the relations at each level, inner nodes then the tail (label 2m),
     # then the blocks node by node; case i samples with seed + i

@@ -24,16 +24,17 @@ result is canonical without a second pass through ``make``.  A
 equal sums serialize identically.  All values are immutable; every
 operation is a pure function.
 
-Exact evaluation has one path, ``_run``, over a form that ``_compile``
-makes for a sum on its first exact evaluation and keeps on the sum.  With
-u = p/q and each zero a/b, the unreduced Q_c(u + s) is n_s / D_c,
+``evaluate`` values a term or a sum at a point, which keeps its values in
+its own memo.  Exact evaluation has one path, ``_run``, over a form that
+``_compile`` makes for a sum on its first exact evaluation and keeps on the
+sum.  With u = p/q and each zero a/b, the unreduced Q_c(u + s) is n_s / D_c,
 D_c = q^N_c prod b whatever s is (likewise phi), so a term is
 coeff prod n^e prod_c D_c^-net_c: D_c drops out where the net exponent of c
-is 0, as in every box.  Over one common denominator the sum
-is a polynomial with int coefficients in these slot values; ``_form``
-factors it by greedy Horner and compiles it once into a straight-line
-function, shared by every sum of the same structure (shifted copies share
-one).  At a point each slot value is made once, and a sum is one call.
+is 0, as in every box.  Over one common denominator the sum is a polynomial
+with int coefficients in these slot values; ``_form`` factors it by greedy
+Horner and compiles it once into a straight-line function, shared by every
+sum of the same structure (shifted copies share one).  At a point each slot
+value is made once, and a sum is one call.
 
 Determinant expansions are built on packed codes (``Codec``), a transient
 form like the compiled one: one int per monomial, so a product of monomials
@@ -389,6 +390,12 @@ class Assignment:
                           {c: tuple(complex(v) for v in vs) for c, vs in roots.items()},
                           tuple(complex(w) for w in inhoms))
 
+    @cached_property
+    def _memo(self) -> dict:
+        """The point's values, made on first use and kept in the instance
+        ``__dict__`` as ``SymSum._plan`` is: ==, repr and the fields skip it."""
+        return {}
+
 
 def poly_at(zeros: Iterable, v, start):
     """Q_a(v) or phi(v): prod_z (v - z), multiplied left to right onto start.
@@ -403,14 +410,14 @@ def poly_at(zeros: Iterable, v, start):
     return prod
 
 
-def _factor_value(asg: Assignment, color: int | None, shift: int, cache: dict):
-    """Float value of Q_color(u + shift) or phi(u + shift), memoized per
-    point under (color, shift)."""
+def _factor_value(asg: Assignment, color: int | None, shift: int):
+    """Float value of Q_color(u + shift) or phi(u + shift), memoized in the
+    point's memo under (color, shift)."""
     key = (color, shift)
-    val = cache.get(key)
+    val = asg._memo.get(key)
     if val is None:
         zeros = asg.inhoms if color is None else asg.roots.get(color, ())
-        val = cache[key] = poly_at(zeros, asg.u + complex(shift), complex(1))
+        val = asg._memo[key] = poly_at(zeros, asg.u + complex(shift), complex(1))
     return val
 
 
@@ -428,7 +435,7 @@ def _base_int(asg: Assignment, color: int | None, shift: int) -> int:
 
 _BASES: dict = {}   # one (color, shift) key per base, shared by all forms
 _FORMS: dict = {}   # structure text -> fn, for the latest 256 structures
-_SCALED = object()   # cache key of the point's slot values: n per base, D_c
+_SCALED = object()   # memo key of the point's slot values: n per base, D_c
 
 
 def _compile(terms: Sequence[SymTerm], rows: bool = False) -> tuple:
@@ -562,15 +569,15 @@ def _form(rows: bool, n: int, shape: list) -> Callable:
     return scope["fn"]
 
 
-def _run(plan: tuple, asg: Assignment, cache: dict):
+def _run(plan: tuple, asg: Assignment, memo: dict):
     """The one exact path: the compiled form ``plan`` at ``asg``, (P, D), or
     (numerators, D) for a form of rows.  Each slot value is made once per
-    point and kept in the cache's one slot table: D_c = q^N_c prod b per
+    point and kept in the one slot table of ``memo``: D_c = q^N_c prod b per
     color, and each base's n from ``_base_int``.  The first vanishing
     denominator base in scan order raises PoleHit before any product is
     taken."""
     keys, poles, fn = plan
-    vals = cache.get(_SCALED) or cache.setdefault(_SCALED, {
+    vals = memo.get(_SCALED) or memo.setdefault(_SCALED, {
         c: asg.u.denominator ** len(zs) * prod(z.denominator for z in zs)
         for c, zs in (*asg.roots.items(), (None, asg.inhoms))})
     args = list(map(vals.get, keys))
@@ -585,41 +592,35 @@ def _run(plan: tuple, asg: Assignment, cache: dict):
     return fn(*args)
 
 
-def evaluate_term(t: SymTerm, asg: Assignment, _cache: dict | None = None):
-    """Complex value of one term at a float assignment; exact values come
-    from ``evaluate`` on the one-term sum ``SymSum((t,))``.
-
-    Raises PoleHit when a denominator factor vanishes, even where a numerator
-    factor vanishes too (0/0 is not a value), and ValueError at an exact
-    assignment.
-    """
-    if isinstance(asg.u, Fraction):
-        raise ValueError("evaluate_term values float points; value a term "
-                         "exactly with evaluate(SymSum((t,)), asg)")
-    cache = {} if _cache is None else _cache
-    val = complex(t.coeff)
-    # phi as color None, as in _compile and PoleHit
-    for color, shift, exp in (*t.qs, *((None, *f) for f in t.phis)):
-        base = _factor_value(asg, color, shift, cache)
-        if exp < 0 and base == 0:
-            raise PoleHit(color, shift)
-        val *= base if exp == 1 else 1 / base if exp == -1 else base ** exp
-    return val
-
-
 def evaluate(x: SymSum, asg: Assignment, _cache: dict | None = None):
-    """Value of the rational expression at the assignment (0 for the empty sum).
+    """Value of the rational expression at the assignment (0 for the empty
+    sum; a term t is valued as ``SymSum((t,))``), memoized in the point's
+    memo or, where one is given, in ``_cache`` in its place.
 
     Exact values come from ``_run`` on the sum's compiled form, made on its
     first exact evaluation and kept on the sum: one Horner scheme over one
-    common denominator, reduced to a Fraction once.  PoleHit names the
-    first denominator factor, in term order and then factor order, that
-    vanishes at the point, also where 0/0 would result.
+    common denominator, reduced to a Fraction once.  A float term is its
+    coefficient times its Q, then its phi factors; the terms add from 0j.
+    PoleHit names the first denominator factor, in term order and then
+    factor order, that vanishes at the point, also where 0/0 would result.
     """
-    cache = {} if _cache is None else _cache
-    if not isinstance(asg.u, Fraction):
-        return sum((evaluate_term(t, asg, cache) for t in x.terms), complex(0))
-    return Fraction(*_run(x._plan, asg, cache))
+    if isinstance(asg.u, Fraction):
+        return Fraction(*_run(x._plan, asg,
+                              asg._memo if _cache is None else _cache))
+    if _cache is not None:      # the same point, with the given memo
+        asg = Assignment(asg.u, asg.roots, asg.inhoms)
+        vars(asg)["_memo"] = _cache
+    total = complex(0)
+    for t in x.terms:
+        val = complex(t.coeff)
+        # phi as color None, as in _compile and PoleHit
+        for color, shift, exp in (*t.qs, *((None, *f) for f in t.phis)):
+            base = _factor_value(asg, color, shift)
+            if exp < 0 and base == 0:
+                raise PoleHit(color, shift)
+            val *= base if exp == 1 else 1 / base if exp == -1 else base ** exp
+        total += val
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +644,15 @@ def random_assignment(rng: Random, colors: Iterable[int],
     return Assignment.exact_point(random_rational(rng), roots, inhoms)
 
 
-def sample_max_deviation(value_at: Callable[[Assignment, dict], Fraction],
+def sample_max_deviation(value_at: Callable[[Assignment], Fraction],
                          colors: set[int], trials: int,
                          seed: int, roots_per_color: int = 2,
                          n_inhom: int = 2) -> tuple[Fraction, list[str]]:
     """The one sampling loop behind every randomized-exact check.
 
-    Calls ``value_at(asg, cache)`` at ``trials`` random exact-rational
+    Calls ``value_at(asg)`` at ``trials`` random exact-rational
     assignments of u, all roots of ``colors`` (color 1 when empty) and all
-    inhomogeneities, with a fresh factor cache per point, and draws again on
+    inhomogeneities, each a new point with an empty memo, and draws again on
     PoleHit (cap SAMPLE_RETRY_CAP per trial).  Returns the value of largest
     absolute value and the u of each accepted point.
     """
@@ -665,7 +666,7 @@ def sample_max_deviation(value_at: Callable[[Assignment, dict], Fraction],
         for _ in range(SAMPLE_RETRY_CAP):
             asg = random_assignment(rng, cols, roots_per_color, n_inhom)
             try:
-                val = value_at(asg, {})
+                val = value_at(asg)
             except PoleHit:
                 continue
             points.append(str(asg.u))
@@ -694,7 +695,7 @@ def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
         return exact_report("equal-as-rational-functions", True, 0,
                             {"note": "canonical forms identical"}, seed)
     worst, points = sample_max_deviation(
-        lambda asg, cache: evaluate(diff, asg, cache), colors_of(diff),
+        lambda asg: evaluate(diff, asg), colors_of(diff),
         trials, seed)
     return IdentityReport(name="equal-as-rational-functions",
                           mode="randomized-exact", samples=trials,
@@ -702,14 +703,14 @@ def equal_as_rational_functions(a: SymSum, b: SymSum, trials: int = 20, *,
                           details={"points_u": points}, seed=seed)
 
 
-def _group_sum_at(groups: Sequence[Sequence[SymSum]], asg: Assignment,
-                  cache: dict) -> Fraction:
+def _group_sum_at(groups: Sequence[Sequence[SymSum]],
+                  asg: Assignment) -> Fraction:
     """Exact value of a sum of products, each factor valued unexpanded by
     ``_run``: a group's integer pairs multiply, the groups add on integers,
     and one Fraction is built."""
     tn, td = 0, 1
     for group in groups:
-        pairs = [_run(f._plan, asg, cache) for f in group]
+        pairs = [_run(f._plan, asg, asg._memo) for f in group]
         n, d = prod(n for n, _ in pairs), prod(d for _, d in pairs)
         tn, td = tn * d + n * td, td * d
     return Fraction(tn, td)
@@ -726,8 +727,7 @@ def equal_group_sums(lhs: Sequence[Sequence[SymSum]],
     """
     cols = colors_of(*(f for side in (lhs, rhs) for g in side for f in g))
     worst, _ = sample_max_deviation(
-        lambda asg, cache: (_group_sum_at(lhs, asg, cache)
-                            - _group_sum_at(rhs, asg, cache)),
+        lambda asg: _group_sum_at(lhs, asg) - _group_sum_at(rhs, asg),
         cols, trials, seed, roots_per_color, n_inhom)
     return IdentityReport(name="group-sums", mode="randomized-exact", samples=trials,
                           max_deviation=worst, passed=(worst == 0), details={},
@@ -763,8 +763,8 @@ def exact_det(matrix: list[list[Fraction]]) -> Fraction:
 
 
 def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
-                  at: Assignment, cache: dict) -> complex:
-    """Simple-pole residue of one term at the pole ``at``, with its cache."""
+                  at: Assignment) -> complex:
+    """Simple-pole residue of one term at the pole ``at``."""
     roots = at.roots.get(color, ())
     u_k = roots[root_index]
 
@@ -792,7 +792,7 @@ def _term_residue(t: SymTerm, color: int, root_index: int, shift: int,
     for c, s, e in (*t.qs, *((None, *f) for f in t.phis)):
         if c == color and s == -shift:
             continue                    # the simple pole, divided out by deriv
-        base = _factor_value(at, c, s, cache)
+        base = _factor_value(at, c, s)
         if base == 0 or (e < 0 and abs(base) < POLE_TOL):
             if e < 0:
                 what = "phi" if c is None else f"Q_{c}"
@@ -809,8 +809,7 @@ def residue_breakdown(x: SymSum, color: int, root_index: int, shift: int,
     s = _shift(shift)
     pole = asg.roots.get(color, ())[root_index] + complex(s)
     at = Assignment(pole, asg.roots, asg.inhoms)
-    cache: dict = {}
-    return [_term_residue(t, color, root_index, s, at, cache) for t in x.terms]
+    return [_term_residue(t, color, root_index, s, at) for t in x.terms]
 
 
 # ---------------------------------------------------------------------------

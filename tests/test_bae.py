@@ -4,12 +4,14 @@ import hashlib
 import json
 import math
 from functools import lru_cache, partial
+from random import Random
 
 import numpy as np
 import pytest
 
 from bethe_dvf import bae, newton
-from bethe_dvf.algebra import ZERO_LABEL, AlgebraSpec, parse_spec
+from bethe_dvf.algebra import (ZERO_LABEL, AlgebraSpec, bilinear_form,
+                               parse_spec, root_degree)
 from bethe_dvf.bae import (BetheRootSet, BetheSystem, NoSolutionFound,
                            _pair_relations, assert_generic, bae_parts,
                            check_lemma_products, check_pole_free,
@@ -17,7 +19,8 @@ from bethe_dvf.bae import (BetheRootSet, BetheSystem, NoSolutionFound,
 from bethe_dvf.cli import FIXTURE_COUNTS, FIXTURE_W, solved_fixture
 from bethe_dvf.dvf import BoxContext, column_dvf, signed_box
 from bethe_dvf.newton import _equation_table, _parts
-from bethe_dvf.symbolic import GenericityViolation
+from bethe_dvf.symbolic import (Assignment, GenericityViolation, SymSum,
+                                SymTerm, evaluate)
 
 
 def sha(obj) -> str:
@@ -81,6 +84,27 @@ def test_b0s_dispatch_differs_from_generic_form():
 def test_residual_zero_iff_solution():
     spec, system, sol = solved_fixture("B(0|1)")
     assert max_residual(system, sol) < 1e-10
+
+
+@pytest.mark.parametrize("roots", [((math.nan, 0.5), (0.1, 0.2)),
+                                   ((0.3, 0.5), (0.1, math.nan))])
+def test_a_nan_residual_is_the_maximum(roots):
+    # max() keeps its running value against a NaN: these once read 0.0,
+    # while the same roots without the NaN read 3.93
+    system = BetheSystem(parse_spec("B(0|2)"), 3, (1.7, -0.4, 0.3), (2, 2))
+    rs = BetheRootSet(tuple(tuple(map(complex, vs)) for vs in roots))
+    assert math.isnan(max_residual(system, rs))
+
+
+def test_a_nan_residual_is_rejected(monkeypatch):
+    # a finite iterate whose residual is NaN fails the residual filter
+    system = BetheSystem(parse_spec("B(0|1)"), 2, (2.0, -1.0), (1,))
+    monkeypatch.setattr(newton, "search",
+                        lambda *args: [(np.array([0.5 + 0j]), math.nan)])
+    stats: dict = {}
+    with pytest.raises(NoSolutionFound):
+        solve_bae(system, stats=stats)
+    assert stats["residual_rejected"] == 1
 
 
 def test_solutions_permutation_invariant():
@@ -231,6 +255,80 @@ def test_pair_relations_take_the_signed_box_signs():
                  for name, d, shift, labels in _pair_relations(spec)]
                 for spec in FAMILY_RULE_SPECS]) == (
         "cf9541c533be571493827c9cc5087d983f668033cc19addebea884ecda0ab62b")
+
+
+PAIR_SPECS = ([AlgebraSpec("B", r, s) for r in range(7) for s in range(1, 7)]
+              + [AlgebraSpec("D", r, s) for r in range(2, 8)
+                 for s in range(1, 7)])
+
+
+def _bethe_term(spec: AlgebraSpec, d: int, minus: bool = True,
+                self_coupling: bool = True) -> SymTerm:
+    """RHS/LHS of Bethe equation d as one term: c_d prod Q_b(u + x) /
+    Q_b(u - x) over the couplings (b, x) that the solver's table reads off
+    bilinear_form, times phi(u + 1)/phi(u - 1) for d = 1.  c_d is
+    -(-1)^deg on a signed row and 1 on the unsigned row of an odd root with
+    (alpha_d|alpha_d) = c != 0, which couples to itself at -c and 2c.  The
+    flags leave out the signed rows' minus or the 2c self-coupling."""
+    c, deg = bilinear_form(spec, d, d), root_degree(spec, d)
+    signed = not (deg and c)
+    xs = [(b, bilinear_form(spec, d, b) if signed or b != d else -c)
+          for b in range(1, spec.rank + 1)]
+    if not signed and self_coupling:
+        xs.append((d, 2 * c))
+    qs = [f for b, x in xs if x for f in ((b, x, 1), (b, -x, -1))]
+    coeff = (-1) ** deg * (-1 if minus else 1) if signed else 1
+    return SymTerm.make(coeff, qs, [(1, 1), (-1, -1)] if d == 1 else [])
+
+
+def _pair_ratio(spec: AlgebraSpec, d: int, shift: int, labels) -> SymTerm:
+    """(-r2 / r1)(u + shift), r1 and r2 the relation's signed boxes without
+    their pole factor Q_d(u - shift): the two residues at u = u_k + shift
+    cancel exactly where this is 1 at u = u_k."""
+    pole = (d, -shift, -1)
+    r1, r2 = [signed_box(BoxContext(spec), lab) for lab in labels]
+    assert pole in r1.qs and pole in r2.qs
+    r1, r2 = [SymTerm(t.coeff, tuple(f for f in t.qs if f != pole), t.phis)
+              for t in (r1, r2)]
+    return (SymTerm.make(-1) * r2 * r1.inverse()).shifted(shift)
+
+
+def test_each_residue_pair_relation_is_its_bethe_equation():
+    # the paper's central claim, exactly: each pair's residues cancel at a
+    # root of color d by Bethe equation d, for 1,122 relations of 78
+    # algebras; leaving out the signed rows' minus fails every signed row,
+    # leaving out the 2c self-coupling fails the 12 odd-root rows of B(0|s)
+    rels = [(spec, d, _pair_ratio(spec, d, shift, labels))
+            for spec in PAIR_SPECS
+            for _, d, shift, labels in _pair_relations(spec)]
+    assert len(rels) == 1122
+    assert all(got == _bethe_term(spec, d) for spec, d, got in rels)
+    unsigned = [(spec, d) for spec, d, _ in rels
+                if root_degree(spec, d) and bilinear_form(spec, d, d)]
+    assert len(unsigned) == 12
+    assert sum(got == _bethe_term(spec, d, minus=False)
+               for spec, d, got in rels) == 12
+    assert sum(got == _bethe_term(spec, d, self_coupling=False)
+               for spec, d, got in rels) == 1122 - 12
+
+
+def test_the_bethe_terms_are_the_solver_equations():
+    # at u = u_k^(d) on random complex roots, the term of equation d is
+    # (rn/rd)/(ln/ld) of the solver's table
+    rng, w = Random(5), (0.9, -0.3, 0.4)
+    for spec in PAIR_SPECS:
+        system = BetheSystem(spec, 3, w, (2,) * spec.rank)
+        roots = BetheRootSet(tuple(
+            tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                  for _ in range(2)) for _ in range(spec.rank)))
+        for d in range(1, spec.rank + 1):
+            term = SymSum((_bethe_term(spec, d),))
+            for k in (1, 2):
+                ln, ld, rn, rd = bae_parts(system, roots, d, k)
+                at = Assignment.float_point(roots.roots[d - 1][k - 1],
+                                            roots.as_mapping(), w)
+                want = (rn / rd) / (ln / ld)
+                assert abs(evaluate(term, at) - want) <= 1e-12 * abs(want)
 
 
 # sha256 of the solver's exact output, recorded before the equations were

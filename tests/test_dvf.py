@@ -250,32 +250,33 @@ def test_transfer_value_matches_expanded_sum(name, shape):
     if isinstance(shape, SkewDiagram):
         ctx = BoxContext(spec)
         direct = build_dvf(ctx, shape)
-        value = lambda asg, shift: dvf_value(ctx, shape, asg, {}, shift)
+        value = lambda asg, shift: dvf_value(ctx, shape, asg, shift)
     else:
         direct = normalized_rect_dvf(spec, *shape)
         value = lambda asg, shift: normalized_rect_value(spec, *shape, asg,
-                                                         {}, shift)
+                                                         shift)
     rng = Random(f"{name} {shape}")
     for _ in range(2):
         asg, shift = _point(rng, spec), rng.randint(-3, 3)
         want = evaluate(shift_u(direct, shift), asg)
-        assert value(asg, shift) == want
+        # a fresh point: the two paths share no memo
+        assert value(Assignment(asg.u, asg.roots, asg.inhoms), shift) == want
 
 
 def test_transfer_value_edge_cases():
     ctx11 = BoxContext(parse_spec("B(1|1)"))
     asg = _point(Random(0), ctx11.spec)
-    assert dvf_value(ctx11, SkewDiagram.straight(()), asg, {}) == 1
-    assert dvf_value(ctx11, SkewDiagram.straight((4, 4, 4)), asg, {}) == 0
-    assert rect_value(ctx11, 4, 3, asg, {}) == 0
-    assert rect_value(ctx11, 0, 3, asg, {}) == rect_value(ctx11, 2, 0, asg, {}) == 1
-    assert rect_value(ctx11, -1, 2, asg, {}) == rect_value(ctx11, 2, -1, asg, {}) == 0
+    assert dvf_value(ctx11, SkewDiagram.straight(()), asg) == 1
+    assert dvf_value(ctx11, SkewDiagram.straight((4, 4, 4)), asg) == 0
+    assert rect_value(ctx11, 4, 3, asg) == 0
+    assert rect_value(ctx11, 0, 3, asg) == rect_value(ctx11, 2, 0, asg) == 1
+    assert rect_value(ctx11, -1, 2, asg) == rect_value(ctx11, 2, -1, asg) == 0
     with pytest.raises(UnsupportedShape):
-        dvf_value(BoxContext(D21), SkewDiagram.make((1,), (2, 2)), asg, {})
+        dvf_value(BoxContext(D21), SkewDiagram.make((1,), (2, 2)), asg)
     # [1]_u of B(1|1) has the denominator Q_1(u - 1): a root at u - 1 is a pole
     pole = Assignment.exact_point(5, {1: (4, 9), 2: (7,)}, (3,))
     with pytest.raises(PoleHit):
-        dvf_value(ctx11, SkewDiagram.straight((1,)), pole, {})
+        dvf_value(ctx11, SkewDiagram.straight((1,)), pole)
 
 
 def test_normalize_f1_is_identity():
@@ -304,7 +305,7 @@ def test_normalize_rejects_wrong_family():
             with pytest.raises(WrongAlgebra):
                 normalized_rect_dvf(spec, m, 1)
             with pytest.raises(WrongAlgebra):
-                normalized_rect_value(spec, m, 1, None, {})
+                normalized_rect_value(spec, m, 1, None)
 
 
 def test_normalize_f2_explicit():

@@ -212,12 +212,12 @@ def test_a_swapped_entry_breaks_the_d_column(name):
         swap = next((i, j) for i, row in enumerate(matrix)
                     for j, (n, _) in enumerate(row) if n >= 2)
 
-        def swapped_minus_direct(asg, cache):
+        def swapped_minus_direct(asg):
             det = exact_det([[rect_value(ctx, *((1, n) if (i, j) == swap
-                                                else (n, 1)), asg, cache, sh)
+                                                else (n, 1)), asg, sh)
                               for j, (n, sh) in enumerate(row)]
                              for i, row in enumerate(matrix)])
-            return det - dvf_value(ctx, shape, asg, cache)
+            return det - dvf_value(ctx, shape, asg)
 
         worst, _ = sample_max_deviation(
             swapped_minus_direct, set(range(1, spec.rank + 1)), 3, a)

@@ -5,10 +5,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import bethe_dvf
+from bethe_dvf import symbolic
+from bethe_dvf.algebra import parse_spec
+from bethe_dvf.dvf import BoxContext, build_dvf
+from bethe_dvf.symbolic import Assignment, colors_of, evaluate, random_assignment
+from bethe_dvf.tableaux import SkewDiagram
 
 MODULES = sorted(p for p in Path(bethe_dvf.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -141,3 +147,56 @@ def test_exact_commands_start_without_numpy():
 def test_the_numpy_probe_sees_the_kernel():
     # the negative control: the probe reports numpy where a snippet loads it
     assert numpy_loaded("import bethe_dvf.newton") == [True]
+
+
+MEMO_PARAMETERS = {"cache", "_cache", "memo"}
+
+
+def memo_parameters(source: str) -> list[str]:
+    """Each function or lambda parameter named as a memo (``cache``,
+    ``_cache`` or ``memo``), as "function(parameter)"."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            out.extend(f"{getattr(node, 'name', '<lambda>')}({p.arg})"
+                       for p in params if p and p.arg in MEMO_PARAMETERS)
+    return out
+
+
+def test_memo_parameters_are_found():
+    assert memo_parameters(
+        "def f(x, cache): pass\ng = lambda asg, memo=None: 0\n"
+        "def h(*, _cache): pass\nasync def k(*memo): pass\n"
+        "def m(caches, **cache): pass\n") == [
+        "f(cache)", "h(_cache)", "k(memo)", "m(cache)", "<lambda>(memo)"]
+
+
+def test_only_evaluate_and_run_take_a_memo():
+    # a point owns its memo; the explicit ones left are the memo _run fills
+    # and evaluate's, with which a caller values a point afresh
+    assert [f"{p.name}: {m}" for p in MODULES
+            for m in memo_parameters(p.read_text())] == [
+        "symbolic.py: _run(memo)", "symbolic.py: evaluate(_cache)"]
+
+
+def test_a_given_memo_isolates_each_evaluation(monkeypatch):
+    # a fresh dict given to evaluate stands in for the point's own memo, so
+    # each call values every base again, on the exact and the float path,
+    # and the point's memo is never made
+    counted = []
+    base_int, poly_at = symbolic._base_int, symbolic.poly_at
+    monkeypatch.setattr(symbolic, "_base_int",
+                        lambda asg, c, s: counted.append((c, s)) or base_int(asg, c, s))
+    monkeypatch.setattr(symbolic, "poly_at",
+                        lambda zs, v, start: counted.append((zs, v)) or poly_at(zs, v, start))
+    x = build_dvf(BoxContext(parse_spec("B(2|1)")), SkewDiagram.straight((2, 1)))
+    exact = random_assignment(Random(9), colors_of(x))
+    point = Assignment.float_point(exact.u, exact.roots, exact.inhoms)
+    for asg in (exact, point):
+        counted.clear()
+        values = [evaluate(x, asg, {}) for _ in range(2)]
+        assert values[0] == values[1]
+        assert len(counted) == 2 * len(set(counted)) == 2 * 34
+        assert "_memo" not in vars(asg)

@@ -21,7 +21,7 @@ from bethe_dvf.relations import (det_formula, det_matrix, tsystem_block,
 from bethe_dvf.symbolic import (Assignment, PoleHit, SymSum, SymTerm, ZERO,
                                 _base_int, _group_sum_at, colors_of,
                                 equal_as_rational_functions, evaluate,
-                                evaluate_term, exact_det, loads, dumps,
+                                exact_det, loads, dumps,
                                 poly_at, random_assignment, residue_breakdown,
                                 shift_u, sum_from_json, sum_to_json,
                                 sum_to_latex, sum_to_text, term_from_json)
@@ -112,16 +112,6 @@ def test_evaluate_float_mode():
     x = SymSum.from_term(q1_ratio(1, -1))
     asg = Assignment.float_point(3 + 0j, {1: (0j,)})
     assert abs(evaluate(x, asg) - 2) < 1e-12
-
-
-def test_evaluate_term_values_float_points_only():
-    # exact values have one entry, evaluate on a sum: a term at an exact
-    # point is refused, not valued in a mix of Fraction and complex
-    t = q1_ratio(1, -1)
-    with pytest.raises(ValueError):
-        evaluate_term(t, Assignment.exact_point(3, {1: (0,)}))
-    asg = Assignment.float_point(3 + 0j, {1: (0j,)})
-    assert evaluate_term(t, asg) == evaluate(SymSum((t,)), asg) == 2
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
@@ -524,9 +514,9 @@ def test_exact_evaluation_matches_reference():
     asg = NET_POINT
     # (u - 7/3)(u + 5/3) = -4 is an integer: n = (3 - 21)(3 + 15) = -324
     # over D_1 = 3^2 * 3 * 3 = 81, both in the point's slot table
-    cache: dict = {}
-    evaluate(SymSum.make([SymTerm.make(1, [(1, 0, 1)])]), asg, cache)
-    slots = cache[symbolic._SCALED]
+    fresh = Assignment(asg.u, asg.roots, asg.inhoms)
+    evaluate(SymSum.make([SymTerm.make(1, [(1, 0, 1)])]), fresh)
+    slots = fresh._memo[symbolic._SCALED]
     assert _base_int(asg, 1, 0) == slots[1, 0] == -324 and slots[1] == 81
     sums = [SymSum.make([t]) for t in NET_CASES] + [SymSum.make(NET_CASES)]
     for x in sums:
@@ -534,7 +524,7 @@ def test_exact_evaluation_matches_reference():
     for t in NET_CASES:
         assert evaluate(SymSum((t,)), asg) == _ref_value((t,), asg)
     groups = [[sums[0], sums[1]], [sums[4]], [sums[2], sums[3], sums[0]]]
-    assert _group_sum_at(groups, asg, {}) == sum(
+    assert _group_sum_at(groups, asg) == sum(
         prod_ref(g, asg) for g in groups)
     rng = Random(2024)
     poles = values = 0
@@ -543,22 +533,21 @@ def test_exact_evaluation_matches_reference():
         asg = _random_point(rng, x)
         pole = _ref_first_pole(x.terms, asg)
         singles = [SymSum((t,)) for t in x.terms]
-        cache: dict = {}
-        for _ in range(2):      # the second pass reads the filled cache
+        for _ in range(2):      # the second pass reads the point's memo
             if pole is None:
-                assert evaluate(x, asg, cache) == _ref_value(x.terms, asg)
+                assert evaluate(x, asg) == _ref_value(x.terms, asg)
             else:
                 with pytest.raises(PoleHit) as hit:
-                    evaluate(x, asg, cache)
+                    evaluate(x, asg)
                 assert (hit.value.color, hit.value.shift) == pole
             for t, one in zip(x.terms, singles):
                 term_pole = _ref_first_pole((t,), asg)
                 if term_pole is None:
                     want = _ref_value((t,), asg)
-                    assert evaluate(one, asg, cache) == want
+                    assert evaluate(one, asg) == want
                 else:
                     with pytest.raises(PoleHit) as hit:
-                        evaluate(one, asg, cache)
+                        evaluate(one, asg)
                     assert (hit.value.color, hit.value.shift) == term_pole
         poles += pole is not None
         values += pole is None
@@ -815,10 +804,9 @@ def test_a_point_values_each_base_once(monkeypatch):
     x = build_dvf(BoxContext(parse_spec("B(2|1)")), SkewDiagram.straight((2, 1)))
     bases = {(c, s) for t in x.terms for c, s, _ in _ref_factors(t)}
     asg = random_assignment(Random(9), colors_of(x))
-    cache: dict = {}
-    evaluate(x, asg, cache)
+    evaluate(x, asg)
     assert len(calls) == len(set(calls)) == len(bases) == 34
-    evaluate(x, asg, cache)
+    evaluate(x, asg)
     assert len(calls) == len(bases)
     # dvf_value runs one plan per row of boxes: a base shared by two boxes
     # or two cells is valued once per point too
@@ -827,7 +815,8 @@ def test_a_point_values_each_base_once(monkeypatch):
              for c, s, _ in _ref_factors(signed_box(ctx, lab,
                                                      cell_shift(shape, i, j)))}
     calls.clear()
-    assert dvf_value(ctx, shape, asg, {}) == evaluate(x, asg, cache)
+    fresh = Assignment(asg.u, asg.roots, asg.inhoms)
+    assert dvf_value(ctx, shape, fresh) == evaluate(x, asg)
     assert len(calls) == len(set(calls)) == len(boxes) == 34
 
 
@@ -892,20 +881,20 @@ def test_pole_hits_on_the_integer_path_name_the_first_factor(name, mu):
         pole = _ref_first_pole(boxes, asg)
         poles += pole is not None
         if pole is None:
-            assert dvf_value(ctx, shape, asg, {}) == _ref_value(x.terms, asg)
+            assert dvf_value(ctx, shape, asg) == _ref_value(x.terms, asg)
         else:
             with pytest.raises(PoleHit) as hit:
-                dvf_value(ctx, shape, asg, {})
+                dvf_value(ctx, shape, asg)
             assert (hit.value.color, hit.value.shift) == pole
-        for terms, value in ((x.terms, lambda c: evaluate(x, asg, c)),
-                             (x.terms[:1],
-                              lambda c: evaluate(first, asg, c))):
-            pole = _ref_first_pole(terms, asg)
+        for y in (x, first):
+            # a fresh point each: no value is read from another's memo
+            point = Assignment(asg.u, asg.roots, asg.inhoms)
+            pole = _ref_first_pole(y.terms, asg)
             if pole is None:
-                assert value({}) == _ref_value(terms, asg)
+                assert evaluate(y, point) == _ref_value(y.terms, asg)
             else:
                 with pytest.raises(PoleHit) as hit:
-                    value({})
+                    evaluate(y, point)
                 assert (hit.value.color, hit.value.shift) == pole
     assert poles > 20
 
@@ -923,21 +912,22 @@ def test_one_cache_serves_every_exact_evaluator():
     shape = SkewDiagram.straight((2, 1))
     roots = {1: (Fraction(1, 2), -3), 2: (Fraction(5, 4),)}
     asg = Assignment.exact_point(Fraction(7, 3), roots, (Fraction(-2, 3), 4))
-    calls = [lambda c: evaluate(x, asg, c),
-             lambda c: evaluate(y, asg, c),
-             lambda c: evaluate(one, asg, c),
-             lambda c: dvf_value(ctx, shape, asg, c, 1),
-             lambda c: normalized_rect_value(b02, 2, 1, asg, c)]
-    fresh = [call({}) for call in calls]
+    calls = [lambda p: evaluate(x, p),
+             lambda p: evaluate(y, p),
+             lambda p: evaluate(one, p),
+             lambda p: dvf_value(ctx, shape, p, 1),
+             lambda p: normalized_rect_value(b02, 2, 1, p)]
+    point = lambda: Assignment(asg.u, asg.roots, asg.inhoms)
+    fresh = [call(point()) for call in calls]
     for order in (calls, calls[::-1]):
-        cache: dict = {}
-        got = [call(cache) for call in order]
+        shared = point()
+        got = [call(shared) for call in order]
         assert got == (fresh if order is calls else fresh[::-1])
-    # the evaluator keeps one entry, the point's slot table
+    # the evaluator keeps one entry in the point's memo, its slot table
     for z in (x, y):
-        cache = {}
-        evaluate(z, asg, cache)
-        assert list(cache) == [symbolic._SCALED]
+        p = point()
+        evaluate(z, p)
+        assert list(p._memo) == [symbolic._SCALED]
 
 
 def _value_digest(x: SymSum) -> str:
